@@ -54,7 +54,6 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .network import (
     LayerSpec,
     LifParams,
-    MembraneState,
     NetworkSpec,
     WeightSet,
     build_network,
@@ -62,7 +61,8 @@ from .network import (
     forward,
     init_weights,
     layer_forward,
-    lif_step,
+    lif_scan,
+    simulate,
 )
 from .quantize import (
     FixedPointFormat,
@@ -77,6 +77,7 @@ from .training import (
     SurrogateParams,
     TrainConfig,
     backward,
+    batch_backward,
     evaluate,
     loss,
     surrogate_derivative,

@@ -137,18 +137,7 @@ def _resolve_data(data_cfg: dict, window: int, timesteps: int, workers: int):
 
 def cmd_train(args) -> int:
     raw = json.loads(Path(args.config).read_text())
-    config = TrainConfig(
-        epochs=raw["epochs"],
-        batch_size=raw.get("batch_size", 20),
-        learning_rate=raw.get("learning_rate", 0.1),
-        momentum=raw.get("momentum", 0.9),
-        seed=raw["seed"],
-        timesteps=raw.get("timesteps", 10),
-        window=raw.get("window", 50),
-        lr_decay_epoch=raw.get("lr_decay_epoch", 120),
-        lr_decay_factor=raw.get("lr_decay_factor", 0.1),
-        checkpoint_every=raw.get("checkpoint_every", 0),
-    )
+    config = TrainConfig.from_dict(raw)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train_data, test_data = _resolve_data(
@@ -236,15 +225,7 @@ def cmd_dse(args) -> int:
         encoded = {}
         for w in grid.windows:
             for t in grid.timesteps:
-                cfg = TrainConfig(
-                    epochs=raw["epochs"],
-                    batch_size=raw.get("batch_size", 20),
-                    learning_rate=raw.get("learning_rate", 0.1),
-                    momentum=raw.get("momentum", 0.9),
-                    seed=raw["seed"],
-                    timesteps=t,
-                    window=w,
-                )
+                cfg = TrainConfig.from_dict({**raw, "timesteps": t, "window": w})
                 train_data, test_data = _resolve_data(raw["data"], w, t, args.workers)
                 net = build_network(w)
                 weights, _ = train(net, train_data, cfg, workers=args.workers)
@@ -337,6 +318,7 @@ def cmd_complexity(args) -> int:
                 "timestep": args.timestep,
                 "bits": args.bits,
                 "constants": args.constants,
+                "strict": args.strict,
                 "out": str(out),
             },
         )
@@ -352,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spikedse",
         description="Spiking-network training, quantization and design-space exploration",
     )
-    parser.add_argument("--workers", type=int, default=1, help="worker thread cap")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="worker thread cap for dataset loading")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_dataset = sub.add_parser("dataset", help="generate or inspect event datasets")
@@ -415,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cx.add_argument("--timestep", type=int, required=True)
     p_cx.add_argument("--bits", type=int, default=32)
     p_cx.add_argument("--constants")
-    p_cx.add_argument("--strict", action="store_true", default=True)
+    p_cx.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True,
+                      help="accept only the reference windows (--no-strict: any)")
     p_cx.add_argument("--out")
     p_cx.set_defaults(func=cmd_complexity)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from itertools import product
@@ -139,7 +138,8 @@ def run_dse(
     datasets maps window -> test-split EventSamples (or pre-encoded
     (frames, label) pairs); baselines maps (timesteps, window) -> trained
     full-precision WeightSet. With accuracy_table set, neither is touched
-    and accuracies come from the table instead of live evaluation.
+    and accuracies come from the table instead of live evaluation. workers
+    is accepted for compatibility and does not change anything.
     """
     settings = enumerate_grid(grid)
     specs = {w: build_network(w, strict=strict_windows) for w in grid.windows}
@@ -176,30 +176,12 @@ def run_dse(
                 encoded[key] = samples
         return encoded[key]
 
-    accuracy_cache: dict[tuple[int, int, int], float] = {}
-
-    def point_accuracy(setting: tuple[int, int, int]) -> float:
-        b, t, w = setting
-        if setting not in accuracy_cache:
-            quantized = ptq(baselines[(t, w)], QuantConfig(bits=b))
-            accuracy_cache[setting] = evaluate(
-                specs[w], quantized, encoded_split(t, w)
-            )
-        return accuracy_cache[setting]
-
-    if workers > 1:
-        # pre-encode serially (shared cache), evaluate points in parallel
-        for _, t, w in settings:
-            encoded_split(t, w)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            accuracies = list(pool.map(point_accuracy, settings))
-    else:
-        accuracies = [point_accuracy(s) for s in settings]
-
-    return [
-        DsePoint(b, t, w, acc, reports[(b, t, w)], "live")
-        for (b, t, w), acc in zip(settings, accuracies)
-    ]
+    points = []
+    for b, t, w in settings:
+        quantized = ptq(baselines[(t, w)], QuantConfig(bits=b))
+        acc = evaluate(specs[w], quantized, encoded_split(t, w))
+        points.append(DsePoint(b, t, w, acc, reports[(b, t, w)], "live"))
+    return points
 
 
 def filter_constraints(

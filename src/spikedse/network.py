@@ -15,14 +15,20 @@ With zero reset the membrane update per timestep is
     V <- leak * V_prev * (1 - spike_prev) + input_current
     spike = 1 where V >= v_threshold
 
-and the spike mask applies the reset on the following step. All spike
-tensors stay strictly binary; a forward pass is a pure function of
-(weights, frames, params), so batch-level parallelism over samples is safe.
+and the spike mask applies the reset on the following step. With
+subtract reset the update is V <- leak * (V_prev - v_threshold * spike_prev)
++ input_current instead.
+
+No layer has a recurrent synapse, so `simulate` computes each layer's
+synaptic current for all timesteps and samples of a batch at once and only
+scans the LIF update over time. Spikes stay strictly binary (boolean
+arrays); a forward pass is a pure function of (weights, frames, params).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -219,83 +225,173 @@ def init_weights(spec: NetworkSpec, seed: int) -> WeightSet:
 
 # ---------------------------------------------------------------------------
 # Layer arithmetic
+#
+# The engine works on channels-last tensors whose leading axis holds all
+# T*B (timestep, sample) rows, timestep-major, so each synaptic map is one
+# GEMM (a conv: k*k shifted GEMMs) over every row at once.
 # ---------------------------------------------------------------------------
 
-def avg_pool_forward(x: np.ndarray, kernel: int) -> np.ndarray:
-    """Average k x k blocks; trailing rows/columns beyond a full block drop."""
-    c, h, w = x.shape
+# Row blocks of the per-tap GEMMs: bounds the temporary a tap's product
+# needs (peak memory) and keeps the block being accumulated in cache.
+_BLOCK_BYTES = 1 << 20
+
+
+def _pool(x: np.ndarray, kernel: int) -> np.ndarray:
+    """Average k x k blocks of (N, H, W, C); trailing rows/columns drop."""
+    n, h, w, c = x.shape
     h2, w2 = h // kernel, w // kernel
-    trimmed = x[:, : h2 * kernel, : w2 * kernel]
-    return trimmed.reshape(c, h2, kernel, w2, kernel).mean(axis=(2, 4))
+    out = np.zeros((n, h2, w2, c))
+    for u in range(kernel):
+        for v in range(kernel):
+            out += x[:, u : h2 * kernel : kernel, v : w2 * kernel : kernel]
+    out /= kernel * kernel
+    return out
 
 
-def avg_pool_backward(grad_out: np.ndarray, in_shape: tuple, kernel: int) -> np.ndarray:
-    c, h, w = in_shape
-    h2, w2 = grad_out.shape[1], grad_out.shape[2]
+def _pool_backward(grad_out: np.ndarray, kernel: int, in_shape: tuple) -> np.ndarray:
+    """Spread (N, H2, W2, C) gradients over the k x k blocks they averaged.
+
+    in_shape is the pool's (N, H, W, C) input; rows and columns the pool
+    dropped get no gradient.
+    """
+    h2, w2 = grad_out.shape[1:3]
+    spread = grad_out / (kernel * kernel)
     grad_in = np.zeros(in_shape)
-    spread = np.repeat(np.repeat(grad_out, kernel, axis=1), kernel, axis=2)
-    grad_in[:, : h2 * kernel, : w2 * kernel] = spread / (kernel * kernel)
+    for u in range(kernel):
+        for v in range(kernel):
+            grad_in[:, u : h2 * kernel : kernel, v : w2 * kernel : kernel] = spread
     return grad_in
 
 
-def _im2col(
-    x_padded: np.ndarray, kernel: int, stride: int
-) -> tuple[np.ndarray, int, int]:
-    """Unfold to (C * k * k, H_out * W_out) patch columns."""
-    windows = np.lib.stride_tricks.sliding_window_view(
-        x_padded, (kernel, kernel), axis=(1, 2)
-    )[:, ::stride, ::stride]
-    c, h_out, w_out = windows.shape[:3]
+def _pad(x: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-padded float64 copy of (N, H, W, C)."""
+    n, h, w, c = x.shape
+    out = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
+    out[:, padding : padding + h, padding : padding + w] = x
+    return out
+
+
+def _tap_offsets(kernel: int, row: int) -> list[int]:
+    """Flat row offset u*row + v of each kernel tap (u, v), in (u, v) order."""
+    return [u * row + v for u in range(kernel) for v in range(kernel)]
+
+
+def _shifted_gemm(
+    src: np.ndarray, mats: list[np.ndarray], offsets: list[int], out: np.ndarray
+) -> None:
+    """out[r] = sum_i src[r + offsets[i]] @ mats[i], in place.
+
+    Terms whose source row falls outside src are skipped; offsets[0] must
+    be 0. Each tap is one GEMM over all rows, cut into row blocks of about
+    _BLOCK_BYTES.
+    """
+    rows, width = out.shape
+    block = max(1, _BLOCK_BYTES // (out.itemsize * width))
+    tmp = np.empty((min(block, rows), width))
+    for a in range(0, rows, block):
+        b = min(a + block, rows)
+        np.matmul(src[a:b], mats[0], out=out[a:b])
+        for mat, off in zip(mats[1:], offsets[1:]):
+            lo, hi = max(a, -off), min(b, rows - off)
+            if lo < hi:
+                np.matmul(src[lo + off : hi + off], mat, out=tmp[: hi - lo])
+                out[lo:hi] += tmp[: hi - lo]
+
+
+def _output_slices(grid_shape: tuple, kernel: int, stride: int) -> tuple:
+    """Where the strided conv output sits on the stride-1 padded grid."""
     return (
-        windows.transpose(0, 3, 4, 1, 2).reshape(c * kernel * kernel, h_out * w_out),
-        h_out,
-        w_out,
+        slice(0, grid_shape[1] - kernel + 1, stride),
+        slice(0, grid_shape[2] - kernel + 1, stride),
     )
+
+
+def _conv(
+    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: int, stride: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-correlation of channels-last (N, H, W, C) input with (O, C, k, k).
+
+    The output is computed on the padded input grid: flattening the padded
+    input to rows (n, i, j), tap (u, v) reads the row u*Wp + v further on,
+    so each tap is one contiguous GEMM accumulated into the same buffer and
+    no im2col columns are built. Returns (grid, out): grid is the
+    (N, Hp, Wp, O) buffer, out the view of its valid (strided) positions.
+    """
+    o, c, kernel, _ = weight.shape
+    if x.shape[3] != c:
+        raise ShapeMismatch(f"conv expects {c} input channels, got {x.shape[3]}")
+    xp = _pad(x, padding)
+    n, hp, wp, _ = xp.shape
+    rows = n * hp * wp
+    grid = np.empty((n, hp, wp, o))
+    taps = [weight[:, :, u, v].T for u in range(kernel) for v in range(kernel)]
+    _shifted_gemm(
+        xp.reshape(rows, c), taps, _tap_offsets(kernel, wp), grid.reshape(rows, o)
+    )
+    grid += bias
+    rs, cs = _output_slices(grid.shape, kernel, stride)
+    return grid, grid[:, rs, cs]
+
+
+def _conv_backward(
+    grid: np.ndarray,
+    x: np.ndarray,
+    weight: np.ndarray,
+    padding: int,
+    stride: int,
+    *,
+    input_grad: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(d_weight, d_bias, d_input) of `_conv`, one row-blocked GEMM per tap each.
+
+    grid is the forward output buffer holding dL/d(output) at the valid
+    positions; everything else in it is zeroed here, in place.
+    """
+    o, c, kernel, _ = weight.shape
+    n, hp, wp, _ = grid.shape
+    rs, cs = _output_slices(grid.shape, kernel, stride)
+    for axis, size, valid in ((1, hp, rs), (2, wp, cs)):
+        outside = np.ones(size, bool)
+        outside[valid] = False
+        grid[(slice(None),) * axis + (outside,)] = 0.0
+    rows = n * hp * wp
+    gf = grid.reshape(rows, o)
+    xf = _pad(x, padding).reshape(rows, c)
+    offsets = _tap_offsets(kernel, wp)
+    d_taps = np.zeros((len(offsets), c, o))
+    tmp = np.empty((c, o))
+    block = max(1, _BLOCK_BYTES // (gf.itemsize * o))
+    for a in range(0, rows, block):  # each block of gf is read once from memory
+        for d_tap, off in zip(d_taps, offsets):
+            hi = min(a + block, rows - off)
+            if a < hi:
+                np.matmul(xf[a + off : hi + off].T, gf[a:hi], out=tmp)
+                d_tap += tmp
+    del xf  # free the padded input before d_input is allocated
+    d_weight = np.ascontiguousarray(
+        d_taps.reshape(kernel, kernel, c, o).transpose(3, 2, 0, 1)
+    )
+    d_bias = gf.sum(axis=0)
+    if not input_grad:
+        return d_weight, d_bias, None
+    d_xp = np.empty((n, hp, wp, c))
+    taps = [weight[:, :, u, v] for u in range(kernel) for v in range(kernel)]
+    _shifted_gemm(gf, taps, [-off for off in offsets], d_xp.reshape(rows, c))
+    h, w = x.shape[1:3]
+    return d_weight, d_bias, d_xp[:, padding : padding + h, padding : padding + w]
+
+
+def avg_pool_forward(x: np.ndarray, kernel: int) -> np.ndarray:
+    """Average k x k blocks of one (C, H, W) map; trailing rows/columns drop."""
+    return _pool(x.transpose(1, 2, 0)[None], kernel)[0].transpose(2, 0, 1)
 
 
 def conv_forward(
     x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: int, stride: int
 ) -> np.ndarray:
-    """Cross-correlation of (C, H, W) input with (O, C, k, k) kernels."""
-    o, c_w, kernel, _ = weight.shape
-    if x.shape[0] != c_w:
-        raise ShapeMismatch(f"conv expects {c_w} input channels, got {x.shape[0]}")
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    cols, h_out, w_out = _im2col(xp, kernel, stride)
-    out = weight.reshape(o, -1) @ cols + bias[:, None]
-    return out.reshape(o, h_out, w_out)
-
-
-def conv_backward(
-    grad_out: np.ndarray,
-    x: np.ndarray,
-    weight: np.ndarray,
-    padding: int,
-    stride: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (d_weight, d_bias, d_input) for conv_forward."""
-    o, c, kernel, _ = weight.shape
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    cols, h_out, w_out = _im2col(xp, kernel, stride)
-    g = grad_out.reshape(o, -1)
-    d_weight = (g @ cols.T).reshape(weight.shape)
-    d_bias = g.sum(axis=1)
-
-    d_cols = weight.reshape(o, -1).T @ g  # (C*k*k, H_out*W_out)
-    d_xp = np.zeros_like(xp)
-    d_cols = d_cols.reshape(c, kernel, kernel, h_out, w_out)
-    for i in range(kernel):
-        for j in range(kernel):
-            d_xp[
-                :,
-                i : i + stride * h_out : stride,
-                j : j + stride * w_out : stride,
-            ] += d_cols[:, i, j]
-    if padding:
-        d_x = d_xp[:, padding:-padding, padding:-padding]
-    else:
-        d_x = d_xp
-    return d_weight, d_bias, d_x
+    """Cross-correlation of one (C, H, W) input with (O, C, k, k) kernels."""
+    _, out = _conv(x.transpose(1, 2, 0)[None], weight, bias, padding, stride)
+    return out[0].transpose(2, 0, 1)
 
 
 def fc_forward(x_flat: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -309,7 +405,7 @@ def fc_forward(x_flat: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.n
 def layer_forward(
     layer: LayerSpec, weights: LayerWeights | None, spikes_in: np.ndarray
 ) -> np.ndarray:
-    """Stateless synaptic map for one layer: spikes/currents in, current out."""
+    """Stateless synaptic map for one (C, H, W) input at one timestep."""
     if layer.kind == "avg_pool":
         return avg_pool_forward(spikes_in, layer.kernel)
     if layer.kind == "conv":
@@ -320,75 +416,145 @@ def layer_forward(
 
 
 # ---------------------------------------------------------------------------
-# LIF dynamics and full forward pass
+# LIF dynamics and the batched forward pass
 # ---------------------------------------------------------------------------
-
-@dataclass
-class MembraneState:
-    """Per-spiking-layer membrane potentials and previous spikes."""
-
-    potentials: list[np.ndarray | None]
-    prev_spikes: list[np.ndarray | None]
-
-    @classmethod
-    def fresh(cls, n_layers: int) -> "MembraneState":
-        return cls(potentials=[None] * n_layers, prev_spikes=[None] * n_layers)
-
 
 def relaxed_spike(v: np.ndarray, v_threshold: float, half_width: float) -> np.ndarray:
     """Clipped-linear stand-in for the hard threshold (gradient checking)."""
     return np.clip((v - v_threshold + half_width) / (2.0 * half_width), 0.0, 1.0)
 
 
-def lif_step(
-    state: MembraneState,
-    layer_index: int,
-    input_current: np.ndarray,
+def lif_scan(
+    current: np.ndarray,
     params: LifParams,
     *,
     spike_mode: SpikeMode = "hard",
     surrogate_half_width: float = 0.5,
 ) -> np.ndarray:
-    """Advance one spiking layer by one timestep; returns the spike tensor.
+    """Run the LIF recurrence over axis 0 (time); returns the spikes.
 
-    State is updated in place for the next timestep. The threshold
+    current is a float64 (T, ...) array of synaptic input and becomes the
+    membrane potential V in place. Spikes are boolean in "hard" mode and
+    the clipped-linear relaxation in "relaxed" mode. The threshold
     comparison uses >=, so a potential exactly at threshold fires.
     """
-    v_prev = state.potentials[layer_index]
-    s_prev = state.prev_spikes[layer_index]
-    if v_prev is None:
-        v = input_current.astype(float, copy=True)
-    else:
-        if v_prev.shape != input_current.shape:
-            raise ShapeMismatch(
-                f"membrane {v_prev.shape} vs input {input_current.shape}"
-            )
-        if params.reset_mode == "zero":
-            v = params.leak * v_prev * (1.0 - s_prev) + input_current
+    v = current
+    hard = spike_mode == "hard"
+    spikes = np.empty(v.shape, bool if hard else float)
+    carry = np.empty(v.shape[1:])
+    for t in range(v.shape[0]):
+        if t:
+            s_prev = spikes[t - 1]
+            if params.reset_mode == "zero":
+                # leak * V_prev * (1 - s_prev)
+                np.multiply(v[t - 1], params.leak, out=carry)
+                if hard:
+                    carry[s_prev] = 0.0
+                else:
+                    carry *= 1.0 - s_prev
+            else:
+                # leak * (V_prev - v_threshold * s_prev)
+                np.subtract(v[t - 1], params.v_threshold * s_prev, out=carry)
+                carry *= params.leak
+            v[t] += carry
+        if hard:
+            np.greater_equal(v[t], params.v_threshold, out=spikes[t])
         else:
-            v = params.leak * (v_prev - params.v_threshold * s_prev) + input_current
-    if spike_mode == "hard":
-        spikes = (v >= params.v_threshold).astype(float)
-    else:
-        spikes = relaxed_spike(v, params.v_threshold, surrogate_half_width)
-    state.potentials[layer_index] = v
-    state.prev_spikes[layer_index] = spikes
+            spikes[t] = relaxed_spike(v[t], params.v_threshold, surrogate_half_width)
     return spikes
 
 
 @dataclass
 class LayerTrace:
-    """Recorded per-timestep tensors for one layer (for backprop)."""
+    """One spiking layer's tensors over a batch, recorded for backprop.
 
-    inputs: list[np.ndarray] = field(default_factory=list)
-    potentials: list[np.ndarray] = field(default_factory=list)
-    spikes: list[np.ndarray] = field(default_factory=list)
+    All are (T, B, ...). inputs is what the synaptic map read, channels-last
+    except for an fc layer reading a feature map, which keeps the (C, H, W)
+    order its weights flatten. current is the (T*B, ...) buffer the map
+    wrote (a conv's padded output grid); potentials is the view of it that
+    the LIF scan turned into V.
+    """
+
+    inputs: np.ndarray
+    current: np.ndarray
+    potentials: np.ndarray
+    spikes: np.ndarray
 
 
 @dataclass
 class ForwardResult:
+    """Output spike counts ((B, K) from `simulate`, (K,) from `forward`)
+    and, when recorded, a LayerTrace per spiking layer (None for pooling)."""
+
     counts: np.ndarray
-    trace: list[LayerTrace] | None = None
+    trace: list[LayerTrace | None] | None = None
+
+
+def simulate(
+    net: NetworkSpec,
+    weights: WeightSet,
+    frames: Sequence[SpikeFrames],
+    *,
+    record: bool = False,
+    spike_mode: SpikeMode = "hard",
+    surrogate_half_width: float = 0.5,
+) -> ForwardResult:
+    """Run a batch of B samples through all T timesteps at once.
+
+    Each spiking layer computes its synaptic current for all T*B rows in
+    one pass, then scans the LIF recurrence over T. All samples must share
+    T and the network's window.
+    """
+    timesteps = {f.timesteps for f in frames}
+    if len(timesteps) != 1:
+        raise ShapeMismatch(
+            f"a batch needs one timestep count, got {sorted(timesteps)}"
+        )
+    for f in frames:
+        if f.window != net.input_window:
+            raise ShapeMismatch(
+                f"frames window {f.window} != network window {net.input_window}"
+            )
+    T, B = timesteps.pop(), len(frames)
+    n = T * B
+    # (T, B, H, W, C) rows, timestep-major
+    x = np.stack([f.data for f in frames], axis=1).transpose(0, 1, 3, 4, 2)
+    x = x.reshape((n,) + x.shape[2:])
+    trace: list[LayerTrace | None] | None = [None] * len(net.layers) if record else None
+
+    for i, layer in enumerate(net.layers):
+        if layer.kind == "avg_pool":
+            x = _pool(x, layer.kernel)
+            continue
+        lw = weights.layers[i]
+        if layer.kind == "conv":
+            current, v = _conv(x, lw.weight, lw.bias, layer.padding, layer.stride)
+        else:
+            if x.ndim == 4:  # the weights flatten (C, H, W)
+                x = x.transpose(0, 3, 1, 2)
+            x = np.ascontiguousarray(x, dtype=float)
+            flat = x.reshape(n, -1)
+            if flat.shape[1] != lw.weight.shape[1]:
+                raise ShapeMismatch(
+                    f"fc expects {lw.weight.shape[1]} inputs, got {flat.shape[1]}"
+                )
+            current = flat @ lw.weight.T
+            current += lw.bias
+            v = current
+        v = v.reshape((T, B) + v.shape[1:])
+        spikes = lif_scan(
+            v, net.lif, spike_mode=spike_mode, surrogate_half_width=surrogate_half_width
+        )
+        if record:
+            trace[i] = LayerTrace(
+                inputs=x.reshape((T, B) + x.shape[1:]),
+                current=current,
+                potentials=v,
+                spikes=spikes,
+            )
+        x = spikes.reshape((n,) + spikes.shape[2:])
+    counts = x.reshape(T, B, -1).sum(axis=0, dtype=float)
+    return ForwardResult(counts=counts, trace=trace)
 
 
 def forward(
@@ -400,44 +566,20 @@ def forward(
     spike_mode: SpikeMode = "hard",
     surrogate_half_width: float = 0.5,
 ) -> ForwardResult:
-    """Run all timesteps through the network with persistent membrane state.
+    """Run one sample through all timesteps (`simulate` with B=1).
 
-    Returns per-class output spike counts over T; with record=True also the
-    per-layer input/potential/spike tensors every timestep, as needed by
-    the training backward pass.
+    Returns per-class output spike counts over T; with record=True also
+    each spiking layer's LayerTrace, as needed by the backward pass.
     """
-    if frames.window != net.input_window:
-        raise ShapeMismatch(
-            f"frames window {frames.window} != network window {net.input_window}"
-        )
-    n_layers = len(net.layers)
-    state = MembraneState.fresh(n_layers)
-    trace = [LayerTrace() for _ in range(n_layers)] if record else None
-    out_dim = net.layers[-1].out_channels
-    counts = np.zeros(out_dim)
-
-    for t in range(frames.timesteps):
-        x = frames.data[t].astype(float)
-        for i, layer in enumerate(net.layers):
-            if layer.kind == "avg_pool":
-                x = avg_pool_forward(x, layer.kernel)
-                continue
-            if record:
-                trace[i].inputs.append(x)
-            current = layer_forward(layer, weights.layers[i], x)
-            x = lif_step(
-                state,
-                i,
-                current,
-                net.lif,
-                spike_mode=spike_mode,
-                surrogate_half_width=surrogate_half_width,
-            )
-            if record:
-                trace[i].potentials.append(state.potentials[i])
-                trace[i].spikes.append(x)
-        counts = counts + x
-    return ForwardResult(counts=counts, trace=trace)
+    result = simulate(
+        net,
+        weights,
+        [frames],
+        record=record,
+        spike_mode=spike_mode,
+        surrogate_half_width=surrogate_half_width,
+    )
+    return ForwardResult(counts=result.counts[0], trace=result.trace)
 
 
 def decode(counts: np.ndarray, timesteps: int) -> tuple[int, np.ndarray]:

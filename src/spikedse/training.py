@@ -13,16 +13,17 @@ forward as well, which makes forward and backward exactly consistent so
 central finite differences can certify the backward implementation.
 
 The loss is mean squared error between per-class firing rates and the
-one-hot target. Optimization is minibatch SGD with momentum, a fixed
-seeded shuffle schedule, and per-sample gradients reduced in index order,
-so results are bit-identical across reruns and worker counts.
+one-hot target. Each minibatch is simulated as one batch by
+`network.simulate`, and its mean gradient comes from one reverse LIF scan
+and one GEMM each for dW and dx per layer. Optimization is minibatch SGD
+with momentum and a fixed seeded shuffle schedule, so results are
+bit-identical across reruns.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +33,19 @@ from .errors import EmptyDataset, MissingTrace
 from .events import SpikeFrames
 from .network import (
     ForwardResult,
+    LayerSpec,
+    LayerTrace,
+    LayerWeights,
+    LifParams,
     NetworkSpec,
     SpikeMode,
     WeightSet,
-    avg_pool_backward,
-    conv_backward,
+    _conv_backward,
+    _pool_backward,
     decode,
     forward,
     init_weights,
+    simulate,
 )
 from .quantize import QuantConfig, grid_aligned
 
@@ -74,6 +80,20 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "TrainConfig":
+        """Build from a JSON training config.
+
+        "epochs" and "seed" are required; other fields keep their defaults
+        when absent, and keys that are not fields (e.g. "data") are ignored.
+        """
+        optional = {f.name for f in fields(cls)} - {"epochs", "seed", "surrogate"}
+        return cls(
+            epochs=raw["epochs"],
+            seed=raw["seed"],
+            **{name: raw[name] for name in optional if name in raw},
+        )
 
 
 def surrogate_derivative(
@@ -111,17 +131,117 @@ class GradientSet:
             ]
         )
 
-    def add_(self, other: "GradientSet") -> None:
-        for mine, theirs in zip(self.layers, other.layers):
-            if mine is not None:
-                mine["weight"] += theirs["weight"]
-                mine["bias"] += theirs["bias"]
 
-    def scale_(self, factor: float) -> None:
-        for g in self.layers:
-            if g is not None:
-                g["weight"] *= factor
-                g["bias"] *= factor
+def _lif_backward(
+    v: np.ndarray,
+    spikes: np.ndarray,
+    d_above: np.ndarray,
+    pool: int,
+    lif: LifParams,
+    surrogate: SurrogateParams,
+) -> None:
+    """Reverse scan over axis 0: turns V (T, B, ...) into dL/dV in place.
+
+    d_above is dL/ds from the layer above, (T, B, ...); with pool > 1 it is
+    taken at the output of the k x k average pool between the two layers
+    and spread back one timestep at a time. V_t and s_t reach V_{t+1}
+    through the reset: zero reset gives dV_{t+1}/dV_t = leak*(1 - s_t) and
+    dV_{t+1}/ds_t = -leak*V_t, subtract reset gives leak and
+    -leak*v_threshold.
+    """
+    zero_reset = lif.reset_mode == "zero"
+    for t in range(v.shape[0] - 1, -1, -1):
+        d_s = d_above[t] if pool == 1 else _pool_backward(d_above[t], pool, v.shape[1:])
+        v_t = v[t]
+        if t + 1 < v.shape[0]:
+            carry = v[t + 1]  # already dL/dV_{t+1}
+            if zero_reset:
+                d_s += carry * (-lif.leak * v_t)
+            else:
+                d_s += carry * (-lif.leak * lif.v_threshold)
+            through_v = carry * lif.leak
+            if zero_reset:
+                through_v *= 1.0 - spikes[t]
+        d_v = d_s * surrogate_derivative(v_t, lif.v_threshold, surrogate)
+        if t + 1 < v.shape[0]:
+            d_v += through_v
+        v_t[...] = d_v
+
+
+def _layer_backward(
+    layer: LayerSpec,
+    lw: LayerWeights,
+    tr: LayerTrace,
+    d_above: np.ndarray,
+    pool: int,
+    lif: LifParams,
+    surrogate: SurrogateParams,
+    *,
+    input_grad: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(d_weight, d_bias, dL/d input) of one spiking layer from its trace.
+
+    d_above is dL/ds in (T*B, ...) rows (see `_lif_backward` for pool).
+    """
+    T, B = tr.potentials.shape[:2]
+    d_above = d_above.reshape((T, B) + d_above.shape[1:])
+    _lif_backward(tr.potentials, tr.spikes, d_above, pool, lif, surrogate)
+    x = tr.inputs.reshape((T * B,) + tr.inputs.shape[2:])
+    if layer.kind == "conv":
+        return _conv_backward(
+            tr.current, x, lw.weight, layer.padding, layer.stride, input_grad=input_grad
+        )
+    g = tr.current
+    d_weight = g.T @ x.reshape(T * B, -1)
+    d_bias = g.sum(axis=0)
+    if not input_grad:
+        return d_weight, d_bias, None
+    d_x = (g @ lw.weight).reshape(x.shape)
+    if d_x.ndim == 4:  # (C, H, W) order back to channels-last
+        d_x = d_x.transpose(0, 2, 3, 1)
+    return d_weight, d_bias, d_x
+
+
+def _gradients(
+    net: NetworkSpec,
+    weights: WeightSet,
+    result: ForwardResult,
+    labels: list[int],
+    surrogate: SurrogateParams,
+) -> tuple[GradientSet, float]:
+    """Mean (gradients, loss) over the B samples of a recorded `simulate`.
+
+    Consumes the trace: each layer's potentials become dL/dV, and its entry
+    is released once used so backward holds no more than forward did.
+    """
+    trace = result.trace
+    if trace is None:
+        raise MissingTrace("backward needs a forward pass recorded with record=True")
+    counts = result.counts.reshape(len(labels), -1)
+    B, K = counts.shape
+    first = next(i for i, layer in enumerate(net.layers) if layer.spiking)
+    T = trace[first].spikes.shape[0]
+    rates = counts / T
+    onehot = np.eye(K)[labels]
+    loss_value = float(np.mean(np.mean((rates - onehot) ** 2, axis=1)))
+    # dL/ds_out at every timestep (rates are a mean over T, the loss over B)
+    d_s = np.tile(2.0 * (rates - onehot) / (K * T * B), (T, 1))
+
+    grads = GradientSet(layers=[None] * len(net.layers))
+    pool = 1  # consecutive floor-mode pools act as one pool of the product kernel
+    for i in range(len(net.layers) - 1, first - 1, -1):
+        layer = net.layers[i]
+        if layer.kind == "avg_pool":
+            pool *= layer.kernel
+            continue
+        d_w, d_b, d_s = _layer_backward(
+            layer, weights.layers[i], trace[i], d_s, pool, net.lif, surrogate,
+            input_grad=i > first,
+        )
+        trace[i] = None
+        grads.layers[i] = {"weight": d_w, "bias": d_b}
+        pool = 1
+    return grads, loss_value
 
 
 def backward(
@@ -134,11 +254,10 @@ def backward(
     spike_mode: SpikeMode = "hard",
     forward_result: ForwardResult | None = None,
 ) -> tuple[GradientSet, float]:
-    """Backpropagate through time and space; returns (gradients, loss).
+    """Backpropagate one sample through time and space: (gradients, loss).
 
-    Runs a recorded forward pass unless one is supplied. The temporal
-    recurrence contributes two paths per layer and step: through the
-    retained potential leak*(1 - s) and through the reset mask -leak*V.
+    Runs a recorded forward pass unless one is supplied; a supplied
+    forward_result is consumed (its potentials become dL/dV).
     """
     surrogate = surrogate or SurrogateParams()
     if forward_result is None:
@@ -150,90 +269,28 @@ def backward(
             spike_mode=spike_mode,
             surrogate_half_width=surrogate.half_width,
         )
-    trace = forward_result.trace
-    if trace is None:
-        raise MissingTrace("backward needs a forward pass recorded with record=True")
-
-    T = frames.timesteps
-    lif = net.lif
-    n_layers = len(net.layers)
-    out_index = n_layers - 1
-    rates = forward_result.counts / T
-    onehot = np.zeros_like(rates)
-    onehot[label] = 1.0
-    loss_value = float(np.mean((rates - onehot) ** 2))
-    # dL/ds_out at every timestep (rates are a mean over T)
-    d_out_spike = 2.0 * (rates - onehot) / (rates.size * T)
-
-    grads = GradientSet.zeros_like(weights)
-    # dL/dV carried from timestep t+1, per spiking layer
-    carry_v: list[np.ndarray | None] = [None] * n_layers
-
-    pool_input_shapes = _pool_input_shapes(net)
-
-    for t in range(T - 1, -1, -1):
-        d_spike_downstream: np.ndarray | None = None
-        for i in range(n_layers - 1, -1, -1):
-            layer = net.layers[i]
-            if layer.kind == "avg_pool":
-                if d_spike_downstream is not None:
-                    d_spike_downstream = avg_pool_backward(
-                        d_spike_downstream, pool_input_shapes[i], layer.kernel
-                    )
-                continue
-
-            v = trace[i].potentials[t]
-            s = trace[i].spikes[t]
-            d_s = d_out_spike.copy() if i == out_index else None
-            if d_spike_downstream is not None:
-                d_s = d_spike_downstream if d_s is None else d_s + d_spike_downstream
-            if d_s is None:
-                d_s = np.zeros_like(v)
-            cv = carry_v[i]
-            if cv is not None:
-                # s_t enters V_{t+1} through the reset mask
-                d_s = d_s + cv * (-lif.leak * v)
-            d_v = d_s * surrogate_derivative(v, lif.v_threshold, surrogate)
-            if cv is not None:
-                d_v = d_v + cv * lif.leak * (1.0 - s)
-            carry_v[i] = d_v
-
-            x_in = trace[i].inputs[t]
-            g = grads.layers[i]
-            if layer.kind == "conv":
-                dw, db, dx = conv_backward(
-                    d_v, x_in, weights.layers[i].weight, layer.padding, layer.stride
-                )
-                g["weight"] += dw
-                g["bias"] += db
-                d_spike_downstream = dx
-            else:
-                d_v_flat = d_v.reshape(-1)
-                g["weight"] += np.outer(d_v_flat, x_in.reshape(-1))
-                g["bias"] += d_v_flat
-                d_spike_downstream = (
-                    weights.layers[i].weight.T @ d_v_flat
-                ).reshape(x_in.shape)
-    return grads, loss_value
+    return _gradients(net, weights, forward_result, [label], surrogate)
 
 
-def _pool_input_shapes(net: NetworkSpec) -> list[tuple | None]:
-    """Input tensor shape of each pooling layer, from the spec alone."""
-    size = net.input_window
-    channels = net.layers[0].in_channels
-    shapes: list[tuple | None] = []
-    for layer in net.layers:
-        if layer.kind == "avg_pool":
-            shapes.append((channels, size, size))
-            size = size // layer.kernel
-        elif layer.kind == "conv":
-            shapes.append(None)
-            size = (size + 2 * layer.padding - layer.kernel) // layer.stride + 1
-        else:
-            shapes.append(None)
-            size = 1
-        channels = layer.out_channels
-    return shapes
+def batch_backward(
+    net: NetworkSpec,
+    weights: WeightSet,
+    batch: list[tuple[SpikeFrames, int]],
+    *,
+    surrogate: SurrogateParams | None = None,
+    spike_mode: SpikeMode = "hard",
+) -> tuple[GradientSet, float]:
+    """Mean (gradients, loss) over a minibatch, simulated as one batch."""
+    surrogate = surrogate or SurrogateParams()
+    result = simulate(
+        net,
+        weights,
+        [frames for frames, _ in batch],
+        record=True,
+        spike_mode=spike_mode,
+        surrogate_half_width=surrogate.half_width,
+    )
+    return _gradients(net, weights, result, [label for _, label in batch], surrogate)
 
 
 # ---------------------------------------------------------------------------
@@ -264,34 +321,6 @@ def _sgd_step(
         lw.bias = lw.bias + v["bias"]
 
 
-def _batch_gradients(
-    net: NetworkSpec,
-    weights: WeightSet,
-    batch: list[tuple[SpikeFrames, int]],
-    surrogate: SurrogateParams,
-    workers: int,
-) -> tuple[GradientSet, float]:
-    """Mean gradient over a batch, reduced in fixed index order."""
-
-    def one(item):
-        frames, label = item
-        return backward(net, weights, frames, label, surrogate=surrogate)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, batch))
-    else:
-        results = [one(item) for item in batch]
-
-    total = GradientSet.zeros_like(weights)
-    loss_sum = 0.0
-    for g, l in results:
-        total.add_(g)
-        loss_sum += l
-    total.scale_(1.0 / len(batch))
-    return total, loss_sum / len(batch)
-
-
 def train(
     net: NetworkSpec,
     data: list[tuple[SpikeFrames, int]],
@@ -307,6 +336,8 @@ def train(
 
     Returns the trained weights and the per-epoch accuracy/loss log, also
     written as "epoch,train_acc,test_acc,loss" CSV when log_path is given.
+    workers is accepted for compatibility and does not change anything:
+    each minibatch runs as one batched simulation.
     """
     if not data:
         raise EmptyDataset("training split is empty")
@@ -327,8 +358,8 @@ def train(
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
             batch = [data[j] for j in order[start : start + config.batch_size]]
-            grads, batch_loss = _batch_gradients(
-                net, weights, batch, config.surrogate, workers
+            grads, batch_loss = batch_backward(
+                net, weights, batch, surrogate=config.surrogate
             )
             _sgd_step(weights, grads, velocity, lr, config.momentum)
             loss_sum += batch_loss
@@ -336,12 +367,8 @@ def train(
 
         stats = EpochStats(
             epoch=epoch,
-            train_acc=evaluate(net, weights, data, workers=workers),
-            test_acc=(
-                evaluate(net, weights, test_data, workers=workers)
-                if test_data
-                else float("nan")
-            ),
+            train_acc=evaluate(net, weights, data),
+            test_acc=evaluate(net, weights, test_data) if test_data else float("nan"),
             loss=loss_sum / n_batches,
         )
         log.append(stats)
@@ -380,25 +407,18 @@ def evaluate(
     quant: QuantConfig | None = None,
     workers: int = 1,
 ) -> float:
-    """Fraction of correctly decoded samples.
+    """Fraction of correctly decoded samples, one `forward` per sample.
 
     When quant is given the weights must already be quantized (this only
-    validates grid alignment; it never quantizes).
+    validates grid alignment; it never quantizes). workers is accepted for
+    compatibility and does not change anything.
     """
     if not data:
         raise EmptyDataset("evaluation split is empty")
     if quant is not None and not grid_aligned(weights, quant):
         raise ValueError("weights are not aligned to the declared quantization grid")
-
-    def predict(item):
-        frames, label = item
-        counts = forward(net, weights, frames).counts
-        predicted, _ = decode(counts, frames.timesteps)
-        return predicted == label
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = list(pool.map(predict, data))
-    else:
-        hits = [predict(item) for item in data]
+    hits = [
+        decode(forward(net, weights, frames).counts, frames.timesteps)[0] == label
+        for frames, label in data
+    ]
     return float(np.mean(hits))

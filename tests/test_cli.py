@@ -5,6 +5,7 @@ import json
 import pytest
 
 import spikedse as sd
+from spikedse import cli
 from spikedse.cli import main
 
 
@@ -82,6 +83,16 @@ class TestComplexity:
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["tag"] == "10b_20t_100w"
+
+    def test_no_strict_accepts_extended_window(self, capsys):
+        assert main([
+            "complexity", "--no-strict", "--window", "64", "--timestep", "5",
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["window"] == 64
+
+    def test_strict_by_default(self, capsys):
+        assert main(["complexity", "--window", "64", "--timestep", "5"]) == 1
+        assert "strict" in capsys.readouterr().err
 
     def test_out_dir_writes_run_json(self, tmp_path, capsys):
         out = tmp_path / "cx"
@@ -277,3 +288,34 @@ class TestDseCommand:
         ])
         assert code == 1
         capsys.readouterr()
+
+    def test_live_mode_passes_lr_decay_to_training(
+        self, dataset_dir, tmp_path, capsys, monkeypatch
+    ):
+        seen = []
+        real_train = cli.train
+
+        def recording_train(net, data, config, **kwargs):
+            seen.append(config)
+            return real_train(net, data, config, **kwargs)
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({
+            "bits": [32], "timesteps": [5], "windows": [50],
+        }))
+        config_path = tmp_path / "train.json"
+        config_path.write_text(json.dumps(
+            train_config(dataset_dir, lr_decay_epoch=0, lr_decay_factor=0.5)
+        ))
+        code = main([
+            "dse",
+            "--grid", str(grid_path),
+            "--accuracy-source", "live",
+            "--train-config", str(config_path),
+            "--out", str(tmp_path / "dse"),
+        ])
+        assert code == 0
+        capsys.readouterr()
+        assert [(c.lr_decay_epoch, c.lr_decay_factor) for c in seen] == [(0, 0.5)]
+        assert (seen[0].timesteps, seen[0].window) == (5, 50)

@@ -9,18 +9,68 @@ from spikedse.events import SpikeFrames
 from spikedse.network import (
     LayerSpec,
     LifParams,
-    MembraneState,
     NetworkSpec,
     avg_pool_forward,
     conv_forward,
     forward,
-    lif_step,
+    lif_scan,
+    relaxed_spike,
+    simulate,
 )
 
 
 def random_frames(rng, timesteps, window, density=0.3):
     data = (rng.random((timesteps, 2, window, window)) < density).astype(np.uint8)
     return SpikeFrames(data=data, timesteps=timesteps, window=window)
+
+
+def reference_counts(net, weights, frames, spike_mode="hard", half_width=0.5):
+    """Output spike counts from a per-timestep loop over one sample, with
+    the single-sample (C, H, W) layer maps and the LIF update written out."""
+    lif = net.lif
+    v, s = {}, {}
+    counts = 0.0
+    for t in range(frames.timesteps):
+        x = frames.data[t].astype(float)
+        for i, layer in enumerate(net.layers):
+            x = sd.layer_forward(layer, weights.layers[i], x)
+            if not layer.spiking:
+                continue
+            if i in v and lif.reset_mode == "zero":
+                x = lif.leak * v[i] * (1.0 - s[i]) + x
+            elif i in v:
+                x = lif.leak * (v[i] - lif.v_threshold * s[i]) + x
+            v[i] = x
+            if spike_mode == "hard":
+                s[i] = (x >= lif.v_threshold).astype(float)
+            else:
+                s[i] = relaxed_spike(x, lif.v_threshold, half_width)
+            x = s[i]
+        counts = counts + x
+    return counts
+
+
+def toy_spec():
+    return NetworkSpec(
+        layers=(
+            LayerSpec("conv", 2, 2, kernel=3, padding=1, stride=1),
+            LayerSpec("avg_pool", 2, 2, kernel=2, stride=2),
+            LayerSpec("fully_connected", 2 * 3 * 3, 4),
+            LayerSpec("fully_connected", 4, 2),
+        ),
+        input_window=6,
+        lif=LifParams(v_threshold=0.4, leak=0.25),
+    )
+
+
+def active_weights(net, seed, gain):
+    """Seeded weights scaled until every layer spikes."""
+    weights = sd.init_weights(net, seed=seed)
+    for lw in weights.layers:
+        if lw is not None:
+            lw.weight *= gain
+            lw.bias += 0.15
+    return weights
 
 
 class TestBuildNetwork:
@@ -56,62 +106,59 @@ class TestBuildNetwork:
 
 
 class TestLifStep:
+    """The LIF recurrence, run by lif_scan over a (T, ...) current."""
+
     def params(self, **kw):
         return LifParams(**{"v_threshold": 1.0, "leak": 0.0, **kw})
 
     def test_zero_input_zero_state(self):
-        state = MembraneState.fresh(1)
-        spikes = lif_step(state, 0, np.zeros(3), self.params())
+        v = np.zeros((1, 3))
+        spikes = lif_scan(v, self.params())
         assert np.all(spikes == 0)
-        assert np.all(state.potentials[0] == 0)
+        assert np.all(v == 0)
 
     def test_threshold_equality_fires(self):
-        state = MembraneState.fresh(1)
-        spikes = lif_step(state, 0, np.array([1.0]), self.params())
-        assert spikes[0] == 1.0
+        spikes = lif_scan(np.array([[1.0]]), self.params())
+        assert spikes[0, 0]
 
     def test_hand_evaluated_recurrence(self):
         # th=1.0, leak=0.5: V1 = 0.6 (no spike), V2 = 0.5*0.6 + 0.8 = 1.1 (spike)
-        params = self.params(leak=0.5)
-        state = MembraneState.fresh(1)
-        s1 = lif_step(state, 0, np.array([0.6]), params)
-        assert s1[0] == 0.0 and state.potentials[0][0] == pytest.approx(0.6)
-        s2 = lif_step(state, 0, np.array([0.8]), params)
-        assert s2[0] == 1.0 and state.potentials[0][0] == pytest.approx(1.1)
+        v = np.array([[0.6], [0.8]])
+        s = lif_scan(v, self.params(leak=0.5))
+        assert not s[0, 0] and v[0, 0] == pytest.approx(0.6)
+        assert s[1, 0] and v[1, 0] == pytest.approx(1.1)
 
     def test_reset_mask_applies_next_step(self):
-        params = self.params(leak=0.5)
-        state = MembraneState.fresh(1)
-        lif_step(state, 0, np.array([2.0]), params)   # fires
-        lif_step(state, 0, np.array([0.1]), params)   # previous V masked out
-        assert state.potentials[0][0] == pytest.approx(0.1)
+        v = np.array([[2.0], [0.1]])  # fires, then the previous V is masked out
+        lif_scan(v, self.params(leak=0.5))
+        assert v[1, 0] == pytest.approx(0.1)
 
     def test_geometric_integration_subthreshold(self):
         # below threshold the recurrence is V_t = sum_k leak^(t-k) I_k
         rng = np.random.default_rng(0)
         currents = rng.uniform(0, 0.05, size=(6, 4))
-        params = LifParams(v_threshold=10.0, leak=0.7)
-        state = MembraneState.fresh(1)
-        for t in range(6):
-            lif_step(state, 0, currents[t], params)
+        v = currents.copy()
+        lif_scan(v, LifParams(v_threshold=10.0, leak=0.7))
         expected = np.zeros(4)
         for t in range(6):
             expected = 0.7 * expected + currents[t]
-        assert np.allclose(state.potentials[0], expected)
+        assert np.allclose(v[-1], expected)
 
     def test_shape_mismatch(self):
-        state = MembraneState.fresh(1)
-        lif_step(state, 0, np.zeros(3), self.params())
+        # one scan covers the whole batch, so its samples must share T
+        net = sd.build_network(50)
+        weights = sd.init_weights(net, seed=0)
+        batch = [
+            SpikeFrames(np.zeros((t, 2, 50, 50), np.uint8), t, 50) for t in (5, 6)
+        ]
         with pytest.raises(ShapeMismatch):
-            lif_step(state, 0, np.zeros(4), self.params())
+            simulate(net, weights, batch)
 
     def test_subtract_reset_mode(self):
         # soft reset subtracts the threshold instead of masking to zero
-        params = LifParams(v_threshold=1.0, leak=0.5, reset_mode="subtract")
-        state = MembraneState.fresh(1)
-        lif_step(state, 0, np.array([1.4]), params)   # fires, V=1.4
-        lif_step(state, 0, np.array([0.2]), params)
-        assert state.potentials[0][0] == pytest.approx(0.5 * (1.4 - 1.0) + 0.2)
+        v = np.array([[1.4], [0.2]])  # fires, V=1.4
+        lif_scan(v, LifParams(v_threshold=1.0, leak=0.5, reset_mode="subtract"))
+        assert v[1, 0] == pytest.approx(0.5 * (1.4 - 1.0) + 0.2)
 
 
 class TestLayerForward:
@@ -180,13 +227,12 @@ class TestForward:
         counts = forward(net, weights, frames).counts
 
         x = frames.data[0].astype(float)
-        state = MembraneState.fresh(len(net.layers))
         for i, layer in enumerate(net.layers):
             if layer.kind == "avg_pool":
                 x = avg_pool_forward(x, layer.kernel)
             else:
                 current = sd.layer_forward(layer, weights.layers[i], x)
-                x = lif_step(state, i, current, net.lif)
+                x = lif_scan(current[None], net.lif)[0].astype(float)
         assert np.array_equal(counts, x)
 
     def test_deterministic_across_runs(self):
@@ -207,9 +253,10 @@ class TestForward:
                 lw.weight *= 4.0  # force plenty of spiking
         frames = random_frames(rng, 8, 50, density=0.5)
         result = forward(net, weights, frames, record=True)
-        for layer_trace in result.trace:
-            for s in layer_trace.spikes:
-                assert set(np.unique(s)) <= {0.0, 1.0}
+        recorded = [tr for tr in result.trace if tr is not None]
+        assert len(recorded) == 4
+        for layer_trace in recorded:
+            assert layer_trace.spikes.dtype == bool
 
     def test_window_mismatch(self):
         net = sd.build_network(50)
@@ -227,11 +274,14 @@ class TestForward:
         for i, layer in enumerate(net.layers):
             if not layer.spiking:
                 continue
+            inputs = result.trace[i].inputs[:, 0]  # (T, ...) of the one sample
+            if layer.kind == "conv":
+                inputs = inputs.transpose(0, 3, 1, 2)  # channels-last -> (C, H, W)
             max_current = max(
                 np.abs(sd.layer_forward(layer, weights.layers[i], x)).max()
-                for x in result.trace[i].inputs
+                for x in inputs
             )
-            max_v = max(v.max() for v in result.trace[i].potentials)
+            max_v = result.trace[i].potentials.max()
             assert max_v <= net.lif.v_threshold + max_current + 1e-12
 
     def test_fc2_scaling_preserves_argmax_when_interior(self):
@@ -266,6 +316,69 @@ class TestForward:
                         checked += 1
                         assert np.argmax(counts) == np.argmax(base)
         assert checked >= 10
+
+
+class TestEngineEquivalence:
+    """The batched engine against the per-timestep reference loop."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        samples, _ = sd.make_synthetic_dataset(per_class=4, seed=2, test_fraction=0.0)
+        rng = np.random.default_rng(8)
+        w50 = sd.build_network(50)
+        toy = toy_spec()
+        return {
+            "w50": (
+                w50, active_weights(w50, 1, 3.0), sd.encode_dataset(samples, 50, 10)
+            ),
+            "toy": (
+                toy,
+                active_weights(toy, 5, 2.0),
+                [(random_frames(rng, 4, 6, density=0.4), i % 2) for i in range(8)],
+            ),
+        }
+
+    @pytest.mark.parametrize("name", ["w50", "toy"])
+    def test_forward_hard_counts_equal_reference(self, cases, name):
+        net, weights, data = cases[name]
+        total = 0.0
+        for frames, _ in data:
+            counts = forward(net, weights, frames).counts
+            assert np.array_equal(counts, reference_counts(net, weights, frames))
+            total += counts.sum()
+        assert total > 0
+
+    @pytest.mark.parametrize("name", ["w50", "toy"])
+    def test_forward_relaxed_counts_match_reference(self, cases, name):
+        # same arithmetic per element; only the GEMM summation order may
+        # differ, so allow a few ulps of the count
+        net, weights, data = cases[name]
+        for frames, _ in data:
+            counts = forward(net, weights, frames, spike_mode="relaxed").counts
+            expected = reference_counts(net, weights, frames, spike_mode="relaxed")
+            np.testing.assert_allclose(counts, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["w50", "toy"])
+    def test_evaluate_matches_reference(self, cases, name):
+        net, weights, data = cases[name]
+        hits = [
+            sd.decode(reference_counts(net, weights, frames), frames.timesteps)[0]
+            == label
+            for frames, label in data
+        ]
+        assert sd.evaluate(net, weights, data) == np.mean(hits)
+
+    def test_quantized_counts_equal_across_batch_sizes(self):
+        # sums of values on a 2^-n grid are exact, so batching cannot move them
+        samples, _ = sd.make_synthetic_dataset(per_class=12, seed=4, test_fraction=0.0)
+        data = sd.encode_dataset(samples, 50, 10)
+        assert len(data) == 24
+        net = sd.build_network(50)
+        weights = sd.ptq(active_weights(net, 6, 3.0), sd.QuantConfig(bits=10))
+        batched = simulate(net, weights, [frames for frames, _ in data]).counts
+        single = np.array([forward(net, weights, frames).counts for frames, _ in data])
+        assert batched.sum() > 0
+        assert np.array_equal(batched, single)
 
 
 class TestDecode:

@@ -19,6 +19,7 @@ from spikedse.training import (
     TrainConfig,
     _sgd_step,
     backward,
+    batch_backward,
     evaluate,
     loss,
     surrogate_derivative,
@@ -50,6 +51,35 @@ def relaxed_loss(spec, weights, frames, label, half_width):
         spec, weights, frames, spike_mode="relaxed", surrogate_half_width=half_width
     )
     return loss(result.counts / frames.timesteps, label)
+
+
+def finite_difference_error(spec, weights, frames, label, h=1e-4):
+    """Largest relative gap between relaxed-mode backward and central
+    differences over every weight and bias."""
+    sur = SurrogateParams(half_width=0.5)
+    grads, _ = backward(
+        spec, weights, frames, label=label, surrogate=sur, spike_mode="relaxed"
+    )
+    max_rel = 0.0
+    for i, lw in enumerate(weights.layers):
+        if lw is None:
+            continue
+        for name in ("weight", "bias"):
+            flat = getattr(lw, name).reshape(-1)
+            g = grads.layers[i][name].reshape(-1)
+            for j in range(flat.size):
+                orig = flat[j]
+                flat[j] = orig + h
+                lp = relaxed_loss(spec, weights, frames, label, sur.half_width)
+                flat[j] = orig - h
+                lm = relaxed_loss(spec, weights, frames, label, sur.half_width)
+                flat[j] = orig
+                numeric = (lp - lm) / (2 * h)
+                denom = max(abs(numeric), abs(g[j]))
+                if denom < 1e-10:
+                    continue
+                max_rel = max(max_rel, abs(numeric - g[j]) / denom)
+    return max_rel
 
 
 class TestSurrogate:
@@ -154,32 +184,75 @@ class TestBackward:
             if lw is not None:
                 lw.weight *= 2.0
                 lw.bias += rng.normal(0, 0.05, lw.bias.shape)
-        sur = SurrogateParams(half_width=0.5)
-        grads, _ = backward(
-            spec, weights, frames, label=1, surrogate=sur, spike_mode="relaxed"
+        assert finite_difference_error(spec, weights, frames, label=1) < 1e-3
+
+    def test_subtract_reset_matches_finite_differences(self):
+        # subtract reset: dV_{t+1}/dV_t = leak, dV_{t+1}/ds_t = -leak*v_threshold
+        spec = NetworkSpec(
+            layers=(
+                LayerSpec("fully_connected", 18, 4),
+                LayerSpec("fully_connected", 4, 2),
+            ),
+            input_window=3,
+            lif=LifParams(v_threshold=0.4, leak=0.5, reset_mode="subtract"),
         )
-        h = 1e-4
-        max_rel = 0.0
-        for i, lw in enumerate(weights.layers):
-            if lw is None:
+        rng = np.random.default_rng(0)
+        frames = SpikeFrames((rng.random((4, 2, 3, 3)) < 0.5).astype(np.uint8), 4, 3)
+        weights = sd.init_weights(spec, seed=0)
+        for lw in weights.layers:
+            lw.weight *= 2.0
+            lw.bias += 0.1
+        recorded = forward(spec, weights, frames, record=True, spike_mode="relaxed")
+        output_spikes = recorded.trace[1].spikes[:, 0]
+        assert np.all(output_spikes[1:].sum(axis=1) > 0.5)  # fires after t=0
+        assert finite_difference_error(spec, weights, frames, label=1) < 1e-3
+
+    def test_strided_conv_and_stacked_pools_match_finite_differences(self):
+        # stride-2 conv with an input gradient, a pool that drops a row and
+        # a column, and two pools in a row
+        spec = NetworkSpec(
+            layers=(
+                LayerSpec("conv", 2, 3, kernel=3, padding=1, stride=1),
+                LayerSpec("conv", 3, 3, kernel=3, padding=1, stride=2),
+                LayerSpec("avg_pool", 3, 3, kernel=2, stride=2),
+                LayerSpec("avg_pool", 3, 3, kernel=2, stride=2),
+                LayerSpec("fully_connected", 3, 2),
+            ),
+            input_window=10,
+            lif=LifParams(v_threshold=0.4, leak=0.25),
+        )
+        rng = np.random.default_rng(0)
+        frames = SpikeFrames((rng.random((3, 2, 10, 10)) < 0.3).astype(np.uint8), 3, 10)
+        weights = sd.init_weights(spec, seed=0)
+        for lw in weights.layers:
+            if lw is not None:
+                lw.weight *= 2.0
+                lw.bias += 0.1
+        assert finite_difference_error(spec, weights, frames, label=1) < 1e-3
+
+    def test_batch_gradient_is_mean_of_sample_gradients(self, small_data):
+        net = sd.build_network(50)
+        weights = sd.init_weights(net, seed=3)
+        for lw in weights.layers:
+            if lw is not None:  # spiking activity in every layer
+                lw.weight *= 3.0
+                lw.bias += 0.15
+        batch = small_data[0][:20]
+        assert len(batch) == 20
+        grads, batch_loss = batch_backward(net, weights, batch)
+        singles = [backward(net, weights, frames, label) for frames, label in batch]
+        assert batch_loss == pytest.approx(np.mean([l for _, l in singles]), rel=1e-12)
+        for i, g in enumerate(grads.layers):
+            if g is None:
                 continue
             for name in ("weight", "bias"):
-                arr = getattr(lw, name)
-                flat = arr.reshape(-1)
-                g = grads.layers[i][name].reshape(-1)
-                for j in range(flat.size):
-                    orig = flat[j]
-                    flat[j] = orig + h
-                    lp = relaxed_loss(spec, weights, frames, 1, sur.half_width)
-                    flat[j] = orig - h
-                    lm = relaxed_loss(spec, weights, frames, 1, sur.half_width)
-                    flat[j] = orig
-                    numeric = (lp - lm) / (2 * h)
-                    denom = max(abs(numeric), abs(g[j]))
-                    if denom < 1e-10:
-                        continue
-                    max_rel = max(max_rel, abs(numeric - g[j]) / denom)
-        assert max_rel < 1e-3
+                mean = np.mean([s.layers[i][name] for s, _ in singles], axis=0)
+                scale = np.abs(mean).max()
+                assert scale > 0
+                # rtol 1e-12 of the layer's largest entry: summation order differs
+                np.testing.assert_allclose(
+                    g[name], mean, rtol=1e-12, atol=1e-12 * scale
+                )
 
     def test_reuses_supplied_forward_result(self):
         rng = np.random.default_rng(1)
@@ -293,6 +366,21 @@ class TestTrain:
         lines = (tmp_path / "log.csv").read_text().splitlines()
         assert lines[0] == "epoch,train_acc,test_acc,loss"
         assert len(lines) == 1 + len(log)
+
+
+class TestTrainConfig:
+    def test_from_dict_reads_every_field(self):
+        raw = {
+            "epochs": 3, "seed": 9, "batch_size": 4, "learning_rate": 0.05,
+            "momentum": 0.5, "timesteps": 5, "window": 100, "lr_decay_epoch": 2,
+            "lr_decay_factor": 0.5, "checkpoint_every": 1,
+        }
+        assert TrainConfig.from_dict(raw) == TrainConfig(**raw)
+
+    def test_from_dict_defaults_and_ignores_other_keys(self):
+        raw = {"epochs": 1, "seed": 2, "data": {}, "strict": True}
+        config = TrainConfig.from_dict(raw)
+        assert config == TrainConfig(epochs=1, seed=2)
 
 
 class TestEvaluate:
