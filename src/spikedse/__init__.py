@@ -38,6 +38,7 @@ from .events import (
     SpikeFrames,
     bin_to_frames,
     crop,
+    crop_to_window,
     encode_dataset,
     encode_sample,
     find_attention_window,
@@ -61,6 +62,7 @@ from .network import (
     forward,
     init_weights,
     layer_forward,
+    layer_shapes,
     lif_scan,
     simulate,
 )

@@ -26,8 +26,11 @@ from .dse import (
     run_dse,
     select,
 )
-from .errors import SpikeDseError
+from .errors import ConfigError, SpikeDseError
 from .events import (
+    EventSample,
+    bin_to_frames,
+    crop_to_window,
     encode_dataset,
     load_dataset,
     make_synthetic_dataset,
@@ -111,37 +114,45 @@ def cmd_dataset_inspect(args) -> int:
 # train / quantize / eval
 # ---------------------------------------------------------------------------
 
-def _resolve_data(data_cfg: dict, window: int, timesteps: int, workers: int):
-    """Turn a config data block into encoded (frames, label) splits."""
+def _read_config(path: str) -> dict:
+    with ConfigError.guard(f"config {path}"):
+        return dict(json.loads(Path(path).read_text()))
+
+
+def _load_splits(data_cfg: dict | None, workers: int) -> tuple[list, list]:
+    """Load the raw (train, test) samples a config's data block names."""
+    if not isinstance(data_cfg, dict) or not {"dir", "synthetic"} & data_cfg.keys():
+        raise ConfigError(
+            'the config needs a data block with "dir" or "synthetic" (dse: or --data)'
+        )
     if "dir" in data_cfg:
         root = data_cfg["dir"]
-        train_samples = load_dataset(root, "train", workers=workers)
-        test_samples = load_dataset(root, "test", workers=workers)
-    else:
-        syn = data_cfg["synthetic"]
-        train_samples, test_samples = make_synthetic_dataset(
-            per_class=syn.get("per_class", 150),
-            seed=syn.get("seed", 0),
-            test_fraction=syn.get("test_fraction", 1.0 / 3.0),
-            sensor_width=syn.get("sensor", 64),
-            sensor_height=syn.get("sensor", 64),
-            duration_us=syn.get("duration", 100_000),
-            noise_events=syn.get("noise_events", 1024),
+        return (
+            load_dataset(root, "train", workers=workers),
+            load_dataset(root, "test", workers=workers),
         )
-    mode = data_cfg.get("window_mode", "per_sample")
-    return (
-        encode_dataset(train_samples, window, timesteps, window_mode=mode),
-        encode_dataset(test_samples, window, timesteps, window_mode=mode),
+    syn = data_cfg["synthetic"]
+    return make_synthetic_dataset(
+        per_class=syn.get("per_class", 150),
+        seed=syn.get("seed", 0),
+        test_fraction=syn.get("test_fraction", 1.0 / 3.0),
+        sensor_width=syn.get("sensor", 64),
+        sensor_height=syn.get("sensor", 64),
+        duration_us=syn.get("duration", 100_000),
+        noise_events=syn.get("noise_events", 1024),
     )
 
 
 def cmd_train(args) -> int:
-    raw = json.loads(Path(args.config).read_text())
+    raw = _read_config(args.config)
     config = TrainConfig.from_dict(raw)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    train_data, test_data = _resolve_data(
-        raw["data"], config.window, config.timesteps, args.workers
+    train_samples, test_samples = _load_splits(raw.get("data"), args.workers)
+    mode = raw["data"].get("window_mode", "per_sample")
+    train_data, test_data = (
+        encode_dataset(split, config.window, config.timesteps, window_mode=mode)
+        for split in (train_samples, test_samples)
     )
     net = build_network(config.window, strict=raw.get("strict", True))
     weights, log = train(
@@ -150,7 +161,6 @@ def cmd_train(args) -> int:
         config,
         test_data=test_data,
         checkpoint_dir=out if config.checkpoint_every else None,
-        workers=args.workers,
     )
     save_checkpoint(out / "weights.ckpt", net, weights, seed=config.seed)
     write_training_log(log, out / "training_log.csv")
@@ -194,7 +204,7 @@ def cmd_eval(args) -> int:
     data = encode_dataset(
         test_samples, spec.input_window, timesteps, window_mode=args.window_mode
     )
-    accuracy = evaluate(spec, weights, data, workers=args.workers)
+    accuracy = evaluate(spec, weights, data)
     print(json.dumps({"accuracy": accuracy, "samples": len(data)}))
     return 0
 
@@ -206,37 +216,43 @@ def cmd_eval(args) -> int:
 def cmd_dse(args) -> int:
     grid = DseGrid.from_json(args.grid) if args.grid else DseGrid()
     constants = _load_constants(args.constants)
+    constraints = Constraints.from_json(args.constraints) if args.constraints else None
     out = Path(args.out)
 
     if args.accuracy_source == "table":
         table = load_accuracy_table(args.accuracy_table)
         points = run_dse(None, None, grid, constants, accuracy_table=table)
     else:
-        raw = (
-            json.loads(Path(args.train_config).read_text())
-            if args.train_config
-            else {"epochs": 5, "seed": 0}
-        )
+        raw = {"epochs": 5, "seed": 0}
+        if args.train_config:
+            raw = _read_config(args.train_config)
         if args.data:
             raw["data"] = {"dir": args.data}
-        if "data" not in raw:
-            raise SpikeDseError("live mode needs --data or a train config with a data block")
-        baselines = {}
-        encoded = {}
-        for w in grid.windows:
+        train_samples, test_samples = _load_splits(raw.get("data"), args.workers)
+        mode = raw["data"].get("window_mode", "per_sample")
+        # The window search depends only on W, and T only changes the
+        # binning: crop each sample once per W, then bin the crops per T.
+        cropped = {
+            w: [
+                [crop_to_window(s, w, window_mode=mode) for s in split]
+                for split in (train_samples, test_samples)
+            ]
+            for w in grid.windows
+        }
+        del train_samples, test_samples
+        baselines, encoded = {}, {}
+        for w in list(cropped):
+            train_crops, test_crops = cropped.pop(w)
             for t in grid.timesteps:
                 cfg = TrainConfig.from_dict({**raw, "timesteps": t, "window": w})
-                train_data, test_data = _resolve_data(raw["data"], w, t, args.workers)
-                net = build_network(w)
-                weights, _ = train(net, train_data, cfg, workers=args.workers)
+                weights, _ = train(build_network(w), _binned(train_crops, t), cfg)
                 baselines[(t, w)] = weights
-                encoded[(t, w)] = test_data
-        points = _run_dse_preencoded(grid, constants, baselines, encoded)
+                encoded[(t, w)] = _binned(test_crops, t)
+        points = run_dse(encoded, baselines, grid, constants)
 
     results_path, pareto_path = emit_report(points, out)
     selection = None
-    if args.constraints:
-        constraints = Constraints.from_json(args.constraints)
+    if constraints is not None:
         try:
             chosen = select(points, constraints)
             selection = {
@@ -271,20 +287,9 @@ def cmd_dse(args) -> int:
     return 0
 
 
-def _run_dse_preencoded(grid, constants, baselines, encoded):
-    """Live DSE where test splits are already encoded per (T, W)."""
-    from .dse import DsePoint, enumerate_grid
-
-    settings = enumerate_grid(grid)
-    specs = {w: build_network(w) for w in grid.windows}
-    points = []
-    for b, t, w in settings:
-        quantized = ptq(baselines[(t, w)], QuantConfig(bits=b))
-        acc = evaluate(specs[w], quantized, encoded[(t, w)])
-        points.append(
-            DsePoint(b, t, w, acc, full_report(specs[w], b, t, w, constants), "live")
-        )
-    return points
+def _binned(crops: list[EventSample], timesteps: int) -> list[tuple]:
+    """(frames, label) pairs of samples already cropped to their window."""
+    return [(bin_to_frames(s, timesteps), s.label) for s in crops]
 
 
 def cmd_complexity(args) -> int:

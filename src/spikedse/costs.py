@@ -27,11 +27,13 @@ simulated precision.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
-from .network import NetworkSpec
+from .errors import ConfigError
+from .network import NetworkSpec, layer_shapes
 from .quantize import memory_of
 
 BASELINE_TIMESTEPS = 20  # latency ratios normalize to the 20t setting
@@ -65,7 +67,8 @@ class CostConstants:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "CostConstants":
-        return cls(**json.loads(Path(path).read_text()))
+        with ConfigError.guard(f"cost constants {path}"):
+            return cls(**json.loads(Path(path).read_text()))
 
 
 def default_constants() -> CostConstants:
@@ -121,32 +124,17 @@ def count_ops(spec: NetworkSpec, timesteps: int) -> OpCount:
     """Synaptic and neuron operation totals over T timesteps."""
     if timesteps < 1:
         raise ValueError("timesteps must be >= 1")
-    size = spec.input_window
-    channels = spec.layers[0].in_channels
     per_layer = []
-    for i, layer in enumerate(spec.layers):
-        if layer.kind == "avg_pool":
-            out_size = size // layer.kernel
-            syn = layer.out_channels * out_size * out_size * layer.kernel**2
-            neu = 0
-        elif layer.kind == "conv":
-            out_size = (size + 2 * layer.padding - layer.kernel) // layer.stride + 1
-            syn = (
-                layer.out_channels
-                * out_size
-                * out_size
-                * (layer.in_channels * layer.kernel**2)
-            )
-            neu = layer.out_channels * out_size * out_size
-        else:
-            out_size = 1
-            syn = layer.in_channels * layer.out_channels
-            neu = layer.out_channels
+    shapes = layer_shapes(spec.layers, spec.input_window)
+    for i, (layer, shape) in enumerate(zip(spec.layers, shapes)):
+        outputs = math.prod(shape)
+        if layer.spiking:  # fan-in synapses and one LIF update per output
+            syn, neu = outputs * (layer.weight_count // layer.out_channels), outputs
+        else:  # k^2 accumulations per pooled output
+            syn, neu = outputs * layer.kernel**2, 0
         per_layer.append(
             PerLayerOps(i, layer.kind, syn * timesteps, neu * timesteps)
         )
-        size = out_size
-        channels = layer.out_channels
     return OpCount(
         synaptic_ops=sum(p.synaptic_ops for p in per_layer),
         neuron_ops=sum(p.neuron_ops for p in per_layer),

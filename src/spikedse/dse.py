@@ -30,8 +30,8 @@ from .costs import (
     full_report,
     setting_tag,
 )
-from .errors import EmptyAxis, MissingBaseline, NoFeasiblePoint
-from .events import EventSample, encode_dataset
+from .errors import ConfigError, EmptyAxis, MissingBaseline, NoFeasiblePoint
+from .events import SpikeFrames
 from .network import WeightSet, build_network
 from .quantize import QuantConfig, ptq
 from .training import evaluate
@@ -48,12 +48,13 @@ class DseGrid:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "DseGrid":
-        raw = json.loads(Path(path).read_text())
-        return cls(
-            bits=tuple(raw["bits"]),
-            timesteps=tuple(raw["timesteps"]),
-            windows=tuple(raw["windows"]),
-        )
+        with ConfigError.guard(f"grid {path}"):
+            raw = json.loads(Path(path).read_text())
+            return cls(
+                bits=tuple(raw["bits"]),
+                timesteps=tuple(raw["timesteps"]),
+                windows=tuple(raw["windows"]),
+            )
 
 
 @dataclass(frozen=True)
@@ -84,19 +85,20 @@ class Constraints:
 
     @classmethod
     def from_json(cls, text_or_dict) -> "Constraints":
-        raw = (
-            json.loads(text_or_dict)
-            if isinstance(text_or_dict, str)
-            else dict(text_or_dict)
-        )
-        memory_bits = raw.get("max_memory_bits")
-        if memory_bits is None and "max_memory_mb" in raw:
-            memory_bits = int(raw["max_memory_mb"] * MEMORY_UNIT_BITS)
-        return cls(
-            max_memory_bits=memory_bits,
-            max_latency_ratio=raw.get("max_latency_ratio"),
-            min_accuracy=raw.get("min_accuracy"),
-        )
+        with ConfigError.guard("constraints"):
+            raw = dict(
+                json.loads(text_or_dict)
+                if isinstance(text_or_dict, str)
+                else text_or_dict
+            )
+            memory_bits = raw.get("max_memory_bits")
+            if memory_bits is None and "max_memory_mb" in raw:
+                memory_bits = int(raw["max_memory_mb"] * MEMORY_UNIT_BITS)
+            return cls(
+                max_memory_bits=memory_bits,
+                max_latency_ratio=raw.get("max_latency_ratio"),
+                min_accuracy=raw.get("min_accuracy"),
+            )
 
 
 def enumerate_grid(grid: DseGrid) -> list[tuple[int, int, int]]:
@@ -120,67 +122,44 @@ def load_accuracy_table(path: str | Path | None = None) -> dict[str, float]:
         )
     else:
         text = Path(path).read_text()
-    return {tag: float(acc) for tag, acc in json.loads(text).items()}
+    with ConfigError.guard(f"accuracy table {path}"):
+        return {tag: float(acc) for tag, acc in dict(json.loads(text)).items()}
 
 
 def run_dse(
-    datasets: dict[int, list[EventSample]] | dict[int, list] | None,
+    encoded: dict[tuple[int, int], list[tuple[SpikeFrames, int]]] | None,
     baselines: dict[tuple[int, int], WeightSet] | None,
     grid: DseGrid,
     constants: CostConstants,
     *,
     accuracy_table: dict[str, float] | None = None,
-    strict_windows: bool = True,
-    workers: int = 1,
 ) -> list[DsePoint]:
     """Evaluate every grid point; returns points in grid order.
 
-    datasets maps window -> test-split EventSamples (or pre-encoded
-    (frames, label) pairs); baselines maps (timesteps, window) -> trained
-    full-precision WeightSet. With accuracy_table set, neither is touched
-    and accuracies come from the table instead of live evaluation. workers
-    is accepted for compatibility and does not change anything.
+    encoded maps (timesteps, window) -> the test split as (frames, label)
+    pairs; baselines maps the same keys to trained full-precision
+    WeightSets. With accuracy_table set, neither is touched and accuracies
+    come from the table instead of live evaluation.
     """
     settings = enumerate_grid(grid)
-    specs = {w: build_network(w, strict=strict_windows) for w in grid.windows}
-    reports = {
-        (b, t, w): full_report(specs[w], b, t, w, constants) for b, t, w in settings
-    }
-
-    if accuracy_table is not None:
-        points = []
-        for b, t, w in settings:
-            tag = setting_tag(b, t, w)
-            if tag not in accuracy_table:
-                raise MissingBaseline(f"accuracy table has no entry for {tag}")
-            points.append(
-                DsePoint(b, t, w, accuracy_table[tag], reports[(b, t, w)], "table")
-            )
-        return points
-
-    if baselines is None or datasets is None:
-        raise MissingBaseline("live DSE needs datasets and trained baselines")
-    for _, t, w in settings:
-        if (t, w) not in baselines:
-            raise MissingBaseline(f"no trained baseline for T={t}, W={w}")
-
-    encoded: dict[tuple[int, int], list] = {}
-
-    def encoded_split(t: int, w: int) -> list:
-        key = (t, w)
-        if key not in encoded:
-            samples = datasets[w]
-            if samples and isinstance(samples[0], EventSample):
-                encoded[key] = encode_dataset(samples, w, t)
-            else:
-                encoded[key] = samples
-        return encoded[key]
-
+    if accuracy_table is None:
+        for _, t, w in settings:
+            if (t, w) not in (baselines or {}) or (t, w) not in (encoded or {}):
+                raise MissingBaseline(
+                    f"no trained baseline or test split for T={t}, W={w}"
+                )
+    specs = {w: build_network(w) for w in grid.windows}
     points = []
     for b, t, w in settings:
-        quantized = ptq(baselines[(t, w)], QuantConfig(bits=b))
-        acc = evaluate(specs[w], quantized, encoded_split(t, w))
-        points.append(DsePoint(b, t, w, acc, reports[(b, t, w)], "live"))
+        if accuracy_table is None:
+            quantized = ptq(baselines[(t, w)], QuantConfig(bits=b))
+            accuracy, source = evaluate(specs[w], quantized, encoded[(t, w)]), "live"
+        elif (tag := setting_tag(b, t, w)) in accuracy_table:
+            accuracy, source = accuracy_table[tag], "table"
+        else:
+            raise MissingBaseline(f"accuracy table has no entry for {tag}")
+        report = full_report(specs[w], b, t, w, constants)
+        points.append(DsePoint(b, t, w, accuracy, report, source))
     return points
 
 

@@ -4,9 +4,26 @@ Every domain failure raises a subclass of SpikeDseError so callers (and
 the CLI) can distinguish domain errors from genuine bugs.
 """
 
+from contextlib import contextmanager
+
 
 class SpikeDseError(Exception):
     """Base class for all domain errors raised by this package."""
+
+
+class ConfigError(SpikeDseError):
+    """A JSON input (config, grid, constraints, constants, table, manifest) is bad."""
+
+    @classmethod
+    @contextmanager
+    def guard(cls, source: str):
+        """Re-raise KeyError, TypeError and ValueError in the block as cls."""
+        try:
+            yield
+        except KeyError as exc:
+            raise cls(f"{source}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise cls(f"{source}: {exc}") from exc
 
 
 # --- event stream parsing / dataset handling -------------------------------

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import (
     BadRow,
+    ConfigError,
     CoordinateOutOfRange,
     MalformedHeader,
     MissingManifest,
@@ -323,11 +324,18 @@ def write_csv(sample: EventSample) -> str:
 
 def occupancy_map(sample: EventSample) -> np.ndarray:
     """Per-pixel event counts, shape (sensor_height, sensor_width)."""
-    counts = np.zeros((sample.sensor_height, sample.sensor_width), dtype=np.int64)
+    height, width = sample.sensor_height, sample.sensor_width
     ev = sample.events
-    if ev.shape[0]:
-        np.add.at(counts, (ev["y"], ev["x"]), 1)
-    return counts
+    flat = ev["y"].astype(np.int64) * width + ev["x"]
+    return np.bincount(flat, minlength=height * width).reshape(height, width)
+
+
+def _check_fits(sample: EventSample, size: int) -> None:
+    if size > min(sample.sensor_width, sample.sensor_height) or size < 1:
+        raise WindowTooLarge(
+            f"window {size} does not fit a "
+            f"{sample.sensor_width}x{sample.sensor_height} sensor"
+        )
 
 
 def find_attention_window(sample: EventSample, size: int) -> AttentionWindow:
@@ -340,11 +348,7 @@ def find_attention_window(sample: EventSample, size: int) -> AttentionWindow:
     Raises:
         WindowTooLarge: if size exceeds either sensor dimension.
     """
-    if size > min(sample.sensor_width, sample.sensor_height) or size < 1:
-        raise WindowTooLarge(
-            f"window {size} does not fit a "
-            f"{sample.sensor_width}x{sample.sensor_height} sensor"
-        )
+    _check_fits(sample, size)
     counts = occupancy_map(sample)
     # prefix[i, j] = number of events with y < i and x < j
     prefix = np.zeros((counts.shape[0] + 1, counts.shape[1] + 1), dtype=np.int64)
@@ -360,11 +364,7 @@ def find_attention_window(sample: EventSample, size: int) -> AttentionWindow:
 
 def center_window(sample: EventSample, size: int) -> AttentionWindow:
     """Fixed window centered on the sensor, independent of event content."""
-    if size > min(sample.sensor_width, sample.sensor_height) or size < 1:
-        raise WindowTooLarge(
-            f"window {size} does not fit a "
-            f"{sample.sensor_width}x{sample.sensor_height} sensor"
-        )
+    _check_fits(sample, size)
     return AttentionWindow(
         x0=(sample.sensor_width - size) // 2,
         y0=(sample.sensor_height - size) // 2,
@@ -426,16 +426,12 @@ def bin_to_frames(sample: EventSample, timesteps: int) -> SpikeFrames:
     return SpikeFrames(data=data, timesteps=timesteps, window=w)
 
 
-def encode_sample(
-    sample: EventSample,
-    window_size: int,
-    timesteps: int,
-    *,
-    window_mode: str = "per_sample",
-) -> SpikeFrames:
-    """Crop to the attention window, then bin: the standard input pipeline.
+def crop_to_window(
+    sample: EventSample, window_size: int, *, window_mode: str = "per_sample"
+) -> EventSample:
+    """Crop a recording to its window_size x window_size attention window.
 
-    window_mode "per_sample" recomputes the densest window per recording;
+    window_mode "per_sample" searches the densest window per recording;
     "center" uses a fixed sensor-centered window instead.
     """
     if window_mode == "per_sample":
@@ -444,7 +440,20 @@ def encode_sample(
         win = center_window(sample, window_size)
     else:
         raise ValueError(f"unknown window_mode {window_mode!r}")
-    return bin_to_frames(crop(sample, win), timesteps)
+    return crop(sample, win)
+
+
+def encode_sample(
+    sample: EventSample,
+    window_size: int,
+    timesteps: int,
+    *,
+    window_mode: str = "per_sample",
+) -> SpikeFrames:
+    """Crop to the attention window, then bin: the standard input pipeline."""
+    return bin_to_frames(
+        crop_to_window(sample, window_size, window_mode=window_mode), timesteps
+    )
 
 
 def encode_dataset(
@@ -572,21 +581,24 @@ def load_dataset(
     The manifest is a JSON array of {"file": ..., "label": ..., "split": ...}
     entries; returned samples follow manifest order regardless of how many
     worker threads read the files.
+
+    Raises:
+        MissingManifest, ConfigError (malformed manifest), UnreadableFile.
     """
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
         raise MissingManifest(f"no {MANIFEST_NAME} in {root}")
-    entries = json.loads(manifest_path.read_text())
-    wanted = [e for e in entries if e["split"] == split]
-
-    def load(entry):
-        return _load_event_file(root / entry["file"], int(entry["label"]))
-
+    with ConfigError.guard(f"manifest {manifest_path}"):
+        wanted = [
+            (root / e["file"], int(e["label"]))
+            for e in json.loads(manifest_path.read_text())
+            if e["split"] == split
+        ]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(load, wanted))
-    return [load(e) for e in wanted]
+            return list(pool.map(lambda entry: _load_event_file(*entry), wanted))
+    return [_load_event_file(*entry) for entry in wanted]
 
 
 def write_dataset(

@@ -27,6 +27,7 @@ arrays); a forward pass is a pure function of (weights, frames, params).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Literal
@@ -88,39 +89,41 @@ class NetworkSpec:
     input_window: int
     lif: LifParams = LifParams()
 
-    def spatial_trace(self) -> list[int]:
-        """Feature-map side length after each layer (fc layers give 1)."""
-        size = self.input_window
-        trace = []
-        for layer in self.layers:
-            if layer.kind == "avg_pool":
-                size = size // layer.kernel
-            elif layer.kind == "conv":
-                size = (size + 2 * layer.padding - layer.kernel) // layer.stride + 1
-            else:
-                size = 1
-            trace.append(size)
-        return trace
-
     def flatten_size(self) -> int:
         """Flattened feature count entering the first fully-connected layer."""
-        size = self.input_window
-        channels = self.layers[0].in_channels
-        for layer in self.layers:
-            if layer.kind == "fully_connected":
-                return channels * size * size
-            if layer.kind == "avg_pool":
-                size = size // layer.kernel
-            else:
-                size = (size + 2 * layer.padding - layer.kernel) // layer.stride + 1
-            channels = layer.out_channels
-        return channels * size * size
+        first_fc = [layer.kind for layer in self.layers].index("fully_connected")
+        return math.prod(layer_shapes(self.layers[:first_fc], self.input_window)[-1])
 
     def weight_count(self) -> int:
         return sum(layer.weight_count for layer in self.layers)
 
     def bias_count(self) -> int:
         return sum(l.out_channels for l in self.layers if l.spiking)
+
+
+def layer_shapes(
+    layers: Sequence[LayerSpec], window: int
+) -> list[tuple[int, int, int]]:
+    """Output (C, H, W) of each layer for a window x window input.
+
+    Pools drop trailing rows and columns; an fc layer gives (out, 1, 1).
+
+    Raises:
+        UnsupportedWindow: if a feature map shrinks below one pixel.
+    """
+    size = window
+    shapes = []
+    for layer in layers:
+        if layer.kind == "avg_pool":
+            size = size // layer.kernel
+        elif layer.kind == "conv":
+            size = (size + 2 * layer.padding - layer.kernel) // layer.stride + 1
+        else:
+            size = 1
+        if size < 1:
+            raise UnsupportedWindow(f"window {window} collapses inside the network")
+        shapes.append((layer.out_channels, size, size))
+    return shapes
 
 
 @dataclass
@@ -184,15 +187,7 @@ def build_network(
         LayerSpec("conv", 32, 32, kernel=3, padding=1, stride=1),
         LayerSpec("avg_pool", 32, 32, kernel=2, stride=2),
     )
-    size = window
-    for layer in convs_and_pools:
-        if layer.kind == "avg_pool":
-            size = size // layer.kernel
-        else:
-            size = (size + 2 * layer.padding - layer.kernel) // layer.stride + 1
-        if size < 1:
-            raise UnsupportedWindow(f"window {window} collapses inside the network")
-    flat = 32 * size * size
+    flat = math.prod(layer_shapes(convs_and_pools, window)[-1])
     hidden = reference_hidden.get(window, max(2, flat // 2))
     layers = convs_and_pools + (
         LayerSpec("fully_connected", flat, hidden),

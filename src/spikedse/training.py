@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .errors import EmptyDataset, MissingTrace
+from .errors import ConfigError, EmptyDataset, MissingTrace
 from .events import SpikeFrames
 from .network import (
     ForwardResult,
@@ -87,13 +87,15 @@ class TrainConfig:
 
         "epochs" and "seed" are required; other fields keep their defaults
         when absent, and keys that are not fields (e.g. "data") are ignored.
+        A missing required key or an invalid value raises ConfigError.
         """
         optional = {f.name for f in fields(cls)} - {"epochs", "seed", "surrogate"}
-        return cls(
-            epochs=raw["epochs"],
-            seed=raw["seed"],
-            **{name: raw[name] for name in optional if name in raw},
-        )
+        with ConfigError.guard("train config"):
+            return cls(
+                epochs=raw["epochs"],
+                seed=raw["seed"],
+                **{name: raw[name] for name in optional if name in raw},
+            )
 
 
 def surrogate_derivative(
@@ -405,13 +407,11 @@ def evaluate(
     data: list[tuple[SpikeFrames, int]],
     *,
     quant: QuantConfig | None = None,
-    workers: int = 1,
 ) -> float:
     """Fraction of correctly decoded samples, one `forward` per sample.
 
     When quant is given the weights must already be quantized (this only
-    validates grid alignment; it never quantizes). workers is accepted for
-    compatibility and does not change anything.
+    validates grid alignment; it never quantizes).
     """
     if not data:
         raise EmptyDataset("evaluation split is empty")

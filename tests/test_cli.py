@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, run.json, reproducibility."""
 
+import dataclasses
 import json
 
 import pytest
@@ -319,3 +320,126 @@ class TestDseCommand:
         capsys.readouterr()
         assert [(c.lr_decay_epoch, c.lr_decay_factor) for c in seen] == [(0, 0.5)]
         assert (seen[0].timesteps, seen[0].window) == (5, 50)
+
+    @pytest.mark.parametrize("mode", ["per_sample", "center"])
+    def test_live_mode_loads_once_and_matches_direct_pipeline(
+        self, tmp_path, capsys, monkeypatch, mode
+    ):
+        data = tmp_path / "data"
+        assert main([
+            "dataset", "gen", "--per-class", "6", "--seed", "4", "--sensor", "112",
+            "--out", str(data),
+        ]) == 0
+        loads = []
+        real_load = cli.load_dataset
+
+        def counting_load(path, split, **kwargs):
+            loads.append(split)
+            return real_load(path, split, **kwargs)
+
+        monkeypatch.setattr(cli, "load_dataset", counting_load)
+        grid = {"bits": [32, 10], "timesteps": [6, 3], "windows": [100, 50]}
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        raw = {"epochs": 1, "seed": 2, "batch_size": 4,
+               "data": {"dir": str(data), "window_mode": mode}}
+        config_path = tmp_path / "train.json"
+        config_path.write_text(json.dumps(raw))
+        assert main([
+            "dse", "--grid", str(grid_path), "--accuracy-source", "live",
+            "--train-config", str(config_path), "--out", str(tmp_path / "cli"),
+        ]) == 0
+        capsys.readouterr()
+        assert sorted(loads) == ["test", "train"]
+
+        train_s, test_s = (real_load(data, split) for split in ("train", "test"))
+        baselines, encoded = {}, {}
+        for w in grid["windows"]:
+            for t in grid["timesteps"]:
+                cfg = sd.TrainConfig.from_dict({**raw, "timesteps": t, "window": w})
+                train_data = sd.encode_dataset(train_s, w, t, window_mode=mode)
+                baselines[(t, w)], _ = sd.train(sd.build_network(w), train_data, cfg)
+                encoded[(t, w)] = sd.encode_dataset(test_s, w, t, window_mode=mode)
+        points = sd.run_dse(
+            encoded, baselines, sd.DseGrid(**{k: tuple(v) for k, v in grid.items()}),
+            sd.default_constants(),
+        )
+        sd.emit_report(points, tmp_path / "direct")
+        for name in ("dse_results.csv", "pareto.csv"):
+            assert (tmp_path / "cli" / name).read_bytes() == (
+                tmp_path / "direct" / name
+            ).read_bytes()
+
+
+NEGATIVE_FIXED = json.dumps(
+    {**dataclasses.asdict(sd.default_constants()), "latency_fixed": -1}
+)
+COMPLEXITY = ["complexity", "--window", "50", "--timestep", "5"]
+TRAIN = ["train", "--config", "{tmp}/train.json", "--out", "{tmp}/out"]
+MANIFEST_TRAIN = '{"epochs": 1, "seed": 0, "data": {"dir": "{tmp}/data"}}'
+
+# name: (files to write under tmp, argv, expected part of the message)
+BAD_INPUTS = {
+    "grid missing timesteps": (
+        {"grid.json": '{"bits": [32], "windows": [50]}'},
+        ["dse", "--grid", "{tmp}/grid.json", "--out", "{tmp}/out"],
+        "missing key 'timesteps'",
+    ),
+    "grid not json": (
+        {"grid.json": "bits: [32]"},
+        ["dse", "--grid", "{tmp}/grid.json", "--out", "{tmp}/out"],
+        "grid",
+    ),
+    "negative memory constraint": (
+        {}, ["dse", "--constraints", '{"max_memory_mb": -1}', "--out", "{tmp}/out"],
+        "max_memory_bits must be positive",
+    ),
+    "constraints not json": (
+        {}, ["dse", "--constraints", "nope", "--out", "{tmp}/out"], "constraints",
+    ),
+    "train config without epochs": (
+        {"train.json": '{"seed": 0, "data": {"synthetic": {}}}'}, TRAIN,
+        "missing key 'epochs'",
+    ),
+    "train config without data": (
+        {"train.json": '{"epochs": 1, "seed": 0}'}, TRAIN, "data block",
+    ),
+    "negative latency_fixed": (
+        {"c.json": NEGATIVE_FIXED},
+        COMPLEXITY + ["--constants", "{tmp}/c.json"],
+        "latency_fixed must be >= 0",
+    ),
+    "unknown constant": (
+        {"c.json": '{"latency_scale": 2.0}'},
+        COMPLEXITY + ["--constants", "{tmp}/c.json"],
+        "latency_scale",
+    ),
+    "manifest not json": (
+        {"data/manifest.json": "[{", "train.json": MANIFEST_TRAIN}, TRAIN, "manifest",
+    ),
+    "manifest entry without split": (
+        {"data/manifest.json": '[{"file": "a.dat", "label": 0}]',
+         "train.json": MANIFEST_TRAIN},
+        TRAIN,
+        "missing key 'split'",
+    ),
+    "accuracy table not json": (
+        {"table.json": "{'32b_20t_100w': 0.9}"},
+        ["dse", "--accuracy-table", "{tmp}/table.json", "--out", "{tmp}/out"],
+        "accuracy table",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_INPUTS))
+def test_malformed_json_input_is_domain_error(name, tmp_path, capsys):
+    files, argv, message = BAD_INPUTS[name]
+    for rel, text in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text.replace("{tmp}", str(tmp_path)))
+    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert message in err
+    assert "Traceback" not in err

@@ -62,6 +62,32 @@ class TestCountOps:
         assert pool1.synaptic_ops == 2 * 25 * 25 * 16
         assert pool1.neuron_ops == 0
 
+    # (kind, synaptic ops, neuron ops) per layer at T=1; the cost reports
+    # and the DSE CSVs are built from these
+    PINNED = {
+        (50, True): [
+            ("avg_pool", 4608, 0), ("conv", 82944, 4608), ("avg_pool", 4608, 0),
+            ("conv", 331776, 1152), ("avg_pool", 1152, 0),
+            ("fully_connected", 41472, 144), ("fully_connected", 288, 2),
+        ],
+        (100, True): [
+            ("avg_pool", 20000, 0), ("conv", 360000, 20000), ("avg_pool", 18432, 0),
+            ("conv", 1327104, 4608), ("avg_pool", 4608, 0),
+            ("fully_connected", 589824, 512), ("fully_connected", 1024, 2),
+        ],
+        (37, False): [
+            ("avg_pool", 2592, 0), ("conv", 46656, 2592), ("avg_pool", 2048, 0),
+            ("conv", 147456, 512), ("avg_pool", 512, 0),
+            ("fully_connected", 8192, 64), ("fully_connected", 128, 2),
+        ],
+    }
+
+    @pytest.mark.parametrize("window, strict", list(PINNED))
+    def test_per_layer_counts_pinned(self, window, strict):
+        ops = count_ops(sd.build_network(window, strict=strict), 1)
+        got = [(p.kind, p.synaptic_ops, p.neuron_ops) for p in ops.per_layer]
+        assert got == self.PINNED[(window, strict)]
+
     def test_neuron_ops_cover_spiking_layers_only(self, nets):
         ops = count_ops(nets[50], 1)
         expected = 32 * 12 * 12 + 32 * 6 * 6 + 144 + 2

@@ -96,7 +96,14 @@ class TestRunDse:
     def test_live_mode_needs_baselines(self):
         grid = DseGrid(bits=(32,), timesteps=(5,), windows=(50,))
         with pytest.raises(MissingBaseline):
-            run_dse({50: []}, {}, grid, default_constants())
+            run_dse({(5, 50): []}, {}, grid, default_constants())
+
+    def test_live_mode_needs_a_test_split_per_baseline(self):
+        grid = DseGrid(bits=(32,), timesteps=(5,), windows=(50,))
+        net = sd.build_network(50)
+        with pytest.raises(MissingBaseline):
+            run_dse({(10, 50): []}, {(5, 50): sd.init_weights(net, 0)}, grid,
+                    default_constants())
 
     def test_live_restricted_to_32_bits_matches_unquantized(self):
         grid = DseGrid(bits=(32,), timesteps=(5,), windows=(50,))
@@ -105,10 +112,11 @@ class TestRunDse:
         data = sd.encode_dataset(train_s, 50, 5)
         cfg = sd.TrainConfig(epochs=2, batch_size=8, seed=5, timesteps=5, window=50)
         weights, _ = sd.train(net, data, cfg)
+        test_data = sd.encode_dataset(test_s, 50, 5)
         points = run_dse(
-            {50: test_s}, {(5, 50): weights}, grid, default_constants()
+            {(5, 50): test_data}, {(5, 50): weights}, grid, default_constants()
         )
-        direct = sd.evaluate(net, weights, sd.encode_dataset(test_s, 50, 5))
+        direct = sd.evaluate(net, weights, test_data)
         assert len(points) == 1
         assert points[0].accuracy == direct
         assert points[0].accuracy_source == "live"

@@ -249,6 +249,26 @@ class TestBinning:
         occupancy = occupancy_map(sample) >= 1
         assert np.array_equal(collapsed, occupancy)
 
+    def test_occupancy_exact_counts(self):
+        # a 5-wide, 3-tall sensor: repeats on one pixel and on the last
+        # row and column must all be counted, at (y, x)
+        rows = [(0, 2, 1, 1), (1, 2, 1, 0), (2, 2, 1, 1), (3, 4, 0, 0),
+                (4, 0, 2, 1), (5, 4, 2, 0), (6, 4, 2, 1), (7, 4, 1, 0)]
+        counts = occupancy_map(make_sample(rows, width=5, height=3))
+        expected = np.zeros((3, 5), np.int64)
+        expected[1, 2] = 3
+        expected[0, 4] = 1
+        expected[2, 0] = 1
+        expected[2, 4] = 2
+        expected[1, 4] = 1
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, expected)
+
+    def test_occupancy_of_no_events(self):
+        counts = occupancy_map(make_sample([], width=5, height=3))
+        assert counts.shape == (3, 5)
+        assert not counts.any()
+
     def test_binary_values(self):
         sample = sd.generate_synthetic(1, seed=4)
         frames = sd.bin_to_frames(sample, 10)
@@ -275,6 +295,25 @@ class TestEncodePipeline:
         sample = sd.generate_synthetic(0, seed=1)
         with pytest.raises(ValueError):
             sd.encode_sample(sample, 50, 10, window_mode="best")
+
+    @pytest.mark.parametrize("mode", ["per_sample", "center"])
+    def test_crop_once_then_bin_per_timestep_count(self, mode):
+        samples = [
+            sd.generate_synthetic(c, seed=s, sensor_width=80, sensor_height=60,
+                                  noise_events=300)
+            for c in (0, 1) for s in (5, 6)
+        ]
+        for window in (50, 32):
+            crops = [sd.crop_to_window(s, window, window_mode=mode) for s in samples]
+            for timesteps in (10, 3):
+                expected = sd.encode_dataset(
+                    samples, window, timesteps, window_mode=mode
+                )
+                binned = [(sd.bin_to_frames(c, timesteps), c.label) for c in crops]
+                assert len(binned) == len(expected)
+                for (f, label), (g, want) in zip(binned, expected):
+                    assert label == want
+                    assert np.array_equal(f.data, g.data)
 
     @given(st.text(max_size=200))
     @settings(max_examples=100, deadline=None)

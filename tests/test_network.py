@@ -84,9 +84,10 @@ class TestBuildNetwork:
         fc1 = net50.layers[5]
         assert (fc1.in_channels, fc1.out_channels) == (288, 144)
 
-    def test_spatial_trace_with_floor_division(self):
+    def test_layer_shapes_with_floor_division(self):
         net = sd.build_network(100)
-        assert net.spatial_trace()[:5] == [25, 25, 12, 12, 6]
+        shapes = sd.layer_shapes(net.layers, net.input_window)
+        assert [h for _, h, _ in shapes[:5]] == [25, 25, 12, 12, 6]
         assert net.flatten_size() == 32 * 6 * 6 == 1152
 
     def test_layer_stack_order(self):
@@ -103,6 +104,43 @@ class TestBuildNetwork:
     def test_extended_mode_recomputes_sizes(self):
         net = sd.build_network(64, strict=False)
         assert net.flatten_size() == net.layers[5].in_channels
+
+
+def simulated_shapes(net):
+    """Output (C, H, W) of each layer as read off a recorded `simulate`."""
+    w = net.input_window
+    frames = sd.SpikeFrames(np.zeros((2, 2, w, w), np.uint8), 2, w)
+    trace = sd.simulate(net, sd.init_weights(net, 0), [frames], record=True).trace
+    shapes = []
+    for i, layer in enumerate(net.layers):
+        if layer.spiking:
+            out = trace[i].spikes.shape[2:]  # channels-last, or (out,) for fc
+        else:  # a pool's output is the input of the spiking layer after it
+            out = trace[i + 1].inputs.shape[2:]
+            if net.layers[i + 1].kind == "fully_connected":  # kept in (C, H, W)
+                out = out[1:] + out[:1]
+        shapes.append((out[2], out[0], out[1]) if len(out) == 3 else (out[0], 1, 1))
+    return shapes
+
+
+class TestLayerShapes:
+    @pytest.mark.parametrize(
+        "window, strict", [(50, True), (100, True), (16, False), (37, False), (64, False)]
+    )
+    def test_matches_simulated_shapes(self, window, strict):
+        net = sd.build_network(window, strict=strict)
+        assert sd.layer_shapes(net.layers, window) == simulated_shapes(net)
+
+    def test_fc_layers_have_unit_spatial_size(self):
+        net = sd.build_network(50)
+        assert sd.layer_shapes(net.layers, 50)[5:] == [(144, 1, 1), (2, 1, 1)]
+
+    def test_collapsing_window_raises(self):
+        with pytest.raises(UnsupportedWindow):
+            sd.build_network(8, strict=False)
+        layers = sd.build_network(50).layers
+        with pytest.raises(UnsupportedWindow):
+            sd.layer_shapes(layers, 3)
 
 
 class TestLifStep:
