@@ -33,7 +33,6 @@ from .dse import (
 )
 from .events import (
     AttentionWindow,
-    Event,
     EventSample,
     SpikeFrames,
     bin_to_frames,
@@ -73,7 +72,6 @@ from .quantize import (
     memory_of,
     ptq,
     quantize_array,
-    quantize_value,
 )
 from .training import (
     SurrogateParams,

@@ -28,6 +28,7 @@ from .dse import (
 )
 from .errors import ConfigError, SpikeDseError
 from .events import (
+    WINDOW_MODES,
     EventSample,
     bin_to_frames,
     crop_to_window,
@@ -64,7 +65,6 @@ def cmd_dataset_gen(args) -> int:
         per_class=args.per_class,
         seed=args.seed,
         test_fraction=args.test_fraction,
-        classes=args.classes,
         sensor_width=args.sensor,
         sensor_height=args.sensor,
         duration_us=args.duration,
@@ -76,7 +76,6 @@ def cmd_dataset_gen(args) -> int:
         out,
         "dataset gen",
         {
-            "classes": args.classes,
             "per_class": args.per_class,
             "seed": args.seed,
             "test_fraction": args.test_fraction,
@@ -119,28 +118,32 @@ def _read_config(path: str) -> dict:
         return dict(json.loads(Path(path).read_text()))
 
 
-def _load_splits(data_cfg: dict | None, workers: int) -> tuple[list, list]:
-    """Load the raw (train, test) samples a config's data block names."""
+def _load_splits(data_cfg: dict | None, workers: int) -> tuple[list, list, str]:
+    """The raw (train, test) samples a config's data block names, and its
+    window_mode."""
     if not isinstance(data_cfg, dict) or not {"dir", "synthetic"} & data_cfg.keys():
         raise ConfigError(
             'the config needs a data block with "dir" or "synthetic" (dse: or --data)'
         )
+    mode = data_cfg.get("window_mode", "per_sample")
+    if mode not in WINDOW_MODES:
+        raise ConfigError(f"data block: unknown window_mode {mode!r}")
     if "dir" in data_cfg:
         root = data_cfg["dir"]
-        return (
-            load_dataset(root, "train", workers=workers),
-            load_dataset(root, "test", workers=workers),
+        train_split = load_dataset(root, "train", workers=workers)
+        test_split = load_dataset(root, "test", workers=workers)
+    else:
+        syn = data_cfg["synthetic"]
+        train_split, test_split = make_synthetic_dataset(
+            per_class=syn.get("per_class", 150),
+            seed=syn.get("seed", 0),
+            test_fraction=syn.get("test_fraction", 1.0 / 3.0),
+            sensor_width=syn.get("sensor", 64),
+            sensor_height=syn.get("sensor", 64),
+            duration_us=syn.get("duration", 100_000),
+            noise_events=syn.get("noise_events", 1024),
         )
-    syn = data_cfg["synthetic"]
-    return make_synthetic_dataset(
-        per_class=syn.get("per_class", 150),
-        seed=syn.get("seed", 0),
-        test_fraction=syn.get("test_fraction", 1.0 / 3.0),
-        sensor_width=syn.get("sensor", 64),
-        sensor_height=syn.get("sensor", 64),
-        duration_us=syn.get("duration", 100_000),
-        noise_events=syn.get("noise_events", 1024),
-    )
+    return train_split, test_split, mode
 
 
 def cmd_train(args) -> int:
@@ -148,8 +151,7 @@ def cmd_train(args) -> int:
     config = TrainConfig.from_dict(raw)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    train_samples, test_samples = _load_splits(raw.get("data"), args.workers)
-    mode = raw["data"].get("window_mode", "per_sample")
+    train_samples, test_samples, mode = _load_splits(raw.get("data"), args.workers)
     train_data, test_data = (
         encode_dataset(split, config.window, config.timesteps, window_mode=mode)
         for split in (train_samples, test_samples)
@@ -180,7 +182,7 @@ def cmd_quantize(args) -> int:
         spec,
         quantized,
         seed=header.get("seed"),
-        precision=f"{args.bits}b-{args.rounding}",
+        precision=config.tag,
     )
     _write_run_json(
         out.parent,
@@ -228,8 +230,7 @@ def cmd_dse(args) -> int:
             raw = _read_config(args.train_config)
         if args.data:
             raw["data"] = {"dir": args.data}
-        train_samples, test_samples = _load_splits(raw.get("data"), args.workers)
-        mode = raw["data"].get("window_mode", "per_sample")
+        train_samples, test_samples, mode = _load_splits(raw.get("data"), args.workers)
         # The window search depends only on W, and T only changes the
         # binning: crop each sample once per W, then bin the crops per T.
         cropped = {
@@ -334,6 +335,20 @@ def cmd_complexity(args) -> int:
 # parser wiring
 # ---------------------------------------------------------------------------
 
+def _bounded_int(low: int, high: int | None = None):
+    """argparse type for an int in [low, high]; no upper limit without high."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f"in [{low}, {high}]" if high is not None else f">= {low}"
+            raise argparse.ArgumentTypeError(f"{value} must be {bound}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spikedse",
@@ -347,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     dataset_sub = p_dataset.add_subparsers(dest="dataset_command", required=True)
 
     p_gen = dataset_sub.add_parser("gen", help="write a synthetic dataset directory")
-    p_gen.add_argument("--classes", type=int, default=2)
     p_gen.add_argument("--per-class", type=int, required=True, dest="per_class")
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--out", required=True)
@@ -369,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_quant = sub.add_parser("quantize", help="post-training quantize a checkpoint")
     p_quant.add_argument("--checkpoint", required=True)
-    p_quant.add_argument("--bits", type=int, required=True)
+    p_quant.add_argument("--bits", type=_bounded_int(2, 32), required=True)
     p_quant.add_argument("--rounding", choices=["TR", "RN", "SR"], default="TR")
     p_quant.add_argument("--seed", type=int, default=0)
     p_quant.add_argument("--out", required=True)
@@ -379,9 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--split", default="test")
-    p_eval.add_argument("--timesteps", type=int, required=True)
+    p_eval.add_argument("--timesteps", type=_bounded_int(1), required=True)
     p_eval.add_argument("--window-mode", default="per_sample", dest="window_mode",
-                        choices=["per_sample", "center"])
+                        choices=WINDOW_MODES)
     p_eval.set_defaults(func=cmd_eval)
 
     p_dse = sub.add_parser("dse", help="run the design-space exploration")
@@ -400,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cx = sub.add_parser("complexity", help="print the cost report for one setting")
     p_cx.add_argument("--window", type=int, required=True)
-    p_cx.add_argument("--timestep", type=int, required=True)
-    p_cx.add_argument("--bits", type=int, default=32)
+    p_cx.add_argument("--timestep", type=_bounded_int(1), required=True)
+    p_cx.add_argument("--bits", type=_bounded_int(2, 32), default=32)
     p_cx.add_argument("--constants")
     p_cx.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True,
                       help="accept only the reference windows (--no-strict: any)")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -61,9 +61,6 @@ class CostConstants:
                 raise ValueError(f"{name} must be positive")
         if not 0 <= self.alpha <= 1:
             raise ValueError("alpha must be in [0, 1]")
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=1, sort_keys=True) + "\n")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "CostConstants":

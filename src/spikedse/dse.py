@@ -230,18 +230,11 @@ def pareto_front(points: list[DsePoint]) -> list[DsePoint]:
     return front
 
 
-def select(
-    points: list[DsePoint],
-    constraints: Constraints,
-    policy: str = "max_accuracy",
-) -> DsePoint:
-    """Pick one point under the constraints.
+def select(points: list[DsePoint], constraints: Constraints) -> DsePoint:
+    """Pick the most accurate point under the constraints.
 
-    max_accuracy takes the highest accuracy; ties resolve to lower memory,
-    then lower latency, then lower bits.
+    Ties resolve to lower memory, then lower latency, then lower bits.
     """
-    if policy != "max_accuracy":
-        raise ValueError(f"unknown selection policy {policy!r}")
     feasible = filter_constraints(points, constraints)
     if not feasible:
         raise NoFeasiblePoint("no point satisfies the given constraints")

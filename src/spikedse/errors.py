@@ -76,10 +76,6 @@ class ShapeMismatch(SpikeDseError):
 
 # --- training ----------------------------------------------------------------
 
-class MissingTrace(SpikeDseError):
-    """Backward pass requires a forward result recorded with record=True."""
-
-
 class EmptyDataset(SpikeDseError):
     """Training or evaluation was given no samples."""
 

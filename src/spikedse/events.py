@@ -25,7 +25,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -58,15 +58,6 @@ _Y_MASK = (1 << _Y_BITS) - 1
 _HEADER_KEYS = {"width", "height", "duration", "label"}
 
 
-class Event(NamedTuple):
-    """One brightness-change record."""
-
-    t: int
-    x: int
-    y: int
-    polarity: int
-
-
 @dataclass(frozen=True)
 class EventSample:
     """A labeled, time-sorted event recording.
@@ -88,13 +79,6 @@ class EventSample:
     @property
     def n_events(self) -> int:
         return int(self.events.shape[0])
-
-    def event_list(self) -> list[Event]:
-        ev = self.events
-        return [
-            Event(int(t), int(x), int(y), int(p))
-            for t, x, y, p in zip(ev["t"], ev["x"], ev["y"], ev["p"])
-        ]
 
     def validate(self) -> None:
         """Check the container invariants; raises a typed error on violation."""
@@ -426,6 +410,9 @@ def bin_to_frames(sample: EventSample, timesteps: int) -> SpikeFrames:
     return SpikeFrames(data=data, timesteps=timesteps, window=w)
 
 
+WINDOW_MODES = ("per_sample", "center")
+
+
 def crop_to_window(
     sample: EventSample, window_size: int, *, window_mode: str = "per_sample"
 ) -> EventSample:
@@ -529,20 +516,18 @@ def make_synthetic_dataset(
     seed: int,
     *,
     test_fraction: float = 1.0 / 3.0,
-    classes: int = 2,
     **gen_kwargs,
 ) -> tuple[list[EventSample], list[EventSample]]:
-    """Build matched train/test splits of synthetic samples.
+    """Build matched train/test splits of synthetic samples of both classes.
 
     Per-sample seeds derive from one SeedSequence, so the whole dataset is a
     pure function of (per_class, seed, test_fraction).
     """
-    n_total = per_class * classes
-    sample_seeds = np.random.SeedSequence(seed).generate_state(n_total)
+    sample_seeds = np.random.SeedSequence(seed).generate_state(2 * per_class)
     n_test = int(round(per_class * test_fraction))
     train, test = [], []
     i = 0
-    for class_id in range(classes):
+    for class_id in (0, 1):
         for j in range(per_class):
             sample = generate_synthetic(
                 class_id, int(sample_seeds[i]), **gen_kwargs

@@ -97,9 +97,6 @@ class NetworkSpec:
     def weight_count(self) -> int:
         return sum(layer.weight_count for layer in self.layers)
 
-    def bias_count(self) -> int:
-        return sum(l.out_channels for l in self.layers if l.spiking)
-
 
 def layer_shapes(
     layers: Sequence[LayerSpec], window: int
@@ -162,12 +159,7 @@ class WeightSet:
         return out
 
 
-def build_network(
-    window: int,
-    *,
-    strict: bool = True,
-    lif: LifParams | None = None,
-) -> NetworkSpec:
+def build_network(window: int, *, strict: bool = True) -> NetworkSpec:
     """Build the reference architecture for a given attention window.
 
     Strict mode accepts only the two reference windows (100 and 50) and
@@ -193,7 +185,7 @@ def build_network(
         LayerSpec("fully_connected", flat, hidden),
         LayerSpec("fully_connected", hidden, 2),
     )
-    return NetworkSpec(layers=layers, input_window=window, lif=lif or LifParams())
+    return NetworkSpec(layers=layers, input_window=window)
 
 
 def init_weights(spec: NetworkSpec, seed: int) -> WeightSet:

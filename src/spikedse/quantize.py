@@ -21,7 +21,7 @@ raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -67,13 +67,11 @@ class FixedPointFormat:
         return self.int_max * self.step
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantConfig:
     bits: int
     rounding: Rounding = "TR"
     seed: int = 0
-    quantize_biases: bool = True
-    per_layer_format: list[FixedPointFormat | None] | None = field(default=None)
 
     def __post_init__(self):
         if not 2 <= self.bits <= 32:
@@ -132,34 +130,23 @@ def quantize_array(
     return ints * fmt.step, saturated
 
 
-def quantize_value(
-    w: float,
-    fmt: FixedPointFormat,
-    rounding: Rounding = "TR",
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Scalar convenience wrapper around quantize_array."""
-    q, _ = quantize_array(np.asarray([w]), fmt, rounding, rng)
-    return float(q[0])
-
-
 def ptq(weights: WeightSet, config: QuantConfig) -> WeightSet:
     """Quantize a trained WeightSet layer by layer.
 
     Each parameterized layer's format comes from its weight tensor; biases
-    (when quantize_biases) reuse the same format. Fills
-    config.per_layer_format and attaches a quant provenance block to the
-    returned WeightSet. The input is never modified.
+    reuse the same format. The returned WeightSet carries a quant
+    provenance block (bits, rounding, per-layer frac_bits, saturated
+    count). Neither the input nor the config is modified.
     """
     out = weights.copy()
-    formats: list[FixedPointFormat | None] = []
+    frac_bits: list[int | None] = []
     saturated = 0
     for i, lw in enumerate(out.layers):
         if lw is None:
-            formats.append(None)
+            frac_bits.append(None)
             continue
         fmt = choose_format(lw.weight, config.bits)
-        formats.append(fmt)
+        frac_bits.append(fmt.frac_bits)
         rng = (
             np.random.default_rng(config.seed ^ i)
             if config.rounding == "SR"
@@ -167,50 +154,40 @@ def ptq(weights: WeightSet, config: QuantConfig) -> WeightSet:
         )
         lw.weight, sat_w = quantize_array(lw.weight, fmt, config.rounding, rng)
         saturated += sat_w
-        if config.quantize_biases and lw.bias.size:
+        if lw.bias.size:
             lw.bias, sat_b = quantize_array(lw.bias, fmt, config.rounding, rng)
             saturated += sat_b
-    config.per_layer_format = formats
     out.quant = {
         "bits": config.bits,
         "rounding": config.rounding,
-        "frac_bits": [None if f is None else f.frac_bits for f in formats],
+        "frac_bits": frac_bits,
         "saturated": saturated,
     }
     return out
 
 
-def memory_of(spec: NetworkSpec, bits: int, *, include_biases: bool = False) -> int:
-    """Model weight storage in bits: precision x parameter count.
-
-    Biases are excluded by default; the reported footprints track weights
-    only, and bias inclusion sits behind the flag.
-    """
-    count = spec.weight_count()
-    if include_biases:
-        count += spec.bias_count()
-    return bits * count
+def memory_of(spec: NetworkSpec, bits: int) -> int:
+    """Model weight storage in bits: precision x weight count (no biases)."""
+    return bits * spec.weight_count()
 
 
 def grid_aligned(weights: WeightSet, config: QuantConfig) -> bool:
-    """True if every parameter lies on its layer's fixed-point grid.
+    """True if ptq quantized the weights at config.bits and every parameter
+    lies exactly on its layer's recorded fixed-point grid.
 
-    Prefers the frac_bits recorded by ptq (rounding can shift a layer's
-    max magnitude across a power of two, so recomputing the format from
-    already-quantized values is not always faithful).
+    The frac_bits come only from the quant block ptq attaches (rounding can
+    shift a layer's max magnitude across a power of two, so recomputing the
+    format from quantized values is not always faithful); weights without
+    one are not aligned. Scaling by 2^frac_bits is exact, so the check is.
     """
-    recorded = (weights.quant or {}).get("frac_bits")
-    for i, lw in enumerate(weights.layers):
+    quant = weights.quant or {}
+    if quant.get("bits") != config.bits:
+        return False
+    for lw, frac_bits in zip(weights.layers, quant["frac_bits"]):
         if lw is None:
             continue
-        if recorded is not None and recorded[i] is not None:
-            frac_bits = recorded[i]
-        else:
-            frac_bits = choose_format(lw.weight, config.bits).frac_bits
-        scale = 1 << frac_bits
-        arrays = [lw.weight] + ([lw.bias] if config.quantize_biases else [])
-        for arr in arrays:
-            scaled = arr * scale
-            if not np.allclose(scaled, np.round(scaled), atol=1e-9):
+        for arr in (lw.weight, lw.bias):
+            scaled = arr * 2.0**frac_bits
+            if not np.array_equal(scaled, np.round(scaled)):
                 return False
     return True

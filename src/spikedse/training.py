@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .errors import ConfigError, EmptyDataset, MissingTrace
+from .errors import ConfigError, EmptyDataset
 from .events import SpikeFrames
 from .network import (
     ForwardResult,
@@ -217,8 +217,6 @@ def _gradients(
     is released once used so backward holds no more than forward did.
     """
     trace = result.trace
-    if trace is None:
-        raise MissingTrace("backward needs a forward pass recorded with record=True")
     counts = result.counts.reshape(len(labels), -1)
     B, K = counts.shape
     first = next(i for i, layer in enumerate(net.layers) if layer.spiking)
@@ -254,24 +252,11 @@ def backward(
     *,
     surrogate: SurrogateParams | None = None,
     spike_mode: SpikeMode = "hard",
-    forward_result: ForwardResult | None = None,
 ) -> tuple[GradientSet, float]:
-    """Backpropagate one sample through time and space: (gradients, loss).
-
-    Runs a recorded forward pass unless one is supplied; a supplied
-    forward_result is consumed (its potentials become dL/dV).
-    """
-    surrogate = surrogate or SurrogateParams()
-    if forward_result is None:
-        forward_result = forward(
-            net,
-            weights,
-            frames,
-            record=True,
-            spike_mode=spike_mode,
-            surrogate_half_width=surrogate.half_width,
-        )
-    return _gradients(net, weights, forward_result, [label], surrogate)
+    """Backpropagate one sample through time and space: (gradients, loss)."""
+    return batch_backward(
+        net, weights, [(frames, label)], surrogate=surrogate, spike_mode=spike_mode
+    )
 
 
 def batch_backward(

@@ -15,7 +15,6 @@ def dataset_dir(tmp_path):
     out = tmp_path / "data"
     code = main([
         "dataset", "gen",
-        "--classes", "2",
         "--per-class", "6",
         "--seed", "9",
         "--out", str(out),
@@ -428,6 +427,12 @@ BAD_INPUTS = {
         ["dse", "--accuracy-table", "{tmp}/table.json", "--out", "{tmp}/out"],
         "accuracy table",
     ),
+    "unknown window_mode": (
+        {"train.json": '{"epochs": 1, "seed": 0, '
+                       '"data": {"synthetic": {}, "window_mode": "best"}}'},
+        TRAIN,
+        "unknown window_mode 'best'",
+    ),
 }
 
 
@@ -442,4 +447,32 @@ def test_malformed_json_input_is_domain_error(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert message in err
+    assert "Traceback" not in err
+
+
+BAD_ARGUMENTS = {
+    "quantize bits above 32": [
+        "quantize", "--checkpoint", "w.ckpt", "--bits", "40", "--out", "q.ckpt",
+    ],
+    "quantize bits below 2": [
+        "quantize", "--checkpoint", "w.ckpt", "--bits", "1", "--out", "q.ckpt",
+    ],
+    "complexity bits above 32": COMPLEXITY + ["--bits", "33"],
+    "complexity timestep 0": ["complexity", "--window", "50", "--timestep", "0"],
+    "eval timesteps 0": [
+        "eval", "--checkpoint", "w.ckpt", "--data", "data", "--timesteps", "0",
+    ],
+    "dataset gen classes": [
+        "dataset", "gen", "--classes", "3", "--per-class", "2", "--seed", "1",
+        "--out", "data",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_ARGUMENTS))
+def test_bad_argument_is_usage_error(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(BAD_ARGUMENTS[name]) == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
     assert "Traceback" not in err

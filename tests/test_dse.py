@@ -256,10 +256,6 @@ class TestSelect:
         b = DsePoint(a.bits, a.timesteps, a.window, a.accuracy, smaller)
         assert select([a, b], Constraints()) is b
 
-    def test_unknown_policy(self, table_points):
-        with pytest.raises(ValueError):
-            select(table_points, Constraints(), policy="random")
-
 
 class TestEmitReport:
     def test_row_count_and_round_trip(self, table_points, tmp_path):

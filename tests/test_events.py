@@ -53,7 +53,7 @@ class TestParseDat:
         # word 0 = timestamp, word 1 = x | y<<14 | p<<28
         blob = HEADER + pack_record(1000, 5, 7, 1)
         sample = sd.parse_dat(blob)
-        assert sample.event_list() == [sd.Event(1000, 5, 7, 1)]
+        assert np.array_equal(sample.events, events_from_arrays([1000], [5], [7], [1]))
 
     def test_truncated_record(self):
         with pytest.raises(TruncatedRecord):
@@ -107,7 +107,7 @@ class TestParseDat:
 class TestParseCsv:
     def test_single_row(self):
         sample = sd.parse_csv("1000,5,7,1")
-        assert sample.event_list() == [sd.Event(1000, 5, 7, 1)]
+        assert np.array_equal(sample.events, events_from_arrays([1000], [5], [7], [1]))
 
     def test_bad_polarity(self):
         with pytest.raises(BadRow) as err:
@@ -189,7 +189,7 @@ class TestCrop:
     def test_corner_rebase(self):
         sample = make_sample([(10, 5, 6, 1)], 32, 32)
         out = sd.crop(sample, AttentionWindow(5, 6, 10))
-        assert out.event_list() == [sd.Event(10, 0, 0, 1)]
+        assert np.array_equal(out.events, events_from_arrays([10], [0], [0], [1]))
         assert out.sensor_width == out.sensor_height == 10
 
     def test_outside_events_dropped(self):

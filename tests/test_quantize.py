@@ -1,5 +1,7 @@
 """Fixed-point formats, rounding schemes, PTQ, memory accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from spikedse.quantize import (
     memory_of,
     ptq,
     quantize_array,
-    quantize_value,
 )
 
 
@@ -60,18 +61,20 @@ class TestChooseFormat:
 
 
 class TestQuantizeValue:
+    """Single values through quantize_array."""
+
     def fmt(self, n, bits=8):
         return FixedPointFormat(bits, n)
 
     def test_tr_floors(self):
-        assert quantize_value(0.75, self.fmt(1), "TR") == 0.5
+        assert quantize_array(np.array([0.75]), self.fmt(1), "TR")[0][0] == 0.5
 
     def test_tr_floors_toward_minus_inf(self):
-        assert quantize_value(-0.75, self.fmt(1), "TR") == -1.0
+        assert quantize_array(np.array([-0.75]), self.fmt(1), "TR")[0][0] == -1.0
 
     def test_rn_half_away_from_zero(self):
-        assert quantize_value(0.75, self.fmt(1), "RN") == 1.0
-        assert quantize_value(-0.75, self.fmt(1), "RN") == -1.0
+        assert quantize_array(np.array([0.75]), self.fmt(1), "RN")[0][0] == 1.0
+        assert quantize_array(np.array([-0.75]), self.fmt(1), "RN")[0][0] == -1.0
 
     def test_sr_unbiased_monte_carlo(self):
         rng = np.random.default_rng(99)
@@ -83,7 +86,7 @@ class TestQuantizeValue:
 
     def test_sr_needs_generator(self):
         with pytest.raises(ValueError):
-            quantize_value(0.3, self.fmt(2), "SR")
+            quantize_array(np.array([0.3]), self.fmt(2), "SR")
 
     def test_saturation_counted_silently(self):
         fmt = FixedPointFormat(4, 3)  # range [-1, 0.875]
@@ -146,7 +149,7 @@ class TestErrorBounds:
     def test_grid_membership(self, w, bits):
         fmt = choose_format(np.array([max(abs(w), 1e-6)]), bits)
         for scheme in ("TR", "RN"):
-            q = quantize_value(w, fmt, scheme)
+            q = quantize_array(np.array([w]), fmt, scheme)[0][0]
             scaled = q * 2**fmt.frac_bits
             assert scaled == np.round(scaled)
             assert fmt.min_value <= q <= fmt.max_value
@@ -166,9 +169,10 @@ class TestPtq:
         _, weights = trained_like
         config = QuantConfig(bits=32)
         q = ptq(weights, config)
+        formats = [FixedPointFormat(32, n) for n in q.quant["frac_bits"] if n is not None]
         for orig, quant, fmt in zip(
             weights.param_arrays(), q.param_arrays(),
-            [f for f in config.per_layer_format if f is not None for _ in range(2)],
+            [f for f in formats for _ in range(2)],
         ):
             assert fmt.frac_bits >= 24 or np.abs(orig).max() > 1.0
             assert np.max(np.abs(orig - quant)) <= fmt.step
@@ -186,12 +190,31 @@ class TestPtq:
         for a, b in zip(before, weights.param_arrays()):
             assert np.array_equal(a, b)
 
-    def test_biases_skipped_when_disabled(self, trained_like):
+    def test_config_not_modified(self, trained_like):
         _, weights = trained_like
-        q = ptq(weights, QuantConfig(bits=6, quantize_biases=False))
-        for lw, qlw in zip(weights.layers, q.layers):
-            if lw is not None:
-                assert np.array_equal(lw.bias, qlw.bias)
+        config = QuantConfig(bits=6, rounding="SR", seed=3)
+        before = dataclasses.replace(config)
+        ptq(weights, config)
+        assert config == before
+
+    def test_grid_check_is_exact(self, trained_like):
+        # at 24 bits the largest weight scales to ~2^22, where a relative
+        # tolerance of 1e-5 would let a 0.3-step offset through
+        _, weights = trained_like
+        config = QuantConfig(bits=24)
+        q = ptq(weights, config)
+        assert grid_aligned(q, config)
+        w = q.layers[-1].weight
+        w.flat[np.argmax(np.abs(w))] += 0.3 * 2.0 ** -q.quant["frac_bits"][-1]
+        assert not grid_aligned(q, config)
+
+    def test_grid_check_needs_matching_record(self, trained_like):
+        _, weights = trained_like
+        q = ptq(weights, QuantConfig(bits=10))
+        assert grid_aligned(q, QuantConfig(bits=10))
+        assert not grid_aligned(q, QuantConfig(bits=4))
+        q.quant = None
+        assert not grid_aligned(q, QuantConfig(bits=10))
 
     def test_sr_deterministic_per_seed(self, trained_like):
         _, weights = trained_like
@@ -211,7 +234,7 @@ class TestPtq:
         q = ptq(weights, config)
         assert q.quant["bits"] == 12
         assert q.quant["rounding"] == "RN"
-        assert len(config.per_layer_format) == len(weights.layers)
+        assert len(q.quant["frac_bits"]) == len(weights.layers)
 
 
 class TestMemoryOf:
@@ -222,12 +245,6 @@ class TestMemoryOf:
     def test_bits_scale(self):
         net = sd.build_network(100)
         assert memory_of(net, 10) / memory_of(net, 32) == pytest.approx(0.3125)
-
-    def test_bias_flag(self):
-        net = sd.build_network(50)
-        with_b = memory_of(net, 32, include_biases=True)
-        without = memory_of(net, 32)
-        assert with_b - without == 32 * (32 + 32 + 144 + 2)
 
     # savings vs the 32-bit 100-window baseline, in percent
     EXPECTED_SAVINGS = [

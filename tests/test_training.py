@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 import spikedse as sd
-from spikedse.errors import EmptyDataset, MissingTrace
+from spikedse.errors import EmptyDataset
 from spikedse.events import SpikeFrames
 from spikedse.network import (
-    ForwardResult,
     LayerSpec,
     LifParams,
     NetworkSpec,
@@ -253,28 +252,6 @@ class TestBackward:
                 np.testing.assert_allclose(
                     g[name], mean, rtol=1e-12, atol=1e-12 * scale
                 )
-
-    def test_reuses_supplied_forward_result(self):
-        rng = np.random.default_rng(1)
-        spec = toy_spec()
-        weights = sd.init_weights(spec, seed=2)
-        frames = toy_frames(rng)
-        recorded = forward(spec, weights, frames, record=True)
-        g1, l1 = backward(spec, weights, frames, 0, forward_result=recorded)
-        g2, l2 = backward(spec, weights, frames, 0)
-        assert l1 == l2
-        for a, b in zip(g1.layers, g2.layers):
-            if a is not None:
-                assert np.array_equal(a["weight"], b["weight"])
-
-    def test_missing_trace(self):
-        rng = np.random.default_rng(1)
-        spec = toy_spec()
-        weights = sd.init_weights(spec, seed=2)
-        frames = toy_frames(rng)
-        bare = ForwardResult(counts=np.zeros(2), trace=None)
-        with pytest.raises(MissingTrace):
-            backward(spec, weights, frames, 0, forward_result=bare)
 
 
 @pytest.fixture(scope="module")
