@@ -228,8 +228,9 @@ def cmd_dse(args) -> int:
         raw = {"epochs": 5, "seed": 0}
         if args.train_config:
             raw = _read_config(args.train_config)
-        if args.data:
-            raw["data"] = {"dir": args.data}
+        if args.data:  # the directory overrides the data block's, other keys stay
+            data = raw.get("data", {})
+            raw["data"] = {**data, "dir": args.data} if isinstance(data, dict) else data
         train_samples, test_samples, mode = _load_splits(raw.get("data"), args.workers)
         # The window search depends only on W, and T only changes the
         # binning: crop each sample once per W, then bin the crops per T.

@@ -10,10 +10,6 @@ from contextlib import contextmanager
 class SpikeDseError(Exception):
     """Base class for all domain errors raised by this package."""
 
-
-class ConfigError(SpikeDseError):
-    """A JSON input (config, grid, constraints, constants, table, manifest) is bad."""
-
     @classmethod
     @contextmanager
     def guard(cls, source: str):
@@ -24,6 +20,14 @@ class ConfigError(SpikeDseError):
             raise cls(f"{source}: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise cls(f"{source}: {exc}") from exc
+
+
+class ConfigError(SpikeDseError):
+    """A JSON input (config, grid, constraints, constants, table, manifest) is bad."""
+
+
+class CheckpointError(SpikeDseError):
+    """A checkpoint file is truncated, malformed or disagrees with its header."""
 
 
 # --- event stream parsing / dataset handling -------------------------------

@@ -28,6 +28,7 @@ arrays); a forward pass is a pure function of (weights, frames, params).
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Literal
@@ -59,6 +60,8 @@ class LifParams:
             raise ValueError("v_threshold must be positive")
         if not 0 <= self.leak < 1:
             raise ValueError("leak must be in [0, 1)")
+        if self.reset_mode not in ("zero", "subtract"):
+            raise ValueError(f"unknown reset_mode {self.reset_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,17 @@ class LayerSpec:
     kernel: int = 0
     padding: int = 0
     stride: int = 1
+
+    def __post_init__(self):
+        if self.kind not in ("avg_pool", "conv", "fully_connected"):
+            raise ValueError(f"unknown layer kind {self.kind!r}")
+        sizes = (self.in_channels, self.out_channels, self.kernel, self.padding, self.stride)
+        if not all(isinstance(v, numbers.Integral) for v in sizes):
+            raise TypeError(f"{self.kind} layer sizes must be integers, got {sizes}")
+        if min(self.in_channels, self.out_channels, self.stride) < 1 or self.padding < 0:
+            raise ValueError(f"{self.kind} layer needs positive sizes, got {sizes}")
+        if self.kind != "fully_connected" and self.kernel < 1:
+            raise ValueError(f"{self.kind} layer needs a kernel >= 1")
 
     @property
     def spiking(self) -> bool:
@@ -114,7 +128,7 @@ def layer_shapes(
         if layer.kind == "avg_pool":
             size = size // layer.kernel
         elif layer.kind == "conv":
-            size = (size + 2 * layer.padding - layer.kernel) // layer.stride + 1
+            size = _conv_size(size, layer.kernel, layer.padding, layer.stride)
         else:
             size = 1
         if size < 1:
@@ -215,12 +229,21 @@ def init_weights(spec: NetworkSpec, seed: int) -> WeightSet:
 #
 # The engine works on channels-last tensors whose leading axis holds all
 # T*B (timestep, sample) rows, timestep-major, so each synaptic map is one
-# GEMM (a conv: k*k shifted GEMMs) over every row at once.
+# GEMM over every row at once. A conv is one im2col GEMM over its valid
+# (strided) output positions, built in row blocks.
 # ---------------------------------------------------------------------------
 
-# Row blocks of the per-tap GEMMs: bounds the temporary a tap's product
-# needs (peak memory) and keeps the block being accumulated in cache.
+# Row blocks of a conv's im2col columns: bounds the columns built at once
+# (peak memory) and keeps a block's GEMM operands in cache.
 _BLOCK_BYTES = 1 << 20
+# Batched evaluation simulates as many samples at once as keep T x the
+# largest per-sample layer output (float64) under this.
+_BATCH_BYTES = 8 << 20
+
+
+def _conv_size(size: int, kernel: int, padding: int, stride: int) -> int:
+    """Output rows (or columns) of a conv over `size` input rows."""
+    return (size + 2 * padding - kernel) // stride + 1
 
 
 def _pool(x: np.ndarray, kernel: int) -> np.ndarray:
@@ -250,78 +273,58 @@ def _pool_backward(grad_out: np.ndarray, kernel: int, in_shape: tuple) -> np.nda
     return grad_in
 
 
-def _pad(x: np.ndarray, padding: int) -> np.ndarray:
-    """Zero-padded float64 copy of (N, H, W, C)."""
-    n, h, w, c = x.shape
-    out = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
-    out[:, padding : padding + h, padding : padding + w] = x
-    return out
+def _column_blocks(x: np.ndarray, kernel: int, padding: int, stride: int):
+    """Yield (lo, hi, cols) over row blocks of (N, H, W, C) input x.
 
-
-def _tap_offsets(kernel: int, row: int) -> list[int]:
-    """Flat row offset u*row + v of each kernel tap (u, v), in (u, v) order."""
-    return [u * row + v for u in range(kernel) for v in range(kernel)]
-
-
-def _shifted_gemm(
-    src: np.ndarray, mats: list[np.ndarray], offsets: list[int], out: np.ndarray
-) -> None:
-    """out[r] = sum_i src[r + offsets[i]] @ mats[i], in place.
-
-    Terms whose source row falls outside src are skipped; offsets[0] must
-    be 0. Each tap is one GEMM over all rows, cut into row blocks of about
-    _BLOCK_BYTES.
+    cols is the (hi - lo, Ho, Wo, k, k, C) im2col block of x[lo:hi] at the
+    valid (strided) output positions, about _BLOCK_BYTES in size. The
+    buffers are reused: consume a block before drawing the next.
     """
-    rows, width = out.shape
-    block = max(1, _BLOCK_BYTES // (out.itemsize * width))
-    tmp = np.empty((min(block, rows), width))
-    for a in range(0, rows, block):
-        b = min(a + block, rows)
-        np.matmul(src[a:b], mats[0], out=out[a:b])
-        for mat, off in zip(mats[1:], offsets[1:]):
-            lo, hi = max(a, -off), min(b, rows - off)
-            if lo < hi:
-                np.matmul(src[lo + off : hi + off], mat, out=tmp[: hi - lo])
-                out[lo:hi] += tmp[: hi - lo]
+    n, h, w, c = x.shape
+    ho, wo = (_conv_size(size, kernel, padding, stride) for size in (h, w))
+    block = max(1, _BLOCK_BYTES // (ho * wo * kernel * kernel * c * 8))
+    xp = np.zeros((min(block, n), h + 2 * padding, w + 2 * padding, c))
+    # (block, Ho, Wo, k, k, C) view of the k x k windows the outputs read
+    windows = np.lib.stride_tricks.sliding_window_view(
+        xp, (kernel, kernel), axis=(1, 2)
+    )[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+    cols = np.empty(windows.shape)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        xp[: hi - lo, padding : padding + h, padding : padding + w] = x[lo:hi]
+        cols[: hi - lo] = windows[: hi - lo]
+        yield lo, hi, cols[: hi - lo]
 
 
-def _output_slices(grid_shape: tuple, kernel: int, stride: int) -> tuple:
-    """Where the strided conv output sits on the stride-1 padded grid."""
-    return (
-        slice(0, grid_shape[1] - kernel + 1, stride),
-        slice(0, grid_shape[2] - kernel + 1, stride),
-    )
+def _weight_matrix(weight: np.ndarray) -> np.ndarray:
+    """(O, C, k, k) conv weights as the (k*k*C, O) matrix im2col rows meet."""
+    o, c, kernel, _ = weight.shape
+    return weight.transpose(2, 3, 1, 0).reshape(kernel * kernel * c, o)
 
 
 def _conv(
     x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: int, stride: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Cross-correlation of channels-last (N, H, W, C) input with (O, C, k, k).
 
-    The output is computed on the padded input grid: flattening the padded
-    input to rows (n, i, j), tap (u, v) reads the row u*Wp + v further on,
-    so each tap is one contiguous GEMM accumulated into the same buffer and
-    no im2col columns are built. Returns (grid, out): grid is the
-    (N, Hp, Wp, O) buffer, out the view of its valid (strided) positions.
+    Returns the (N, Ho, Wo, O) output: per row block, one GEMM of the
+    im2col columns of the valid (strided) output positions against the
+    (k*k*C, O) weight matrix.
     """
     o, c, kernel, _ = weight.shape
     if x.shape[3] != c:
         raise ShapeMismatch(f"conv expects {c} input channels, got {x.shape[3]}")
-    xp = _pad(x, padding)
-    n, hp, wp, _ = xp.shape
-    rows = n * hp * wp
-    grid = np.empty((n, hp, wp, o))
-    taps = [weight[:, :, u, v].T for u in range(kernel) for v in range(kernel)]
-    _shifted_gemm(
-        xp.reshape(rows, c), taps, _tap_offsets(kernel, wp), grid.reshape(rows, o)
-    )
-    grid += bias
-    rs, cs = _output_slices(grid.shape, kernel, stride)
-    return grid, grid[:, rs, cs]
+    wm = _weight_matrix(weight)
+    ho, wo = (_conv_size(size, kernel, padding, stride) for size in x.shape[1:3])
+    out = np.empty((x.shape[0], ho, wo, o))
+    for lo, hi, cols in _column_blocks(x, kernel, padding, stride):
+        np.matmul(cols.reshape(-1, wm.shape[0]), wm, out=out[lo:hi].reshape(-1, o))
+    out += bias
+    return out
 
 
 def _conv_backward(
-    grid: np.ndarray,
+    grad: np.ndarray,
     x: np.ndarray,
     weight: np.ndarray,
     padding: int,
@@ -329,43 +332,38 @@ def _conv_backward(
     *,
     input_grad: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(d_weight, d_bias, d_input) of `_conv`, one row-blocked GEMM per tap each.
+    """(d_weight, d_bias, d_input) of `_conv` for dL/d(output) grad.
 
-    grid is the forward output buffer holding dL/d(output) at the valid
-    positions; everything else in it is zeroed here, in place.
+    Each row block's columns are rebuilt from the recorded input x:
+    d_weight accumulates cols^T @ grad, and d_input is col2im of
+    grad @ W^T, k*k strided adds into the block's padded gradient.
     """
     o, c, kernel, _ = weight.shape
-    n, hp, wp, _ = grid.shape
-    rs, cs = _output_slices(grid.shape, kernel, stride)
-    for axis, size, valid in ((1, hp, rs), (2, wp, cs)):
-        outside = np.ones(size, bool)
-        outside[valid] = False
-        grid[(slice(None),) * axis + (outside,)] = 0.0
-    rows = n * hp * wp
-    gf = grid.reshape(rows, o)
-    xf = _pad(x, padding).reshape(rows, c)
-    offsets = _tap_offsets(kernel, wp)
-    d_taps = np.zeros((len(offsets), c, o))
-    tmp = np.empty((c, o))
-    block = max(1, _BLOCK_BYTES // (gf.itemsize * o))
-    for a in range(0, rows, block):  # each block of gf is read once from memory
-        for d_tap, off in zip(d_taps, offsets):
-            hi = min(a + block, rows - off)
-            if a < hi:
-                np.matmul(xf[a + off : hi + off].T, gf[a:hi], out=tmp)
-                d_tap += tmp
-    del xf  # free the padded input before d_input is allocated
-    d_weight = np.ascontiguousarray(
-        d_taps.reshape(kernel, kernel, c, o).transpose(3, 2, 0, 1)
-    )
-    d_bias = gf.sum(axis=0)
-    if not input_grad:
-        return d_weight, d_bias, None
-    d_xp = np.empty((n, hp, wp, c))
-    taps = [weight[:, :, u, v] for u in range(kernel) for v in range(kernel)]
-    _shifted_gemm(gf, taps, [-off for off in offsets], d_xp.reshape(rows, c))
     h, w = x.shape[1:3]
-    return d_weight, d_bias, d_xp[:, padding : padding + h, padding : padding + w]
+    wm = _weight_matrix(weight)
+    d_wm = np.zeros_like(wm)
+    tmp = np.empty_like(wm)
+    d_x = np.empty(x.shape) if input_grad else None
+    for lo, hi, cols in _column_blocks(x, kernel, padding, stride):
+        flat = cols.reshape(-1, wm.shape[0])
+        g = grad[lo:hi].reshape(-1, o)
+        np.matmul(flat.T, g, out=tmp)
+        d_wm += tmp
+        if not input_grad:
+            continue
+        np.matmul(g, wm.T, out=flat)  # cols now hold dL/d(cols)
+        d_xp = np.zeros((hi - lo, h + 2 * padding, w + 2 * padding, c))
+        ho, wo = cols.shape[1:3]
+        for u in range(kernel):
+            for v in range(kernel):
+                d_xp[:, u : u + stride * ho : stride, v : v + stride * wo : stride] += (
+                    cols[:, :, :, u, v]
+                )
+        d_x[lo:hi] = d_xp[:, padding : padding + h, padding : padding + w]
+    d_weight = np.ascontiguousarray(
+        d_wm.reshape(kernel, kernel, c, o).transpose(3, 2, 0, 1)
+    )
+    return d_weight, grad.reshape(-1, o).sum(axis=0), d_x
 
 
 def avg_pool_forward(x: np.ndarray, kernel: int) -> np.ndarray:
@@ -377,8 +375,9 @@ def conv_forward(
     x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: int, stride: int
 ) -> np.ndarray:
     """Cross-correlation of one (C, H, W) input with (O, C, k, k) kernels."""
-    _, out = _conv(x.transpose(1, 2, 0)[None], weight, bias, padding, stride)
-    return out[0].transpose(2, 0, 1)
+    return _conv(x.transpose(1, 2, 0)[None], weight, bias, padding, stride)[0].transpose(
+        2, 0, 1
+    )
 
 
 def fc_forward(x_flat: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -457,13 +456,12 @@ class LayerTrace:
 
     All are (T, B, ...). inputs is what the synaptic map read, channels-last
     except for an fc layer reading a feature map, which keeps the (C, H, W)
-    order its weights flatten. current is the (T*B, ...) buffer the map
-    wrote (a conv's padded output grid); potentials is the view of it that
-    the LIF scan turned into V.
+    order its weights flatten. potentials is the buffer the map wrote its
+    synaptic current into (a conv's (Ho, Wo, O) outputs, an fc layer's
+    features) and the LIF scan then turned into V.
     """
 
     inputs: np.ndarray
-    current: np.ndarray
     potentials: np.ndarray
     spikes: np.ndarray
 
@@ -515,7 +513,7 @@ def simulate(
             continue
         lw = weights.layers[i]
         if layer.kind == "conv":
-            current, v = _conv(x, lw.weight, lw.bias, layer.padding, layer.stride)
+            v = _conv(x, lw.weight, lw.bias, layer.padding, layer.stride)
         else:
             if x.ndim == 4:  # the weights flatten (C, H, W)
                 x = x.transpose(0, 3, 1, 2)
@@ -525,9 +523,8 @@ def simulate(
                 raise ShapeMismatch(
                     f"fc expects {lw.weight.shape[1]} inputs, got {flat.shape[1]}"
                 )
-            current = flat @ lw.weight.T
-            current += lw.bias
-            v = current
+            v = flat @ lw.weight.T
+            v += lw.bias
         v = v.reshape((T, B) + v.shape[1:])
         spikes = lif_scan(
             v, net.lif, spike_mode=spike_mode, surrogate_half_width=surrogate_half_width
@@ -535,7 +532,6 @@ def simulate(
         if record:
             trace[i] = LayerTrace(
                 inputs=x.reshape((T, B) + x.shape[1:]),
-                current=current,
                 potentials=v,
                 spikes=spikes,
             )

@@ -15,21 +15,24 @@ central finite differences can certify the backward implementation.
 The loss is mean squared error between per-class firing rates and the
 one-hot target. Each minibatch is simulated as one batch by
 `network.simulate`, and its mean gradient comes from one reverse LIF scan
-and one GEMM each for dW and dx per layer. Optimization is minibatch SGD
-with momentum and a fixed seeded shuffle schedule, so results are
-bit-identical across reruns.
+per layer, then one GEMM each for dW and dx (for a conv, one each per
+im2col row block). `evaluate` simulates a split in chunks whose size
+follows from a byte budget. Optimization is minibatch SGD with momentum
+and a fixed seeded shuffle schedule, so results are bit-identical across
+reruns.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .errors import ConfigError, EmptyDataset
+from .errors import ConfigError, EmptyDataset, ShapeMismatch
 from .events import SpikeFrames
 from .network import (
     ForwardResult,
@@ -40,11 +43,12 @@ from .network import (
     NetworkSpec,
     SpikeMode,
     WeightSet,
+    _BATCH_BYTES,
     _conv_backward,
     _pool_backward,
     decode,
-    forward,
     init_weights,
+    layer_shapes,
     simulate,
 )
 from .quantize import QuantConfig, grid_aligned
@@ -189,11 +193,11 @@ def _layer_backward(
     d_above = d_above.reshape((T, B) + d_above.shape[1:])
     _lif_backward(tr.potentials, tr.spikes, d_above, pool, lif, surrogate)
     x = tr.inputs.reshape((T * B,) + tr.inputs.shape[2:])
+    g = tr.potentials.reshape((T * B,) + tr.potentials.shape[2:])
     if layer.kind == "conv":
         return _conv_backward(
-            tr.current, x, lw.weight, layer.padding, layer.stride, input_grad=input_grad
+            g, x, lw.weight, layer.padding, layer.stride, input_grad=input_grad
         )
-    g = tr.current
     d_weight = g.T @ x.reshape(T * B, -1)
     d_bias = g.sum(axis=0)
     if not input_grad:
@@ -393,17 +397,33 @@ def evaluate(
     *,
     quant: QuantConfig | None = None,
 ) -> float:
-    """Fraction of correctly decoded samples, one `forward` per sample.
+    """Fraction of correctly decoded samples.
 
-    When quant is given the weights must already be quantized (this only
-    validates grid alignment; it never quantizes).
+    The split runs through `simulate` in chunks of as many samples as keep
+    T x the largest per-sample layer output (float64) under
+    `network._BATCH_BYTES`, so memory stays flat as W and T grow. All
+    samples must share one timestep count. When quant is given the
+    weights must already be quantized (this only validates grid
+    alignment; it never quantizes).
+
+    Raises:
+        ShapeMismatch: if the samples do not share one timestep count.
     """
     if not data:
         raise EmptyDataset("evaluation split is empty")
     if quant is not None and not grid_aligned(weights, quant):
         raise ValueError("weights are not aligned to the declared quantization grid")
-    hits = [
-        decode(forward(net, weights, frames).counts, frames.timesteps)[0] == label
-        for frames, label in data
-    ]
-    return float(np.mean(hits))
+    timesteps = {frames.timesteps for frames, _ in data}
+    if len(timesteps) != 1:
+        raise ShapeMismatch(
+            f"an evaluation split needs one timestep count, got {sorted(timesteps)}"
+        )
+    T = timesteps.pop()
+    largest = max(math.prod(shape) for shape in layer_shapes(net.layers, net.input_window))
+    chunk = max(1, _BATCH_BYTES // (T * largest * 8))
+    hits = 0
+    for lo in range(0, len(data), chunk):
+        part = data[lo : lo + chunk]
+        counts = simulate(net, weights, [frames for frames, _ in part]).counts
+        hits += sum(decode(c, T)[0] == label for c, (_, label) in zip(counts, part))
+    return hits / len(data)

@@ -205,6 +205,22 @@ class TestTrainQuantEval:
         }
         assert before == after
 
+    @pytest.mark.parametrize("cut", ["500 bytes", "half"])
+    def test_truncated_checkpoint_is_domain_error(self, tmp_path, capsys, cut):
+        net = sd.build_network(50)
+        path = tmp_path / "w.ckpt"
+        sd.save_checkpoint(path, net, sd.init_weights(net, seed=0))
+        blob = path.read_bytes()
+        path.write_bytes(blob[: 500 if cut == "500 bytes" else len(blob) // 2])
+        code = main([
+            "eval", "--checkpoint", str(path), "--data", str(tmp_path),
+            "--timesteps", "5",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestDseCommand:
     def test_table_mode_with_selection(self, tmp_path, capsys):
@@ -319,6 +335,38 @@ class TestDseCommand:
         capsys.readouterr()
         assert [(c.lr_decay_epoch, c.lr_decay_factor) for c in seen] == [(0, 0.5)]
         assert (seen[0].timesteps, seen[0].window) == (5, 50)
+
+    def test_data_flag_keeps_config_window_mode(
+        self, dataset_dir, tmp_path, capsys, monkeypatch
+    ):
+        modes = []
+        real_crop = cli.crop_to_window
+
+        def spying_crop(sample, window_size, *, window_mode):
+            modes.append(window_mode)
+            return real_crop(sample, window_size, window_mode=window_mode)
+
+        monkeypatch.setattr(cli, "crop_to_window", spying_crop)
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({
+            "bits": [32], "timesteps": [5], "windows": [50],
+        }))
+        config_path = tmp_path / "train.json"
+        config_path.write_text(json.dumps({
+            "epochs": 1, "seed": 0, "batch_size": 4,
+            "data": {"window_mode": "center"},
+        }))
+        code = main([
+            "dse",
+            "--grid", str(grid_path),
+            "--accuracy-source", "live",
+            "--data", str(dataset_dir),
+            "--train-config", str(config_path),
+            "--out", str(tmp_path / "dse"),
+        ])
+        assert code == 0
+        capsys.readouterr()
+        assert modes and set(modes) == {"center"}
 
     @pytest.mark.parametrize("mode", ["per_sample", "center"])
     def test_live_mode_loads_once_and_matches_direct_pipeline(

@@ -1,10 +1,18 @@
 """Network construction, layer arithmetic, LIF dynamics, checkpoints."""
 
+import functools
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spikedse as sd
-from spikedse.errors import ShapeMismatch, UnsupportedWindow
+from spikedse import network
+from spikedse.errors import CheckpointError, ShapeMismatch, UnsupportedWindow
 from spikedse.events import SpikeFrames
 from spikedse.network import (
     LayerSpec,
@@ -250,6 +258,112 @@ class TestLayerForward:
             sd.layer_forward(layer, weights, np.zeros(9))
 
 
+def direct_conv(x, weight, bias, padding, stride):
+    """Loop reference of `_conv`: channels-last (N, H, W, C) in, (N, Ho, Wo, O) out."""
+    n, h, w, c = x.shape
+    o, _, k, _ = weight.shape
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    ho, wo = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+    out = np.empty((n, ho, wo, o))
+    for b in range(n):
+        for i in range(ho):
+            for j in range(wo):
+                for q in range(o):
+                    acc = bias[q]
+                    for u in range(k):
+                        for v in range(k):
+                            for ch in range(c):
+                                acc += xp[b, i * stride + u, j * stride + v, ch] * (
+                                    weight[q, ch, u, v]
+                                )
+                    out[b, i, j, q] = acc
+    return out
+
+
+def direct_conv_backward(grad, x, weight, padding, stride):
+    """Loop reference of `_conv_backward`: (d_weight, d_bias, d_input)."""
+    n, h, w, c = x.shape
+    o, _, k, _ = weight.shape
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    d_weight = np.zeros(weight.shape)
+    d_bias = np.zeros(o)
+    d_xp = np.zeros(xp.shape)
+    for b in range(n):
+        for i in range(grad.shape[1]):
+            for j in range(grad.shape[2]):
+                g = grad[b, i, j]
+                d_bias += g
+                for u in range(k):
+                    for v in range(k):
+                        r, s = i * stride + u, j * stride + v
+                        d_weight[:, :, u, v] += np.outer(g, xp[b, r, s])
+                        d_xp[b, r, s] += weight[:, :, u, v].T @ g
+    return d_weight, d_bias, d_xp[:, padding : padding + h, padding : padding + w]
+
+
+class TestConvKernels:
+    """`_conv` and `_conv_backward` against the direct loops above."""
+
+    # (channels, stride, padding, height, width)
+    SHAPES = [
+        (2, 1, 1, 7, 5),
+        (2, 2, 0, 9, 6),
+        (2, 2, 1, 5, 8),
+        (32, 1, 0, 5, 7),
+        (32, 2, 1, 7, 7),
+        (32, 1, 1, 3, 3),
+    ]
+
+    @staticmethod
+    def operands(rng, c, h, w, on_grid):
+        n, o = 3, 4
+        if on_grid:  # 2^-n grids: every partial sum is exact in float64
+            x = rng.integers(0, 17, (n, h, w, c)) / 16
+            weight = rng.integers(-64, 65, (o, c, 3, 3)) / 64
+            bias = rng.integers(-8, 9, o) / 8
+        else:
+            x = rng.random((n, h, w, c))
+            weight = rng.uniform(-1, 1, (o, c, 3, 3))
+            bias = rng.uniform(-1, 1, o)
+        return x, weight, bias
+
+    @staticmethod
+    def check(actual, expected, on_grid):
+        assert actual.shape == expected.shape
+        if on_grid:
+            assert np.array_equal(actual, expected)
+        else:
+            np.testing.assert_allclose(
+                actual, expected, rtol=0, atol=1e-12 * np.abs(expected).max()
+            )
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("on_grid", [True, False])
+    @pytest.mark.parametrize("c,stride,pad,h,w", SHAPES)
+    def test_forward_and_backward_match_loops(
+        self, monkeypatch, c, stride, pad, h, w, on_grid, split
+    ):
+        if split:  # row blocks of two samples: the third one is a partial block
+            ho, wo = (h + 2 * pad - 3) // stride + 1, (w + 2 * pad - 3) // stride + 1
+            monkeypatch.setattr(network, "_BLOCK_BYTES", 2 * ho * wo * 9 * c * 8)
+        rng = np.random.default_rng(c * 100 + h * 10 + w)
+        x, weight, bias = self.operands(rng, c, h, w, on_grid)
+        out = network._conv(x, weight, bias, pad, stride)
+        self.check(out, direct_conv(x, weight, bias, pad, stride), on_grid)
+
+        if on_grid:
+            grad = rng.integers(-32, 33, out.shape) / 32
+        else:
+            grad = rng.uniform(-1, 1, out.shape)
+        expected = direct_conv_backward(grad, x, weight, pad, stride)
+        actual = network._conv_backward(grad, x, weight, pad, stride, input_grad=True)
+        for a, e in zip(actual, expected):
+            self.check(a, e, on_grid)
+        no_dx = network._conv_backward(grad, x, weight, pad, stride, input_grad=False)
+        assert no_dx[2] is None
+        assert np.array_equal(no_dx[0], actual[0])
+
+
 class TestForward:
     def test_zero_frames_zero_counts(self):
         net = sd.build_network(50)
@@ -462,3 +576,109 @@ class TestCheckpoint:
         assert header["quant"]["bits"] == 10
         assert header["quant"]["rounding"] == "TR"
         assert loaded.quant["frac_bits"] == q.quant["frac_bits"]
+
+
+@functools.cache
+def toy_checkpoint() -> bytes:
+    """Bytes of a small quantized checkpoint; header and payload are similar in size."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "toy.ckpt"
+        weights = sd.ptq(sd.init_weights(toy_spec(), seed=3), sd.QuantConfig(bits=8))
+        sd.save_checkpoint(path, toy_spec(), weights, seed=3, precision="8b-TR")
+        return path.read_bytes()
+
+
+class TestCheckpointErrors:
+    @staticmethod
+    def load(tmp_path, blob):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(blob)
+        return sd.load_checkpoint(path)
+
+    @staticmethod
+    def with_header(header: dict) -> bytes:
+        blob = toy_checkpoint()
+        newline = blob.index(b"\n")
+        return json.dumps(header).encode() + blob[newline:]
+
+    def header(self) -> dict:
+        blob = toy_checkpoint()
+        return json.loads(blob[: blob.index(b"\n")])
+
+    def test_toy_checkpoint_loads(self, tmp_path):
+        spec, weights, _ = self.load(tmp_path, toy_checkpoint())
+        assert spec == toy_spec()
+        assert weights.quant["bits"] == 8
+
+    @pytest.mark.parametrize("cut", ["500 bytes", "half", "header only"])
+    def test_truncated(self, tmp_path, cut):
+        net = sd.build_network(50)
+        path = tmp_path / "w.ckpt"
+        sd.save_checkpoint(path, net, sd.init_weights(net, seed=0))
+        blob = path.read_bytes()
+        size = {"500 bytes": 500, "half": len(blob) // 2,
+                "header only": blob.index(b"\n") + 1}[cut]
+        with pytest.raises(CheckpointError):
+            self.load(tmp_path, blob[:size])
+
+    def test_no_newline(self, tmp_path):
+        blob = toy_checkpoint()
+        with pytest.raises(CheckpointError, match="no header line"):
+            self.load(tmp_path, blob[: blob.index(b"\n")])
+
+    def test_header_not_json(self, tmp_path):
+        with pytest.raises(CheckpointError, match="not JSON"):
+            self.load(tmp_path, b"{'format': 1}\n" + bytes(8))
+
+    def test_wrong_format(self, tmp_path):
+        header = {**self.header(), "format": "spikedse-checkpoint-v9"}
+        with pytest.raises(CheckpointError, match="not a spikedse-checkpoint-v1"):
+            self.load(tmp_path, self.with_header(header))
+
+    @pytest.mark.parametrize("key", ["spec", "tensors"])
+    def test_missing_header_key(self, tmp_path, key):
+        header = self.header()
+        del header[key]
+        with pytest.raises(CheckpointError, match=f"missing key '{key}'"):
+            self.load(tmp_path, self.with_header(header))
+
+    @pytest.mark.parametrize("layer,key,value", [
+        (0, "kind", "conw"), (2, "in_channels", 1.5), (1, "kernel", 0),
+        (None, "reset_mode", "zerp"),
+    ])
+    def test_invalid_spec(self, tmp_path, layer, key, value):
+        header = self.header()
+        if layer is None:
+            header["spec"]["lif"][key] = value
+        else:
+            header["spec"]["layers"][layer][key] = value
+        with pytest.raises(CheckpointError, match=str(value)):
+            self.load(tmp_path, self.with_header(header))
+
+    def test_tensor_shape_disagrees_with_spec(self, tmp_path):
+        header = self.header()
+        header["tensors"][0]["shape"] = [2, 2, 9, 1]  # same size, wrong shape
+        with pytest.raises(CheckpointError, match="do not match"):
+            self.load(tmp_path, self.with_header(header))
+
+    @pytest.mark.parametrize("delta", [-4, -1, 1, 4])
+    def test_payload_size(self, tmp_path, delta):
+        blob = toy_checkpoint()
+        blob = blob[:delta] if delta < 0 else blob + bytes(delta)
+        with pytest.raises(CheckpointError, match="payload"):
+            self.load(tmp_path, blob)
+
+    @given(
+        cut=st.integers(0, 2**16),
+        flips=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), max_size=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_loading_is_total(self, tmp_path_factory, cut, flips):
+        blob = bytearray(toy_checkpoint())
+        for position, value in flips:
+            blob[position % len(blob)] = value
+        blob = bytes(blob[: cut % (len(blob) + 1)])
+        try:
+            self.load(tmp_path_factory.getbasetemp(), blob)
+        except CheckpointError:
+            pass

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import spikedse as sd
-from spikedse.errors import EmptyDataset
+from spikedse import training
+from spikedse.errors import EmptyDataset, ShapeMismatch
 from spikedse.events import SpikeFrames
 from spikedse.network import (
     LayerSpec,
@@ -393,3 +394,65 @@ class TestEvaluate:
         weights = sd.init_weights(net, seed=2)  # raw, not on any 4-bit grid
         with pytest.raises(ValueError):
             evaluate(net, weights, small_data[1], quant=sd.QuantConfig(bits=4))
+
+    @staticmethod
+    def spy_on_simulate(monkeypatch):
+        """Record the frames and counts of every `simulate` call evaluate makes."""
+        calls = []
+        real = training.simulate
+
+        def spy(net, weights, frames, **kwargs):
+            result = real(net, weights, frames, **kwargs)
+            calls.append((len(frames), result.counts))
+            return result
+
+        monkeypatch.setattr(training, "simulate", spy)
+        return calls
+
+    def test_chunks_decode_like_single_forward_passes(self, small_data, monkeypatch):
+        data = small_data[1]  # 10 samples at W=50, T=5
+        assert len(data) == 10
+        net = sd.build_network(50)
+        qcfg = sd.QuantConfig(bits=10)
+        weights = sd.init_weights(net, seed=6)
+        for lw in weights.layers:
+            if lw is not None:
+                lw.weight *= 3.0
+                lw.bias += 0.15
+        weights = sd.ptq(weights, qcfg)
+        # 4 samples' worth of budget: chunks of 4, 4 and a partial 2
+        per_sample = 5 * 32 * 12 * 12 * 8
+        monkeypatch.setattr(training, "_BATCH_BYTES", 4 * per_sample + 100)
+        calls = self.spy_on_simulate(monkeypatch)
+        accuracy = evaluate(net, weights, data, quant=qcfg)
+        assert [n for n, _ in calls] == [4, 4, 2]
+
+        single = np.array([forward(net, weights, frames).counts for frames, _ in data])
+        assert single.sum() > 0
+        assert np.array_equal(np.concatenate([c for _, c in calls]), single)
+        hits = [sd.decode(c, 5)[0] == label for c, (_, label) in zip(single, data)]
+        assert accuracy == np.mean(hits)
+
+    def test_mixed_timesteps_raise(self, small_data):
+        net = sd.build_network(50)
+        weights = sd.init_weights(net, seed=0)
+        rng = np.random.default_rng(0)
+        frames6 = SpikeFrames((rng.random((6, 2, 50, 50)) < 0.2).astype(np.uint8), 6, 50)
+        with pytest.raises(ShapeMismatch):
+            evaluate(net, weights, small_data[1][:3] + [(frames6, 0)])
+
+    def test_chunks_stay_within_byte_budget_at_w100_t20(self, monkeypatch):
+        net = sd.build_network(100)
+        weights = sd.init_weights(net, seed=0)
+        rng = np.random.default_rng(1)
+        data = [
+            (SpikeFrames((rng.random((20, 2, 100, 100)) < 0.1).astype(np.uint8), 20, 100),
+             i % 2)
+            for i in range(5)
+        ]
+        calls = self.spy_on_simulate(monkeypatch)
+        evaluate(net, weights, data)
+        largest = 32 * 25 * 25  # conv1's (C, H, W) output, the largest layer
+        assert sum(n for n, _ in calls) == 5
+        assert all(n * 20 * largest * 8 <= training._BATCH_BYTES for n, _ in calls)
+        assert max(n for n, _ in calls) == 2
