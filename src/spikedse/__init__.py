@@ -60,7 +60,6 @@ from .network import (
     decode,
     forward,
     init_weights,
-    layer_forward,
     layer_shapes,
     lif_scan,
     simulate,

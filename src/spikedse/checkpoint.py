@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -23,28 +24,6 @@ from .errors import CheckpointError
 from .network import LayerSpec, LayerWeights, LifParams, NetworkSpec, WeightSet
 
 FORMAT_NAME = "spikedse-checkpoint-v1"
-
-
-def _spec_to_dict(spec: NetworkSpec) -> dict:
-    return {
-        "input_window": spec.input_window,
-        "lif": {
-            "v_threshold": spec.lif.v_threshold,
-            "leak": spec.lif.leak,
-            "reset_mode": spec.lif.reset_mode,
-        },
-        "layers": [
-            {
-                "kind": l.kind,
-                "in_channels": l.in_channels,
-                "out_channels": l.out_channels,
-                "kernel": l.kernel,
-                "padding": l.padding,
-                "stride": l.stride,
-            }
-            for l in spec.layers
-        ],
-    }
 
 
 def _spec_from_dict(d: dict) -> NetworkSpec:
@@ -75,7 +54,7 @@ def save_checkpoint(
             payload += np.ascontiguousarray(arr, dtype="<f4").tobytes()
     header = {
         "format": FORMAT_NAME,
-        "spec": _spec_to_dict(spec),
+        "spec": asdict(spec),
         "precision": precision,
         "seed": seed,
         "tensors": tensors,
@@ -93,13 +72,9 @@ def _tensor_list(spec: NetworkSpec) -> list[tuple[int, str, list[int]]]:
     """(layer, name, shape) of every tensor the spec needs, in file order."""
     out = []
     for i, layer in enumerate(spec.layers):
-        if layer.kind == "conv":
-            shape = [layer.out_channels, layer.in_channels, layer.kernel, layer.kernel]
-        elif layer.kind == "fully_connected":
-            shape = [layer.out_channels, layer.in_channels]
-        else:
-            continue
-        out += [(i, "weight", shape), (i, "bias", [layer.out_channels])]
+        if layer.weight_shape is not None:
+            out += [(i, "weight", list(layer.weight_shape)),
+                    (i, "bias", [layer.out_channels])]
     return out
 
 

@@ -130,10 +130,15 @@ def _load_splits(data_cfg: dict | None, workers: int) -> tuple[list, list, str]:
         raise ConfigError(f"data block: unknown window_mode {mode!r}")
     if "dir" in data_cfg:
         root = data_cfg["dir"]
+        if not isinstance(root, str):
+            raise ConfigError(f'data block: "dir" must be a string, got {root!r}')
         train_split = load_dataset(root, "train", workers=workers)
         test_split = load_dataset(root, "test", workers=workers)
-    else:
-        syn = data_cfg["synthetic"]
+        return train_split, test_split, mode
+    syn = data_cfg["synthetic"]
+    if not isinstance(syn, dict):
+        raise ConfigError(f'data block: "synthetic" must be an object, got {syn!r}')
+    with ConfigError.guard("data block synthetic"):
         train_split, test_split = make_synthetic_dataset(
             per_class=syn.get("per_class", 150),
             seed=syn.get("seed", 0),
@@ -149,6 +154,9 @@ def _load_splits(data_cfg: dict | None, workers: int) -> tuple[list, list, str]:
 def cmd_train(args) -> int:
     raw = _read_config(args.config)
     config = TrainConfig.from_dict(raw)
+    strict = raw.get("strict", True)
+    if not isinstance(strict, bool):
+        raise ConfigError(f'"strict" must be true or false, got {strict!r}')
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train_samples, test_samples, mode = _load_splits(raw.get("data"), args.workers)
@@ -156,7 +164,7 @@ def cmd_train(args) -> int:
         encode_dataset(split, config.window, config.timesteps, window_mode=mode)
         for split in (train_samples, test_samples)
     )
-    net = build_network(config.window, strict=raw.get("strict", True))
+    net = build_network(config.window, strict=strict)
     weights, log = train(
         net,
         train_data,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from itertools import product
@@ -45,6 +46,16 @@ class DseGrid:
     bits: tuple[int, ...] = (32, 16, 12, 10)
     timesteps: tuple[int, ...] = (20, 15, 10, 5)
     windows: tuple[int, ...] = (100, 50)
+
+    def __post_init__(self):
+        for name in ("bits", "timesteps", "windows"):
+            values = getattr(self, name)
+            if not all(isinstance(v, numbers.Integral) for v in values):
+                raise TypeError(f"grid {name} must be integers, got {list(values)}")
+        if min((*self.timesteps, *self.windows), default=1) < 1:
+            raise ValueError("grid timesteps and windows must be >= 1")
+        for bits in self.bits:
+            QuantConfig(bits)  # bits outside [2, 32] raise ValueError
 
     @classmethod
     def from_json(cls, path: str | Path) -> "DseGrid":
@@ -93,7 +104,10 @@ class Constraints:
             )
             memory_bits = raw.get("max_memory_bits")
             if memory_bits is None and "max_memory_mb" in raw:
-                memory_bits = int(raw["max_memory_mb"] * MEMORY_UNIT_BITS)
+                megabits = raw["max_memory_mb"]
+                if not isinstance(megabits, numbers.Real):
+                    raise TypeError(f"max_memory_mb must be a number, got {megabits!r}")
+                memory_bits = int(megabits * MEMORY_UNIT_BITS)
             return cls(
                 max_memory_bits=memory_bits,
                 max_latency_ratio=raw.get("max_latency_ratio"),

@@ -89,12 +89,18 @@ class LayerSpec:
         return self.kind in ("conv", "fully_connected")
 
     @property
-    def weight_count(self) -> int:
+    def weight_shape(self) -> tuple[int, ...] | None:
+        """(O, C, k, k) for a conv, (out, in) for fc, None for a pool."""
         if self.kind == "conv":
-            return self.out_channels * self.in_channels * self.kernel**2
+            return (self.out_channels, self.in_channels, self.kernel, self.kernel)
         if self.kind == "fully_connected":
-            return self.out_channels * self.in_channels
-        return 0
+            return (self.out_channels, self.in_channels)
+        return None
+
+    @property
+    def weight_count(self) -> int:
+        shape = self.weight_shape
+        return 0 if shape is None else math.prod(shape)
 
 
 @dataclass(frozen=True)
@@ -207,20 +213,13 @@ def init_weights(spec: NetworkSpec, seed: int) -> WeightSet:
     rng = np.random.default_rng(seed)
     layers: list[LayerWeights | None] = []
     for layer in spec.layers:
-        if layer.kind == "conv":
-            fan_in = layer.in_channels * layer.kernel**2
-            bound = np.sqrt(1.0 / fan_in)
-            w = rng.uniform(
-                -bound, bound, size=(layer.out_channels, layer.in_channels,
-                                     layer.kernel, layer.kernel)
-            )
-            layers.append(LayerWeights(w, np.zeros(layer.out_channels)))
-        elif layer.kind == "fully_connected":
-            bound = np.sqrt(1.0 / layer.in_channels)
-            w = rng.uniform(-bound, bound, size=(layer.out_channels, layer.in_channels))
-            layers.append(LayerWeights(w, np.zeros(layer.out_channels)))
-        else:
+        shape = layer.weight_shape
+        if shape is None:
             layers.append(None)
+            continue
+        bound = np.sqrt(1.0 / math.prod(shape[1:]))
+        w = rng.uniform(-bound, bound, size=shape)
+        layers.append(LayerWeights(w, np.zeros(layer.out_channels)))
     return WeightSet(layers=layers)
 
 
@@ -364,41 +363,6 @@ def _conv_backward(
         d_wm.reshape(kernel, kernel, c, o).transpose(3, 2, 0, 1)
     )
     return d_weight, grad.reshape(-1, o).sum(axis=0), d_x
-
-
-def avg_pool_forward(x: np.ndarray, kernel: int) -> np.ndarray:
-    """Average k x k blocks of one (C, H, W) map; trailing rows/columns drop."""
-    return _pool(x.transpose(1, 2, 0)[None], kernel)[0].transpose(2, 0, 1)
-
-
-def conv_forward(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: int, stride: int
-) -> np.ndarray:
-    """Cross-correlation of one (C, H, W) input with (O, C, k, k) kernels."""
-    return _conv(x.transpose(1, 2, 0)[None], weight, bias, padding, stride)[0].transpose(
-        2, 0, 1
-    )
-
-
-def fc_forward(x_flat: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    if x_flat.shape[0] != weight.shape[1]:
-        raise ShapeMismatch(
-            f"fc expects {weight.shape[1]} inputs, got {x_flat.shape[0]}"
-        )
-    return weight @ x_flat + bias
-
-
-def layer_forward(
-    layer: LayerSpec, weights: LayerWeights | None, spikes_in: np.ndarray
-) -> np.ndarray:
-    """Stateless synaptic map for one (C, H, W) input at one timestep."""
-    if layer.kind == "avg_pool":
-        return avg_pool_forward(spikes_in, layer.kernel)
-    if layer.kind == "conv":
-        return conv_forward(
-            spikes_in, weights.weight, weights.bias, layer.padding, layer.stride
-        )
-    return fc_forward(spikes_in.reshape(-1), weights.weight, weights.bias)
 
 
 # ---------------------------------------------------------------------------

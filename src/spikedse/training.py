@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -80,10 +81,17 @@ class TrainConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("epochs", "batch_size", "timesteps", "window", "seed",
+                     "lr_decay_epoch", "checkpoint_every"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("learning_rate", "momentum", "lr_decay_factor"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise TypeError(f"{name} must be a number, got {getattr(self, name)!r}")
+        for name, low in (("epochs", 0), ("seed", 0), ("batch_size", 1),
+                          ("timesteps", 1), ("window", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":

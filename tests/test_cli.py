@@ -424,6 +424,11 @@ NEGATIVE_FIXED = json.dumps(
 COMPLEXITY = ["complexity", "--window", "50", "--timestep", "5"]
 TRAIN = ["train", "--config", "{tmp}/train.json", "--out", "{tmp}/out"]
 MANIFEST_TRAIN = '{"epochs": 1, "seed": 0, "data": {"dir": "{tmp}/data"}}'
+LIVE_TRAIN = '{"epochs": 1, "seed": 0, "data": {"synthetic": {"per_class": 2}}}'
+LIVE_DSE = [
+    "dse", "--grid", "{tmp}/grid.json", "--accuracy-source", "live",
+    "--train-config", "{tmp}/train.json", "--out", "{tmp}/out",
+]
 
 # name: (files to write under tmp, argv, expected part of the message)
 BAD_INPUTS = {
@@ -480,6 +485,75 @@ BAD_INPUTS = {
                        '"data": {"synthetic": {}, "window_mode": "best"}}'},
         TRAIN,
         "unknown window_mode 'best'",
+    ),
+    "train timesteps 0": (
+        {"train.json": '{"epochs": 1, "seed": 0, "timesteps": 0, "data": {"synthetic": {}}}'},
+        TRAIN,
+        "timesteps must be >= 1",
+    ),
+    "train seed negative": (
+        {"train.json": '{"epochs": 1, "seed": -1, "data": {"synthetic": {"per_class": 2}}}'},
+        TRAIN,
+        "seed must be >= 0",
+    ),
+    "train window not an integer": (
+        {"train.json": '{"epochs": 1, "seed": 0, "window": "50", "data": {"synthetic": {}}}'},
+        TRAIN,
+        "window must be an integer",
+    ),
+    "train learning_rate not a number": (
+        {"train.json": '{"epochs": 1, "seed": 0, "learning_rate": "x", '
+                       '"data": {"synthetic": {}}}'},
+        TRAIN,
+        "learning_rate must be a number",
+    ),
+    "synthetic not an object": (
+        {"train.json": '{"epochs": 1, "seed": 0, "data": {"synthetic": "foo"}}'},
+        TRAIN,
+        '"synthetic" must be an object',
+    ),
+    "synthetic negative per_class": (
+        {"train.json": '{"epochs": 1, "seed": 0, "data": {"synthetic": {"per_class": -1}}}'},
+        TRAIN,
+        "data block synthetic",
+    ),
+    "synthetic per_class not a number": (
+        {"train.json": '{"epochs": 1, "seed": 0, "data": {"synthetic": {"per_class": "x"}}}'},
+        TRAIN,
+        "data block synthetic",
+    ),
+    "dir not a string": (
+        {"train.json": '{"epochs": 1, "seed": 0, "data": {"dir": 5}}'},
+        TRAIN,
+        '"dir" must be a string',
+    ),
+    "strict not a boolean": (
+        {"train.json": '{"epochs": 1, "seed": 0, "strict": "no", '
+                       '"data": {"synthetic": {"per_class": 2}}}'},
+        TRAIN,
+        '"strict" must be true or false',
+    ),
+    "live grid bits above 32": (
+        {"grid.json": '{"bits": [40], "timesteps": [5], "windows": [50]}',
+         "train.json": LIVE_TRAIN},
+        LIVE_DSE,
+        "bits must be in [2, 32]",
+    ),
+    "live grid timesteps 0": (
+        {"grid.json": '{"bits": [10], "timesteps": [0], "windows": [50]}',
+         "train.json": LIVE_TRAIN},
+        LIVE_DSE,
+        "grid timesteps and windows must be >= 1",
+    ),
+    "live grid bits not integers": (
+        {"grid.json": '{"bits": ["10"], "timesteps": [5], "windows": [50]}',
+         "train.json": LIVE_TRAIN},
+        LIVE_DSE,
+        "grid bits must be integers",
+    ),
+    "memory constraint not a number": (
+        {}, ["dse", "--constraints", '{"max_memory_mb": "x"}', "--out", "{tmp}/out"],
+        "max_memory_mb must be a number",
     ),
 }
 

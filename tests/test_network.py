@@ -1,6 +1,7 @@
 """Network construction, layer arithmetic, LIF dynamics, checkpoints."""
 
 import functools
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -18,8 +19,6 @@ from spikedse.network import (
     LayerSpec,
     LifParams,
     NetworkSpec,
-    avg_pool_forward,
-    conv_forward,
     forward,
     lif_scan,
     relaxed_spike,
@@ -32,6 +31,19 @@ def random_frames(rng, timesteps, window, density=0.3):
     return SpikeFrames(data=data, timesteps=timesteps, window=window)
 
 
+def single_step_map(layer, weights, x):
+    """Synaptic map of one (C, H, W) input at one timestep: the pool and
+    conv kernels on a batch of one, the fc product written out."""
+    if layer.kind == "fully_connected":
+        return weights.weight @ x.reshape(-1) + weights.bias
+    x = x.transpose(1, 2, 0)[None]
+    if layer.kind == "avg_pool":
+        out = network._pool(x, layer.kernel)
+    else:
+        out = network._conv(x, weights.weight, weights.bias, layer.padding, layer.stride)
+    return out[0].transpose(2, 0, 1)
+
+
 def reference_counts(net, weights, frames, spike_mode="hard", half_width=0.5):
     """Output spike counts from a per-timestep loop over one sample, with
     the single-sample (C, H, W) layer maps and the LIF update written out."""
@@ -41,7 +53,7 @@ def reference_counts(net, weights, frames, spike_mode="hard", half_width=0.5):
     for t in range(frames.timesteps):
         x = frames.data[t].astype(float)
         for i, layer in enumerate(net.layers):
-            x = sd.layer_forward(layer, weights.layers[i], x)
+            x = single_step_map(layer, weights.layers[i], x)
             if not layer.spiking:
                 continue
             if i in v and lif.reset_mode == "zero":
@@ -208,24 +220,26 @@ class TestLifStep:
 
 
 class TestLayerForward:
+    """The pool and conv kernels on one channels-last map, and the fc check."""
+
     def test_avg_pool_of_ones(self):
-        out = avg_pool_forward(np.ones((1, 2, 2)), 2)
-        assert out.shape == (1, 1, 1)
-        assert out[0, 0, 0] == 1.0
+        out = network._pool(np.ones((1, 2, 2, 1)), 2)
+        assert out.shape == (1, 1, 1, 1)
+        assert out[0, 0, 0, 0] == 1.0
 
     def test_avg_pool_floor_drops_remainder(self):
-        x = np.arange(25, dtype=float).reshape(1, 5, 5)
-        out = avg_pool_forward(x, 2)
-        assert out.shape == (1, 2, 2)
-        assert out[0, 0, 0] == pytest.approx((0 + 1 + 5 + 6) / 4)
+        x = np.arange(25, dtype=float).reshape(1, 5, 5, 1)
+        out = network._pool(x, 2)
+        assert out.shape == (1, 2, 2, 1)
+        assert out[0, 0, 0, 0] == pytest.approx((0 + 1 + 5 + 6) / 4)
 
     def test_conv_delta_kernel_sums_channels(self):
         rng = np.random.default_rng(1)
         x = rng.random((3, 5, 5))
         w = np.zeros((1, 3, 3, 3))
         w[:, :, 1, 1] = 1.0  # delta at the center of each input channel
-        out = conv_forward(x, w, np.zeros(1), padding=1, stride=1)
-        assert np.allclose(out[0], x.sum(axis=0))
+        out = network._conv(x.transpose(1, 2, 0)[None], w, np.zeros(1), 1, 1)
+        assert np.allclose(out[0, :, :, 0], x.sum(axis=0))
 
     @pytest.mark.parametrize("pad,stride", [(1, 1), (0, 1), (1, 2), (0, 2)])
     def test_conv_matches_naive_loops(self, pad, stride):
@@ -233,7 +247,8 @@ class TestLayerForward:
         x = rng.random((2, 6, 6))
         w = rng.random((3, 2, 3, 3)) - 0.5
         b = rng.random(3)
-        out = conv_forward(x, w, b, padding=pad, stride=stride)
+        out = network._conv(x.transpose(1, 2, 0)[None], w, b, pad, stride)
+        out = out[0].transpose(2, 0, 1)
 
         xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
         h_out = (6 + 2 * pad - 3) // stride + 1
@@ -250,12 +265,10 @@ class TestLayerForward:
         assert np.allclose(out, ref)
 
     def test_fc_shape_mismatch(self):
-        layer = LayerSpec("fully_connected", 8, 2)
-        weights = sd.init_weights(
-            NetworkSpec((layer,), input_window=2), seed=0
-        ).layers[0]
+        net = NetworkSpec((LayerSpec("fully_connected", 9, 2),), input_window=2)
+        frames = SpikeFrames(np.zeros((1, 2, 2, 2), np.uint8), 1, 2)  # 8 inputs
         with pytest.raises(ShapeMismatch):
-            sd.layer_forward(layer, weights, np.zeros(9))
+            simulate(net, sd.init_weights(net, seed=0), [frames])
 
 
 def direct_conv(x, weight, bias, padding, stride):
@@ -380,11 +393,9 @@ class TestForward:
 
         x = frames.data[0].astype(float)
         for i, layer in enumerate(net.layers):
-            if layer.kind == "avg_pool":
-                x = avg_pool_forward(x, layer.kernel)
-            else:
-                current = sd.layer_forward(layer, weights.layers[i], x)
-                x = lif_scan(current[None], net.lif)[0].astype(float)
+            x = single_step_map(layer, weights.layers[i], x)
+            if layer.spiking:
+                x = lif_scan(x[None], net.lif)[0].astype(float)
         assert np.array_equal(counts, x)
 
     def test_deterministic_across_runs(self):
@@ -430,7 +441,7 @@ class TestForward:
             if layer.kind == "conv":
                 inputs = inputs.transpose(0, 3, 1, 2)  # channels-last -> (C, H, W)
             max_current = max(
-                np.abs(sd.layer_forward(layer, weights.layers[i], x)).max()
+                np.abs(single_step_map(layer, weights.layers[i], x)).max()
                 for x in inputs
             )
             max_v = result.trace[i].potentials.max()
@@ -565,6 +576,14 @@ class TestCheckpoint:
         sd.save_checkpoint(p1, net, weights, seed=21)
         sd.save_checkpoint(p2, net, weights, seed=21)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_reference_bytes_are_pinned(self, tmp_path):
+        # the whole file: header JSON (spec, tensor list), init draws, payload
+        net = sd.build_network(50)
+        path = sd.save_checkpoint(tmp_path / "w.ckpt", net, sd.init_weights(net, 0))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "af8240b2c32759d79c741db03118f3fc08675b5f9a09b7eb2b6c52e0d90e5deb"
+        )
 
     def test_quant_block_round_trips(self, tmp_path):
         net = sd.build_network(50)
