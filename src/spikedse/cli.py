@@ -118,6 +118,15 @@ def _read_config(path: str) -> dict:
         return dict(json.loads(Path(path).read_text()))
 
 
+def _strict(raw: dict) -> bool:
+    """A train config's "strict" key (default true): build only the
+    reference windows' networks."""
+    strict = raw.get("strict", True)
+    if not isinstance(strict, bool):
+        raise ConfigError(f'"strict" must be true or false, got {strict!r}')
+    return strict
+
+
 def _load_splits(data_cfg: dict | None, workers: int) -> tuple[list, list, str]:
     """The raw (train, test) samples a config's data block names, and its
     window_mode."""
@@ -154,9 +163,7 @@ def _load_splits(data_cfg: dict | None, workers: int) -> tuple[list, list, str]:
 def cmd_train(args) -> int:
     raw = _read_config(args.config)
     config = TrainConfig.from_dict(raw)
-    strict = raw.get("strict", True)
-    if not isinstance(strict, bool):
-        raise ConfigError(f'"strict" must be true or false, got {strict!r}')
+    strict = _strict(raw)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train_samples, test_samples, mode = _load_splits(raw.get("data"), args.workers)
@@ -239,6 +246,14 @@ def cmd_dse(args) -> int:
         if args.data:  # the directory overrides the data block's, other keys stay
             data = raw.get("data", {})
             raw["data"] = {**data, "dir": args.data} if isinstance(data, dict) else data
+        # Check the config and every window before loading or cropping.
+        strict = _strict(raw)
+        nets = {w: build_network(w, strict=strict) for w in grid.windows}
+        configs = {
+            (t, w): TrainConfig.from_dict({**raw, "timesteps": t, "window": w})
+            for w in grid.windows
+            for t in grid.timesteps
+        }
         train_samples, test_samples, mode = _load_splits(raw.get("data"), args.workers)
         # The window search depends only on W, and T only changes the
         # binning: crop each sample once per W, then bin the crops per T.
@@ -254,11 +269,10 @@ def cmd_dse(args) -> int:
         for w in list(cropped):
             train_crops, test_crops = cropped.pop(w)
             for t in grid.timesteps:
-                cfg = TrainConfig.from_dict({**raw, "timesteps": t, "window": w})
-                weights, _ = train(build_network(w), _binned(train_crops, t), cfg)
+                weights, _ = train(nets[w], _binned(train_crops, t), configs[(t, w)])
                 baselines[(t, w)] = weights
                 encoded[(t, w)] = _binned(test_crops, t)
-        points = run_dse(encoded, baselines, grid, constants)
+        points = run_dse(encoded, baselines, grid, constants, strict=strict)
 
     results_path, pareto_path = emit_report(points, out)
     selection = None

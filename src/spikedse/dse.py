@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from importlib import resources
@@ -91,8 +92,8 @@ class Constraints:
     def __post_init__(self):
         for name in ("max_memory_bits", "max_latency_ratio", "min_accuracy"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive when present")
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite when present")
 
     @classmethod
     def from_json(cls, text_or_dict) -> "Constraints":
@@ -107,6 +108,8 @@ class Constraints:
                 megabits = raw["max_memory_mb"]
                 if not isinstance(megabits, numbers.Real):
                     raise TypeError(f"max_memory_mb must be a number, got {megabits!r}")
+                if not math.isfinite(megabits):
+                    raise ValueError(f"max_memory_mb must be finite, got {megabits!r}")
                 memory_bits = int(megabits * MEMORY_UNIT_BITS)
             return cls(
                 max_memory_bits=memory_bits,
@@ -147,13 +150,15 @@ def run_dse(
     constants: CostConstants,
     *,
     accuracy_table: dict[str, float] | None = None,
+    strict: bool = True,
 ) -> list[DsePoint]:
     """Evaluate every grid point; returns points in grid order.
 
     encoded maps (timesteps, window) -> the test split as (frames, label)
     pairs; baselines maps the same keys to trained full-precision
     WeightSets. With accuracy_table set, neither is touched and accuracies
-    come from the table instead of live evaluation.
+    come from the table instead of live evaluation. strict is
+    `build_network`'s: False admits windows other than 100 and 50.
     """
     settings = enumerate_grid(grid)
     if accuracy_table is None:
@@ -162,7 +167,7 @@ def run_dse(
                 raise MissingBaseline(
                     f"no trained baseline or test split for T={t}, W={w}"
                 )
-    specs = {w: build_network(w) for w in grid.windows}
+    specs = {w: build_network(w, strict=strict) for w in grid.windows}
     points = []
     for b, t, w in settings:
         if accuracy_table is None:

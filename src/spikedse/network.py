@@ -246,14 +246,29 @@ def _conv_size(size: int, kernel: int, padding: int, stride: int) -> int:
 
 
 def _pool(x: np.ndarray, kernel: int) -> np.ndarray:
-    """Average k x k blocks of (N, H, W, C); trailing rows/columns drop."""
+    """Average k x k blocks of (N, H, W, C); trailing rows/columns drop.
+
+    bool (spikes) and uint8 (binary frames) inputs sum in the smallest
+    unsigned type that holds k*k times the dtype's largest value, chosen
+    from the dtype alone: the sums are exact integers far below 2**53, so
+    each converts to the float64 a float sum of the taps gives. Other
+    inputs (relaxed spikes) sum in float64. The sums keep x's stride
+    order, so a channels-last view of channels-first memory is read in
+    memory order. Returns a C-contiguous float64 (N, H2, W2, C) array.
+    """
     n, h, w, c = x.shape
     h2, w2 = h // kernel, w // kernel
-    out = np.zeros((n, h2, w2, c))
+    acc = np.dtype(float)
+    if x.dtype == bool or x.dtype == np.uint8:
+        acc = np.min_scalar_type(kernel * kernel * (1 if x.dtype == bool else 255))
+    rows = np.zeros_like(x[:, :h2, : w2 * kernel], dtype=acc)
     for u in range(kernel):
-        for v in range(kernel):
-            out += x[:, u : h2 * kernel : kernel, v : w2 * kernel : kernel]
-    out /= kernel * kernel
+        rows += x[:, u : h2 * kernel : kernel, : w2 * kernel]
+    sums = np.zeros_like(rows[:, :, :w2])
+    for v in range(kernel):
+        sums += rows[:, :, v::kernel]
+    out = np.empty((n, h2, w2, c))
+    np.divide(sums, kernel * kernel, out=out)
     return out
 
 

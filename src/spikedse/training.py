@@ -86,8 +86,11 @@ class TrainConfig:
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("learning_rate", "momentum", "lr_decay_factor"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise TypeError(f"{name} must be a number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         for name, low in (("epochs", 0), ("seed", 0), ("batch_size", 1),
                           ("timesteps", 1), ("window", 1)):
             if getattr(self, name) < low:
@@ -162,8 +165,15 @@ def _lif_backward(
     through the reset: zero reset gives dV_{t+1}/dV_t = leak*(1 - s_t) and
     dV_{t+1}/ds_t = -leak*V_t, subtract reset gives leak and
     -leak*v_threshold.
+
+    dL/ds x surrogate is formed in reused buffers: the window mask, then
+    d_s times the mask times 1/(2a), which equals d_s times
+    `surrogate_derivative` bit for bit (signed zeros included).
     """
     zero_reset = lif.reset_mode == "zero"
+    a = surrogate.half_width
+    distance = np.empty(v.shape[1:])
+    inside = np.empty(v.shape[1:], bool)
     for t in range(v.shape[0] - 1, -1, -1):
         d_s = d_above[t] if pool == 1 else _pool_backward(d_above[t], pool, v.shape[1:])
         v_t = v[t]
@@ -176,10 +186,13 @@ def _lif_backward(
             through_v = carry * lif.leak
             if zero_reset:
                 through_v *= 1.0 - spikes[t]
-        d_v = d_s * surrogate_derivative(v_t, lif.v_threshold, surrogate)
+        np.subtract(v_t, lif.v_threshold, out=distance)
+        np.abs(distance, out=distance)
+        np.less_equal(distance, a, out=inside)
+        np.multiply(d_s, inside, out=v_t)  # V_t is not read again
+        v_t *= 1.0 / (2.0 * a)
         if t + 1 < v.shape[0]:
-            d_v += through_v
-        v_t[...] = d_v
+            v_t += through_v
 
 
 def _layer_backward(

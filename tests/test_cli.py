@@ -368,6 +368,60 @@ class TestDseCommand:
         capsys.readouterr()
         assert modes and set(modes) == {"center"}
 
+    def test_live_mode_checks_train_config_before_cropping(
+        self, dataset_dir, tmp_path, capsys, monkeypatch
+    ):
+        crops = []
+        monkeypatch.setattr(cli, "crop_to_window", lambda *a, **k: crops.append(a))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({
+            "bits": [32], "timesteps": [5], "windows": [50],
+        }))
+        config_path = tmp_path / "train.json"
+        config_path.write_text(
+            json.dumps(train_config(dataset_dir, learning_rate=float("nan")))
+        )
+        assert main([
+            "dse", "--grid", str(grid_path), "--accuracy-source", "live",
+            "--train-config", str(config_path), "--out", str(tmp_path / "dse"),
+        ]) == 1
+        assert "learning_rate must be finite" in capsys.readouterr().err
+        assert crops == []
+
+    @pytest.mark.parametrize("strict,code", [(False, 0), (True, 1)])
+    def test_live_mode_honours_strict(
+        self, dataset_dir, tmp_path, capsys, monkeypatch, strict, code
+    ):
+        crops = []
+        real_crop = cli.crop_to_window
+
+        def counting_crop(sample, window_size, *, window_mode):
+            crops.append(window_size)
+            return real_crop(sample, window_size, window_mode=window_mode)
+
+        monkeypatch.setattr(cli, "crop_to_window", counting_crop)
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({
+            "bits": [32], "timesteps": [3], "windows": [64],
+        }))
+        config_path = tmp_path / "train.json"
+        config_path.write_text(json.dumps(
+            train_config(dataset_dir, strict=strict, timesteps=3)
+        ))
+        out = tmp_path / "dse"
+        assert main([
+            "dse", "--grid", str(grid_path), "--accuracy-source", "live",
+            "--train-config", str(config_path), "--out", str(out),
+        ]) == code
+        err = capsys.readouterr().err
+        if strict:
+            assert "strict mode supports windows [50, 100], got 64" in err
+            assert crops == []
+        else:
+            assert crops and set(crops) == {64}
+            rows = (out / "dse_results.csv").read_text().splitlines()
+            assert len(rows) == 2 and rows[1].startswith("32b_3t_64w,")
+
     @pytest.mark.parametrize("mode", ["per_sample", "center"])
     def test_live_mode_loads_once_and_matches_direct_pipeline(
         self, tmp_path, capsys, monkeypatch, mode
@@ -550,6 +604,44 @@ BAD_INPUTS = {
          "train.json": LIVE_TRAIN},
         LIVE_DSE,
         "grid bits must be integers",
+    ),
+    "train learning_rate NaN": (
+        {"train.json": '{"epochs": 1, "seed": 0, "learning_rate": NaN, '
+                       '"data": {"synthetic": {"per_class": 2}}}'},
+        TRAIN,
+        "learning_rate must be finite",
+    ),
+    "train momentum Infinity": (
+        {"train.json": '{"epochs": 1, "seed": 0, "momentum": Infinity, '
+                       '"data": {"synthetic": {"per_class": 2}}}'},
+        TRAIN,
+        "momentum must be finite",
+    ),
+    "train lr_decay_factor -Infinity": (
+        {"train.json": '{"epochs": 1, "seed": 0, "lr_decay_factor": -Infinity, '
+                       '"data": {"synthetic": {"per_class": 2}}}'},
+        TRAIN,
+        "lr_decay_factor must be finite",
+    ),
+    "live train config learning_rate NaN": (
+        {"grid.json": '{"bits": [10], "timesteps": [5], "windows": [50]}',
+         "train.json": '{"epochs": 1, "seed": 0, "learning_rate": NaN, '
+                       '"data": {"synthetic": {"per_class": 2}}}'},
+        LIVE_DSE,
+        "learning_rate must be finite",
+    ),
+    "min_accuracy NaN": (
+        {}, ["dse", "--constraints", '{"min_accuracy": NaN}', "--out", "{tmp}/out"],
+        "min_accuracy must be positive and finite",
+    ),
+    "max_latency_ratio Infinity": (
+        {}, ["dse", "--constraints", '{"max_latency_ratio": Infinity}',
+             "--out", "{tmp}/out"],
+        "max_latency_ratio must be positive and finite",
+    ),
+    "max_memory_mb Infinity": (
+        {}, ["dse", "--constraints", '{"max_memory_mb": Infinity}', "--out", "{tmp}/out"],
+        "max_memory_mb must be finite",
     ),
     "memory constraint not a number": (
         {}, ["dse", "--constraints", '{"max_memory_mb": "x"}', "--out", "{tmp}/out"],

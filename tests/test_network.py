@@ -219,6 +219,68 @@ class TestLifStep:
         assert v[1, 0] == pytest.approx(0.5 * (1.4 - 1.0) + 0.2)
 
 
+def tap_loop_pool(x, kernel):
+    """k x k average pool as a float64 sum over the k*k taps, in tap order."""
+    n, h, w, c = x.shape
+    h2, w2 = h // kernel, w // kernel
+    out = np.zeros((n, h2, w2, c))
+    for u in range(kernel):
+        for v in range(kernel):
+            out += x[:, u : h2 * kernel : kernel, v : w2 * kernel : kernel]
+    return out / (kernel * kernel)
+
+
+class TestPool:
+    """`_pool` against the tap loop: exact for bool and uint8 inputs."""
+
+    @staticmethod
+    def assert_exact(x, kernel):
+        out = network._pool(x, kernel)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert out.tobytes() == tap_loop_pool(x, kernel).tobytes()
+
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dtype", [bool, np.uint8])
+    def test_binary_inputs_exact(self, dtype, kernel):
+        rng = np.random.default_rng(kernel)
+        x = (rng.random((5, 12, 12, 3)) < 0.4).astype(dtype)
+        self.assert_exact(x, kernel)
+
+    @pytest.mark.parametrize("kernel", [2, 4])
+    def test_full_uint8_range_does_not_overflow(self, kernel):
+        x = np.full((2, 8, 8, 2), 255, np.uint8)
+        self.assert_exact(x, kernel)
+        assert np.all(network._pool(x, kernel) == 255.0)
+        rng = np.random.default_rng(3)
+        self.assert_exact(rng.integers(0, 256, (4, 9, 10, 2), dtype=np.uint8), kernel)
+
+    @pytest.mark.parametrize("shape", [(3, 11, 9, 2), (2, 7, 13, 1), (1, 5, 4, 3)])
+    @pytest.mark.parametrize("kernel", [2, 3, 4])
+    def test_trailing_rows_and_columns_drop(self, shape, kernel):
+        rng = np.random.default_rng(7)
+        x = rng.random(shape) < 0.5
+        self.assert_exact(x, kernel)
+        assert network._pool(x, kernel).shape[1:3] == (
+            shape[1] // kernel, shape[2] // kernel,
+        )
+
+    def test_channels_last_view_of_stacked_frames(self):
+        # the (T*B, H, W, C) view `simulate` builds over (T, B, C, H, W) frames
+        rng = np.random.default_rng(11)
+        stacked = (rng.random((3, 4, 2, 50, 50)) < 0.2).astype(np.uint8)
+        x = stacked.transpose(0, 1, 3, 4, 2).reshape(12, 50, 50, 2)
+        assert not x.flags.c_contiguous
+        self.assert_exact(x, 4)
+
+    def test_float_inputs_within_tolerance(self):
+        rng = np.random.default_rng(5)
+        x = rng.random((6, 13, 12, 4))
+        for kernel in (2, 4):
+            out = network._pool(x, kernel)
+            assert out.dtype == np.float64 and out.flags.c_contiguous
+            np.testing.assert_allclose(out, tap_loop_pool(x, kernel), rtol=0, atol=1e-12)
+
+
 class TestLayerForward:
     """The pool and conv kernels on one channels-last map, and the fc check."""
 

@@ -230,6 +230,52 @@ class TestBackward:
                 lw.bias += 0.1
         assert finite_difference_error(spec, weights, frames, label=1) < 1e-3
 
+    def test_scan_product_is_d_s_times_surrogate_bit_for_bit(self):
+        # T=1: no carry, so the scan leaves exactly d_s * surrogate(V)
+        rng = np.random.default_rng(8)
+        sur = SurrogateParams(half_width=0.25)
+        lif = LifParams(v_threshold=0.5)
+        v = rng.normal(0.5, 0.6, (1, 6, 5, 5, 4))
+        v.flat[2:5] = [0.75, 0.25, 0.5]  # both window edges (inside) and threshold
+        d_s = rng.normal(0, 1, v.shape)
+        d_s.flat[::7] = -0.0  # signed zeros inside and outside the window
+        d_s.flat[1::7] = 0.0
+        expected = d_s * surrogate_derivative(v, 0.5, sur)
+        assert np.signbit(expected).any() and (expected == 0).any()
+        training._lif_backward(v, v >= 0.5, d_s.copy(), 1, lif, sur)
+        assert v.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("reset_mode", ["zero", "subtract"])
+    @pytest.mark.parametrize("pool", [1, 2])
+    def test_scan_matches_surrogate_loop_bit_for_bit(self, reset_mode, pool):
+        lif = LifParams(v_threshold=0.4, leak=0.25, reset_mode=reset_mode)
+        sur = SurrogateParams()
+        rng = np.random.default_rng(9)
+        v = rng.normal(0.3, 0.5, (4, 3, 6, 6, 5))
+        spikes = v >= lif.v_threshold
+        d_above = rng.normal(0, 1, (4, 3, 6 // pool, 6 // pool, 5))
+        expected = v.copy()
+        for t in range(v.shape[0] - 1, -1, -1):
+            d_s = d_above[t] if pool == 1 else training._pool_backward(
+                d_above[t], pool, v.shape[1:]
+            )
+            d_s = d_s.copy()
+            if t + 1 < v.shape[0]:
+                carry = expected[t + 1]
+                if reset_mode == "zero":
+                    d_s += carry * (-lif.leak * expected[t])
+                else:
+                    d_s += carry * (-lif.leak * lif.v_threshold)
+                through_v = carry * lif.leak
+                if reset_mode == "zero":
+                    through_v *= 1.0 - spikes[t]
+            d_v = d_s * surrogate_derivative(expected[t], lif.v_threshold, sur)
+            if t + 1 < v.shape[0]:
+                d_v += through_v
+            expected[t] = d_v
+        training._lif_backward(v, spikes, d_above, pool, lif, sur)
+        assert v.tobytes() == expected.tobytes()
+
     def test_batch_gradient_is_mean_of_sample_gradients(self, small_data):
         net = sd.build_network(50)
         weights = sd.init_weights(net, seed=3)
