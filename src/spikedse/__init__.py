@@ -46,6 +46,7 @@ from .events import (
     make_synthetic_dataset,
     parse_csv,
     parse_dat,
+    read_event_file,
     write_csv,
     write_dat,
     write_dataset,

@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Subcommands: dataset (gen | inspect), train, quantize, eval, dse,
-complexity. Every run that writes artifacts also writes a run.json echoing
-the fully resolved configuration, so any output directory can be
-reproduced from that file alone. Exit codes: 0 success, 1 domain error,
-2 usage error.
+complexity. Every run that writes artifacts also writes a run.json, so
+any output directory can be reproduced from that file alone: train echoes
+its config file plus out and workers, every other command all of its
+parsed flags. Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -35,13 +35,20 @@ from .events import (
     encode_dataset,
     load_dataset,
     make_synthetic_dataset,
-    parse_csv,
-    parse_dat,
+    read_event_file,
     write_dataset,
 )
 from .network import build_network
 from .quantize import QuantConfig, ptq
 from .training import TrainConfig, evaluate, train, write_training_log
+
+
+def _flags(args: argparse.Namespace) -> dict:
+    """Every parsed flag, global ones included, with out as a path string."""
+    flags = {k: v for k, v in vars(args).items()
+             if k not in ("func", "command", "dataset_command")}
+    flags["out"] = str(Path(flags["out"]))
+    return flags
 
 
 def _write_run_json(out_dir: Path, command: str, config: dict) -> None:
@@ -60,44 +67,41 @@ def _load_constants(path: str | None) -> CostConstants:
 # dataset
 # ---------------------------------------------------------------------------
 
+# `dataset gen`'s flags and a config's "synthetic" block share these keys.
+_SYNTHETIC_DEFAULTS = {"per_class": 150, "seed": 0, "test_fraction": 1.0 / 3.0,
+                       "sensor": 64, "duration": 100_000, "noise_events": 1024}
+
+
+def _synthetic(settings: dict, source: str) -> tuple[list, list]:
+    """Synthetic (train, test) splits; a value the generator rejects raises
+    ConfigError naming source."""
+    s = {**_SYNTHETIC_DEFAULTS, **settings}
+    with ConfigError.guard(source):
+        return make_synthetic_dataset(
+            per_class=s["per_class"],
+            seed=s["seed"],
+            test_fraction=s["test_fraction"],
+            sensor_width=s["sensor"],
+            sensor_height=s["sensor"],
+            duration_us=s["duration"],
+            noise_events=s["noise_events"],
+        )
+
+
 def cmd_dataset_gen(args) -> int:
-    train_split, test_split = make_synthetic_dataset(
-        per_class=args.per_class,
-        seed=args.seed,
-        test_fraction=args.test_fraction,
-        sensor_width=args.sensor,
-        sensor_height=args.sensor,
-        duration_us=args.duration,
-        noise_events=args.noise_events,
-    )
+    train_split, test_split = _synthetic(vars(args), "dataset gen")
     out = Path(args.out)
     write_dataset({"train": train_split, "test": test_split}, out)
-    _write_run_json(
-        out,
-        "dataset gen",
-        {
-            "per_class": args.per_class,
-            "seed": args.seed,
-            "test_fraction": args.test_fraction,
-            "sensor": args.sensor,
-            "duration": args.duration,
-            "noise_events": args.noise_events,
-            "out": str(out),
-        },
-    )
+    _write_run_json(out, "dataset gen", _flags(args))
     print(f"wrote {len(train_split)} train / {len(test_split)} test samples to {out}")
     return 0
 
 
 def cmd_dataset_inspect(args) -> int:
-    path = Path(args.file)
-    if path.suffix.lower() == ".csv":
-        sample = parse_csv(path.read_text())
-    else:
-        sample = parse_dat(path.read_bytes())
+    sample = read_event_file(args.file)
     ev = sample.events
     summary = {
-        "file": str(path),
+        "file": str(Path(args.file)),
         "events": sample.n_events,
         "sensor": [sample.sensor_width, sample.sensor_height],
         "duration_us": sample.duration_us,
@@ -147,17 +151,7 @@ def _load_splits(data_cfg: dict | None, workers: int) -> tuple[list, list, str]:
     syn = data_cfg["synthetic"]
     if not isinstance(syn, dict):
         raise ConfigError(f'data block: "synthetic" must be an object, got {syn!r}')
-    with ConfigError.guard("data block synthetic"):
-        train_split, test_split = make_synthetic_dataset(
-            per_class=syn.get("per_class", 150),
-            seed=syn.get("seed", 0),
-            test_fraction=syn.get("test_fraction", 1.0 / 3.0),
-            sensor_width=syn.get("sensor", 64),
-            sensor_height=syn.get("sensor", 64),
-            duration_us=syn.get("duration", 100_000),
-            noise_events=syn.get("noise_events", 1024),
-        )
-    return train_split, test_split, mode
+    return (*_synthetic(syn, "data block synthetic"), mode)
 
 
 def cmd_train(args) -> int:
@@ -199,17 +193,7 @@ def cmd_quantize(args) -> int:
         seed=header.get("seed"),
         precision=config.tag,
     )
-    _write_run_json(
-        out.parent,
-        "quantize",
-        {
-            "checkpoint": str(args.checkpoint),
-            "bits": args.bits,
-            "rounding": args.rounding,
-            "seed": args.seed,
-            "out": str(out),
-        },
-    )
+    _write_run_json(out.parent, "quantize", _flags(args))
     print(f"quantized to {args.bits}-bit ({args.rounding}) -> {out}")
     return 0
 
@@ -290,21 +274,7 @@ def cmd_dse(args) -> int:
             json.dumps({"constraints": json.loads(args.constraints), "selected": selection},
                        indent=1, sort_keys=True) + "\n"
         )
-    _write_run_json(
-        out,
-        "dse",
-        {
-            "grid": args.grid,
-            "constants": args.constants,
-            "accuracy_source": args.accuracy_source,
-            "accuracy_table": args.accuracy_table,
-            "constraints": args.constraints,
-            "data": args.data,
-            "train_config": args.train_config,
-            "workers": args.workers,
-            "out": str(out),
-        },
-    )
+    _write_run_json(out, "dse", _flags(args))
     print(f"wrote {results_path} and {pareto_path}")
     if selection:
         print(f"selected {selection['tag']}")
@@ -339,18 +309,7 @@ def cmd_complexity(args) -> int:
         (out / "complexity.json").write_text(
             json.dumps(payload, indent=1, sort_keys=True) + "\n"
         )
-        _write_run_json(
-            out,
-            "complexity",
-            {
-                "window": args.window,
-                "timestep": args.timestep,
-                "bits": args.bits,
-                "constants": args.constants,
-                "strict": args.strict,
-                "out": str(out),
-            },
-        )
+        _write_run_json(out, "complexity", _flags(args))
     return 0
 
 
@@ -385,14 +344,18 @@ def build_parser() -> argparse.ArgumentParser:
     dataset_sub = p_dataset.add_subparsers(dest="dataset_command", required=True)
 
     p_gen = dataset_sub.add_parser("gen", help="write a synthetic dataset directory")
-    p_gen.add_argument("--per-class", type=int, required=True, dest="per_class")
-    p_gen.add_argument("--seed", type=int, required=True)
+    p_gen.add_argument("--per-class", type=_bounded_int(0), required=True,
+                       dest="per_class")
+    p_gen.add_argument("--seed", type=_bounded_int(0), required=True)
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--test-fraction", type=float, default=1.0 / 3.0,
-                       dest="test_fraction")
-    p_gen.add_argument("--sensor", type=int, default=64)
-    p_gen.add_argument("--duration", type=int, default=100_000)
-    p_gen.add_argument("--noise-events", type=int, default=1024, dest="noise_events")
+    p_gen.add_argument("--test-fraction", type=float, dest="test_fraction",
+                       default=_SYNTHETIC_DEFAULTS["test_fraction"])
+    p_gen.add_argument("--sensor", type=_bounded_int(1),
+                       default=_SYNTHETIC_DEFAULTS["sensor"])
+    p_gen.add_argument("--duration", type=_bounded_int(1),
+                       default=_SYNTHETIC_DEFAULTS["duration"])
+    p_gen.add_argument("--noise-events", type=_bounded_int(0), dest="noise_events",
+                       default=_SYNTHETIC_DEFAULTS["noise_events"])
     p_gen.set_defaults(func=cmd_dataset_gen)
 
     p_inspect = dataset_sub.add_parser("inspect", help="summarize one event file")
@@ -408,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_quant.add_argument("--checkpoint", required=True)
     p_quant.add_argument("--bits", type=_bounded_int(2, 32), required=True)
     p_quant.add_argument("--rounding", choices=["TR", "RN", "SR"], default="TR")
-    p_quant.add_argument("--seed", type=int, default=0)
+    p_quant.add_argument("--seed", type=_bounded_int(0), default=0)
     p_quant.add_argument("--out", required=True)
     p_quant.set_defaults(func=cmd_quantize)
 

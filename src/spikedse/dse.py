@@ -96,13 +96,9 @@ class Constraints:
                 raise ValueError(f"{name} must be positive and finite when present")
 
     @classmethod
-    def from_json(cls, text_or_dict) -> "Constraints":
+    def from_json(cls, text: str) -> "Constraints":
         with ConfigError.guard("constraints"):
-            raw = dict(
-                json.loads(text_or_dict)
-                if isinstance(text_or_dict, str)
-                else text_or_dict
-            )
+            raw = dict(json.loads(text))
             memory_bits = raw.get("max_memory_bits")
             if memory_bits is None and "max_memory_mb" in raw:
                 megabits = raw["max_memory_mb"]

@@ -177,28 +177,21 @@ def _split_dat_header(data: bytes) -> tuple[dict, int]:
     return fields, offset
 
 
-def parse_dat(
-    data: bytes,
-    *,
-    sensor_width: int | None = None,
-    sensor_height: int | None = None,
-    duration_us: int | None = None,
-    label: int | None = None,
-) -> EventSample:
+def parse_dat(data: bytes) -> EventSample:
     """Parse a DAT byte string into an EventSample.
 
-    Header fields override the keyword defaults; explicit keyword arguments
-    are used only when the header does not declare the value. Any byte
+    Header fields give the sensor size, duration and label; an undeclared
+    one takes the ATIS default (304x240, 100 ms, label 0). Any byte
     sequence either parses or raises a typed error, never crashes.
 
     Raises:
         MalformedHeader, TruncatedRecord, CoordinateOutOfRange, UnsortedEvents.
     """
     fields, offset = _split_dat_header(data)
-    width = fields.get("width", sensor_width or DEFAULT_SENSOR_WIDTH)
-    height = fields.get("height", sensor_height or DEFAULT_SENSOR_HEIGHT)
-    duration = fields.get("duration", duration_us or DEFAULT_DURATION_US)
-    lab = fields.get("label", label or 0)
+    width = fields.get("width", DEFAULT_SENSOR_WIDTH)
+    height = fields.get("height", DEFAULT_SENSOR_HEIGHT)
+    duration = fields.get("duration", DEFAULT_DURATION_US)
+    lab = fields.get("label", 0)
 
     body = data[offset:]
     if len(body) % 8 != 0:
@@ -251,9 +244,9 @@ def parse_csv(
     sensor_width: int = DEFAULT_SENSOR_WIDTH,
     sensor_height: int = DEFAULT_SENSOR_HEIGHT,
     duration_us: int = DEFAULT_DURATION_US,
-    label: int = 0,
 ) -> EventSample:
-    """Parse "t_us,x,y,p" rows. An optional column-name header is skipped.
+    """Parse "t_us,x,y,p" rows (label 0). An optional column-name header is
+    skipped.
 
     Raises:
         BadRow: with the 1-based line number of the first offending row.
@@ -289,7 +282,7 @@ def parse_csv(
     events = events_from_arrays(ts, xs, ys, ps)
     if events.shape[0] and np.any(np.diff(events["t"]) < 0):
         raise UnsortedEvents("CSV rows are not sorted by timestamp")
-    return EventSample(events, sensor_width, sensor_height, duration_us, label)
+    return EventSample(events, sensor_width, sensor_height, duration_us)
 
 
 def write_csv(sample: EventSample) -> str:
@@ -479,6 +472,10 @@ def generate_synthetic(
     """
     if class_id not in (0, 1):
         raise ValueError(f"class_id must be 0 or 1, got {class_id}")
+    if duration_us < sensor_width:  # the bar needs a time slot >= 1 us per column
+        raise ValueError(
+            f"duration {duration_us} us is shorter than the {sensor_width} bar steps"
+        )
     rng = np.random.default_rng(seed)
     n_steps = sensor_width
     n_bar = n_steps * sensor_height
@@ -544,13 +541,18 @@ def make_synthetic_dataset(
 MANIFEST_NAME = "manifest.json"
 
 
+def read_event_file(path: str | Path) -> EventSample:
+    """Parse one event file: CSV if its suffix is .csv (any case), else DAT."""
+    path = Path(path)
+    if path.suffix.lower() == ".csv":
+        return parse_csv(path.read_text())
+    return parse_dat(path.read_bytes())
+
+
 def _load_event_file(path: Path, label: int) -> EventSample:
     # parse failures inside a dataset directory surface as UnreadableFile
     try:
-        if path.suffix.lower() == ".csv":
-            sample = parse_csv(path.read_text(), label=label)
-        else:
-            sample = parse_dat(path.read_bytes(), label=label)
+        sample = read_event_file(path)
     except OSError as exc:
         raise UnreadableFile(f"cannot read {path}: {exc}") from exc
     except SpikeDseError as exc:
@@ -568,7 +570,8 @@ def load_dataset(
     worker threads read the files.
 
     Raises:
-        MissingManifest, ConfigError (malformed manifest), UnreadableFile.
+        MissingManifest, ConfigError (malformed manifest, a label other
+        than 0 or 1), UnreadableFile.
     """
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
@@ -580,6 +583,9 @@ def load_dataset(
             for e in json.loads(manifest_path.read_text())
             if e["split"] == split
         ]
+        for file, label in wanted:
+            if label not in (0, 1):  # the network has one output per class
+                raise ValueError(f"{file.name}: label {label} is not 0 or 1")
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(lambda entry: _load_event_file(*entry), wanted))

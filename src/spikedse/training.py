@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +77,6 @@ class TrainConfig:
     window: int = 50
     lr_decay_epoch: int = 120
     lr_decay_factor: float = 0.1
-    surrogate: SurrogateParams = field(default_factory=SurrogateParams)
     checkpoint_every: int = 0
 
     def __post_init__(self):
@@ -104,7 +103,7 @@ class TrainConfig:
         when absent, and keys that are not fields (e.g. "data") are ignored.
         A missing required key or an invalid value raises ConfigError.
         """
-        optional = {f.name for f in fields(cls)} - {"epochs", "seed", "surrogate"}
+        optional = {f.name for f in fields(cls)} - {"epochs", "seed"}
         with ConfigError.guard("train config"):
             return cls(
                 epochs=raw["epochs"],
@@ -248,7 +247,7 @@ def _gradients(
     T = trace[first].spikes.shape[0]
     rates = counts / T
     onehot = np.eye(K)[labels]
-    loss_value = float(np.mean(np.mean((rates - onehot) ** 2, axis=1)))
+    loss_value = float(np.mean([loss(r, label) for r, label in zip(rates, labels)]))
     # dL/ds_out at every timestep (rates are a mean over T, the loss over B)
     d_s = np.tile(2.0 * (rates - onehot) / (K * T * B), (T, 1))
 
@@ -338,7 +337,6 @@ def train(
     data: list[tuple[SpikeFrames, int]],
     config: TrainConfig,
     *,
-    initial: WeightSet | None = None,
     test_data: list[tuple[SpikeFrames, int]] | None = None,
     log_path: str | Path | None = None,
     checkpoint_dir: str | Path | None = None,
@@ -353,7 +351,7 @@ def train(
     """
     if not data:
         raise EmptyDataset("training split is empty")
-    weights = initial.copy() if initial is not None else init_weights(net, config.seed)
+    weights = init_weights(net, config.seed)
     if config.epochs == 0:
         return weights, []
 
@@ -370,9 +368,7 @@ def train(
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
             batch = [data[j] for j in order[start : start + config.batch_size]]
-            grads, batch_loss = batch_backward(
-                net, weights, batch, surrogate=config.surrogate
-            )
+            grads, batch_loss = batch_backward(net, weights, batch)
             _sgd_step(weights, grads, velocity, lr, config.momentum)
             loss_sum += batch_loss
             n_batches += 1

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +133,36 @@ class TestDataset:
         summary = json.loads(capsys.readouterr().out)
         assert summary["events"] > 0
         assert summary["sensor"] == [64, 64]
+
+    def test_inspect_upper_case_csv_suffix(self, tmp_path, capsys):
+        path = tmp_path / "sample.CSV"
+        path.write_text("t_us,x,y,p\n10,1,2,1\n20,3,4,0\n")
+        assert main(["dataset", "inspect", str(path)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["events"] == 2
+        assert summary["t_range"] == [10, 20]
+        assert summary["positive_fraction"] == 0.5
+
+    def test_gen_matches_config_synthetic_block(self, tmp_path, capsys):
+        settings = {"per_class": 3, "seed": 5, "test_fraction": 0.5, "sensor": 32,
+                    "duration": 50_000, "noise_events": 100}
+        out = tmp_path / "gen"
+        assert main(["dataset", "gen", "--out", str(out)] + [
+            arg
+            for key, value in settings.items()
+            for arg in (f"--{key.replace('_', '-')}", str(value))
+        ]) == 0
+        capsys.readouterr()
+        generated = [sd.load_dataset(out, split) for split in ("train", "test")]
+        *from_block, mode = cli._load_splits({"synthetic": settings}, workers=1)
+        assert mode == "per_sample"
+        for written, built in zip(generated, from_block):
+            assert len(written) == len(built) > 0
+            for a, b in zip(written, built):
+                assert a.label == b.label
+                assert a.sensor_width == b.sensor_width == 32
+                assert a.duration_us == b.duration_us == 50_000
+                assert a.events.tobytes() == b.events.tobytes()
 
 
 class TestTrainQuantEval:
@@ -477,6 +508,7 @@ NEGATIVE_FIXED = json.dumps(
 )
 COMPLEXITY = ["complexity", "--window", "50", "--timestep", "5"]
 TRAIN = ["train", "--config", "{tmp}/train.json", "--out", "{tmp}/out"]
+GEN = ["dataset", "gen", "--per-class", "2", "--seed", "1", "--out", "{tmp}/data"]
 MANIFEST_TRAIN = '{"epochs": 1, "seed": 0, "data": {"dir": "{tmp}/data"}}'
 LIVE_TRAIN = '{"epochs": 1, "seed": 0, "data": {"synthetic": {"per_class": 2}}}'
 LIVE_DSE = [
@@ -522,6 +554,16 @@ BAD_INPUTS = {
     ),
     "manifest not json": (
         {"data/manifest.json": "[{", "train.json": MANIFEST_TRAIN}, TRAIN, "manifest",
+    ),
+    "manifest label 5": (
+        {"data/manifest.json": '[{"file": "a.dat", "label": 5, "split": "train"}]',
+         "train.json": MANIFEST_TRAIN},
+        TRAIN,
+        "label 5 is not 0 or 1",
+    ),
+    "gen duration below sensor": (
+        {}, GEN + ["--sensor", "64", "--duration", "63"],
+        "duration 63 us is shorter than the 64 bar steps",
     ),
     "manifest entry without split": (
         {"data/manifest.json": '[{"file": "a.dat", "label": 0}]',
@@ -676,6 +718,15 @@ BAD_ARGUMENTS = {
     "eval timesteps 0": [
         "eval", "--checkpoint", "w.ckpt", "--data", "data", "--timesteps", "0",
     ],
+    "quantize SR seed negative": [
+        "quantize", "--checkpoint", "w.ckpt", "--bits", "8", "--rounding", "SR",
+        "--seed", "-1", "--out", "q.ckpt",
+    ],
+    "dataset gen per-class negative": GEN + ["--per-class", "-1"],
+    "dataset gen seed negative": GEN + ["--seed", "-1"],
+    "dataset gen noise-events negative": GEN + ["--noise-events", "-1"],
+    "dataset gen sensor 0": GEN + ["--sensor", "0"],
+    "dataset gen duration 0": GEN + ["--duration", "0"],
     "dataset gen classes": [
         "dataset", "gen", "--classes", "3", "--per-class", "2", "--seed", "1",
         "--out", "data",
@@ -690,3 +741,38 @@ def test_bad_argument_is_usage_error(name, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "usage:" in err
     assert "Traceback" not in err
+
+
+# name: argv (with a global --workers) of a command whose run.json echoes its flags
+FLAG_ECHO = {
+    "dataset gen": GEN + ["--sensor", "32", "--noise-events", "10"],
+    "quantize": [
+        "quantize", "--checkpoint", "{tmp}/w.ckpt", "--bits", "10",
+        "--rounding", "SR", "--seed", "3", "--out", "{tmp}/q/./w10.ckpt",
+    ],
+    "dse": ["dse", "--grid", "{tmp}/grid.json", "--out", "{tmp}/dse/"],
+    "complexity": COMPLEXITY + ["--bits", "12", "--no-strict", "--out", "{tmp}/cx/"],
+}
+
+
+@pytest.mark.parametrize("command", list(FLAG_ECHO))
+def test_run_json_echoes_every_parsed_flag(command, tmp_path, capsys):
+    net = sd.build_network(50)
+    sd.save_checkpoint(tmp_path / "w.ckpt", net, sd.init_weights(net, seed=0))
+    (tmp_path / "grid.json").write_text(
+        '{"bits": [10], "timesteps": [5], "windows": [50]}'
+    )
+    argv = ["--workers", "2"] + [
+        arg.replace("{tmp}", str(tmp_path)) for arg in FLAG_ECHO[command]
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    flags = vars(cli.build_parser().parse_args(argv))
+    for name in ("func", "command", "dataset_command"):
+        flags.pop(name, None)
+    out = Path(flags["out"])
+    flags["out"] = str(out)
+    run_dir = out.parent if command == "quantize" else out  # out is the checkpoint
+    run = json.loads((run_dir / "run.json").read_text())
+    assert run == {"command": command, "config": flags}
+    assert run["config"]["workers"] == 2
