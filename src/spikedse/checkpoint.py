@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ShapeMismatch
 from .network import LayerSpec, LayerWeights, LifParams, NetworkSpec, WeightSet
 
 FORMAT_NAME = "spikedse-checkpoint-v1"
@@ -42,16 +42,23 @@ def save_checkpoint(
     seed: int | None = None,
     precision: str = "fp32",
 ) -> Path:
-    """Write spec + weights; returns the path written."""
+    """Write spec + weights; returns the path written.
+
+    Raises:
+        ShapeMismatch: if a tensor the spec needs is missing or has another
+            shape, so every file written loads back.
+    """
     path = Path(path)
     tensors = []
     payload = bytearray()
-    for i, lw in enumerate(weights.layers):
-        if lw is None:
-            continue
-        for name, arr in (("weight", lw.weight), ("bias", lw.bias)):
-            tensors.append({"layer": i, "name": name, "shape": list(arr.shape)})
-            payload += np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    for i, name, shape in _tensor_list(spec):
+        lw = weights.layers[i] if i < len(weights.layers) else None
+        arr = np.asarray(getattr(lw, name, None))
+        if list(arr.shape) != shape:
+            raise ShapeMismatch(f"layer {i} {name} has shape {list(arr.shape)}, "
+                                f"the spec needs {shape}")
+        tensors.append({"layer": i, "name": name, "shape": shape})
+        payload += np.ascontiguousarray(arr, dtype="<f4").tobytes()
     header = {
         "format": FORMAT_NAME,
         "spec": asdict(spec),

@@ -80,19 +80,6 @@ class EventSample:
     def n_events(self) -> int:
         return int(self.events.shape[0])
 
-    def validate(self) -> None:
-        """Check the container invariants; raises a typed error on violation."""
-        ev = self.events
-        if ev.dtype != EVENT_DTYPE:
-            raise ValueError(f"expected EVENT_DTYPE events, got {ev.dtype}")
-        if ev.shape[0] == 0:
-            return
-        if np.any(np.diff(ev["t"]) < 0):
-            raise UnsortedEvents("event timestamps are not non-decreasing")
-        _check_bounds(
-            ev, self.sensor_width, self.sensor_height, self.duration_us
-        )
-
 
 @dataclass(frozen=True)
 class AttentionWindow:
@@ -125,26 +112,6 @@ def events_from_arrays(t, x, y, p) -> np.ndarray:
     out["y"] = y
     out["p"] = p
     return out
-
-
-def _check_bounds(events: np.ndarray, width: int, height: int, duration: int):
-    if events.shape[0] == 0:
-        return
-    t, x, y, p = events["t"], events["x"], events["y"], events["p"]
-    if np.any((x < 0) | (x >= width)) or np.any((y < 0) | (y >= height)):
-        bad = np.flatnonzero((x < 0) | (x >= width) | (y < 0) | (y >= height))[0]
-        raise CoordinateOutOfRange(
-            f"event {bad}: pixel ({int(x[bad])}, {int(y[bad])}) outside "
-            f"{width}x{height} sensor"
-        )
-    if np.any((t < 0) | (t >= duration)):
-        bad = np.flatnonzero((t < 0) | (t >= duration))[0]
-        raise CoordinateOutOfRange(
-            f"event {bad}: timestamp {int(t[bad])} outside [0, {duration})"
-        )
-    if np.any((p < 0) | (p > 1)):
-        bad = np.flatnonzero((p < 0) | (p > 1))[0]
-        raise CoordinateOutOfRange(f"event {bad}: polarity {int(p[bad])} not in {{0, 1}}")
 
 
 # ---------------------------------------------------------------------------
@@ -199,18 +166,25 @@ def parse_dat(data: bytes) -> EventSample:
             f"event section is {len(body)} bytes, not a multiple of 8"
         )
     words = np.frombuffer(body, dtype="<u4")
-    w0 = words[0::2]
-    w1 = words[1::2]
-    events = events_from_arrays(
-        t=w0.astype(np.int64),
-        x=(w1 & _X_MASK).astype(np.int32),
-        y=((w1 >> _X_BITS) & _Y_MASK).astype(np.int32),
-        p=((w1 >> (_X_BITS + _Y_BITS)) & 0x1).astype(np.int8),
-    )
-    _check_bounds(events, width, height, duration)
-    if events.shape[0] and np.any(np.diff(events["t"]) < 0):
+    t, w1 = words[0::2], words[1::2]
+    x, y = w1 & _X_MASK, (w1 >> _X_BITS) & _Y_MASK
+    # the masks and the uint32 timestamp already rule out negative values
+    # and polarities other than 0 or 1; the first offending event is named
+    if len(t) and (int(x.max()) >= width or int(y.max()) >= height):
+        bad = int(np.argmax((x >= width) | (y >= height)))
+        raise CoordinateOutOfRange(
+            f"event {bad}: pixel ({int(x[bad])}, {int(y[bad])}) outside "
+            f"{width}x{height} sensor"
+        )
+    if len(t) and int(t.max()) >= duration:
+        bad = int(np.argmax(t >= duration))
+        raise CoordinateOutOfRange(
+            f"event {bad}: timestamp {int(t[bad])} outside [0, {duration})"
+        )
+    if np.any(t[1:] < t[:-1]):
         raise UnsortedEvents("DAT records are not sorted by timestamp")
-    return EventSample(events, width, height, duration, lab)
+    p = (w1 >> (_X_BITS + _Y_BITS)) & 0x1
+    return EventSample(events_from_arrays(t, x, y, p), width, height, duration, lab)
 
 
 def write_dat(sample: EventSample) -> bytes:
@@ -238,20 +212,16 @@ def write_dat(sample: EventSample) -> bytes:
 # CSV format
 # ---------------------------------------------------------------------------
 
-def parse_csv(
-    text: str,
-    *,
-    sensor_width: int = DEFAULT_SENSOR_WIDTH,
-    sensor_height: int = DEFAULT_SENSOR_HEIGHT,
-    duration_us: int = DEFAULT_DURATION_US,
-) -> EventSample:
-    """Parse "t_us,x,y,p" rows (label 0). An optional column-name header is
-    skipped.
+def parse_csv(text: str) -> EventSample:
+    """Parse "t_us,x,y,p" rows (label 0) of a recording from the default
+    ATIS sensor. An optional column-name header is skipped.
 
     Raises:
         BadRow: with the 1-based line number of the first offending row.
         UnsortedEvents: if timestamps decrease.
     """
+    width, height = DEFAULT_SENSOR_WIDTH, DEFAULT_SENSOR_HEIGHT
+    duration = DEFAULT_DURATION_US
     ts, xs, ys, ps = [], [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -268,13 +238,10 @@ def parse_csv(
             raise BadRow(lineno, f"non-integer field in {line!r}") from None
         if p not in (0, 1):
             raise BadRow(lineno, f"polarity {p} not in {{0, 1}}")
-        if not (0 <= x < sensor_width and 0 <= y < sensor_height):
-            raise BadRow(
-                lineno,
-                f"pixel ({x}, {y}) outside {sensor_width}x{sensor_height} sensor",
-            )
-        if not (0 <= t < duration_us):
-            raise BadRow(lineno, f"timestamp {t} outside [0, {duration_us})")
+        if not (0 <= x < width and 0 <= y < height):
+            raise BadRow(lineno, f"pixel ({x}, {y}) outside {width}x{height} sensor")
+        if not (0 <= t < duration):
+            raise BadRow(lineno, f"timestamp {t} outside [0, {duration})")
         ts.append(t)
         xs.append(x)
         ys.append(y)
@@ -282,7 +249,7 @@ def parse_csv(
     events = events_from_arrays(ts, xs, ys, ps)
     if events.shape[0] and np.any(np.diff(events["t"]) < 0):
         raise UnsortedEvents("CSV rows are not sorted by timestamp")
-    return EventSample(events, sensor_width, sensor_height, duration_us)
+    return EventSample(events, width, height, duration)
 
 
 def write_csv(sample: EventSample) -> str:
@@ -520,6 +487,8 @@ def make_synthetic_dataset(
     Per-sample seeds derive from one SeedSequence, so the whole dataset is a
     pure function of (per_class, seed, test_fraction).
     """
+    if not 0 <= test_fraction <= 1:  # NaN fails too
+        raise ValueError(f"test_fraction must be in [0, 1], got {test_fraction}")
     sample_seeds = np.random.SeedSequence(seed).generate_state(2 * per_class)
     n_test = int(round(per_class * test_fraction))
     train, test = [], []

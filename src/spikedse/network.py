@@ -83,6 +83,16 @@ class LayerSpec:
             raise ValueError(f"{self.kind} layer needs positive sizes, got {sizes}")
         if self.kind != "fully_connected" and self.kernel < 1:
             raise ValueError(f"{self.kind} layer needs a kernel >= 1")
+        # a pool tiles its input channel by channel; an fc layer has no window
+        pool_ok = (self.stride, self.padding, self.out_channels) == (
+            self.kernel, 0, self.in_channels)
+        if self.kind == "avg_pool" and not pool_ok:
+            raise ValueError(f"avg_pool needs stride == kernel, padding 0 and "
+                             f"out_channels == in_channels, got {sizes}")
+        fc_ok = (self.kernel, self.padding, self.stride) == (0, 0, 1)
+        if self.kind == "fully_connected" and not fc_ok:
+            raise ValueError(
+                f"fully_connected takes no kernel, padding or stride, got {sizes}")
 
     @property
     def spiking(self) -> bool:

@@ -561,6 +561,20 @@ BAD_INPUTS = {
         TRAIN,
         "label 5 is not 0 or 1",
     ),
+    "gen test fraction 2": (
+        {}, GEN + ["--test-fraction", "2"],
+        "dataset gen: test_fraction must be in [0, 1], got 2.0",
+    ),
+    "gen test fraction NaN": (
+        {}, GEN + ["--test-fraction", "nan"],
+        "dataset gen: test_fraction must be in [0, 1], got nan",
+    ),
+    "synthetic test_fraction negative": (
+        {"train.json": '{"epochs": 1, "seed": 0, '
+                       '"data": {"synthetic": {"per_class": 2, "test_fraction": -0.5}}}'},
+        TRAIN,
+        "data block synthetic: test_fraction must be in [0, 1], got -0.5",
+    ),
     "gen duration below sensor": (
         {}, GEN + ["--sensor", "64", "--duration", "63"],
         "duration 63 us is shorter than the 64 bar steps",

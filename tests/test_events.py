@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spikedse as sd
@@ -40,6 +40,65 @@ HEADER = b"% width 32\n% height 32\n% duration 100000\n% label 1\n"
 
 def pack_record(t, x, y, p):
     return struct.pack("<II", t, x | (y << 14) | (p << 28))
+
+
+def reference_check(sample):
+    """Every bound an EventSample promises, tested on its packed events.
+
+    Seven conditions, then the order; the first offending event is named.
+    parse_dat must raise exactly when this does, with the same error.
+    """
+    ev = sample.events
+    if ev.shape[0] == 0:
+        return
+    t, x, y, p = ev["t"], ev["x"], ev["y"], ev["p"]
+    width, height = sample.sensor_width, sample.sensor_height
+    duration = sample.duration_us
+    off_sensor = (x < 0) | (x >= width) | (y < 0) | (y >= height)
+    if np.any(off_sensor):
+        bad = np.flatnonzero(off_sensor)[0]
+        raise CoordinateOutOfRange(
+            f"event {bad}: pixel ({int(x[bad])}, {int(y[bad])}) outside "
+            f"{width}x{height} sensor"
+        )
+    if np.any((t < 0) | (t >= duration)):
+        bad = np.flatnonzero((t < 0) | (t >= duration))[0]
+        raise CoordinateOutOfRange(
+            f"event {bad}: timestamp {int(t[bad])} outside [0, {duration})"
+        )
+    if np.any((p < 0) | (p > 1)):
+        bad = np.flatnonzero((p < 0) | (p > 1))[0]
+        raise CoordinateOutOfRange(f"event {bad}: polarity {int(p[bad])} not in {{0, 1}}")
+    if np.any(np.diff(t) < 0):
+        raise UnsortedEvents("DAT records are not sorted by timestamp")
+
+
+def reference_parse_dat(body, width, height, duration):
+    """Decode 8-byte records into a sample without checking them."""
+    words = np.frombuffer(body, dtype="<u4")
+    w1 = words[1::2]
+    events = events_from_arrays(
+        words[0::2].astype(np.int64),
+        (w1 & 0x3FFF).astype(np.int32),
+        ((w1 >> 14) & 0x3FFF).astype(np.int32),
+        ((w1 >> 28) & 1).astype(np.int8),
+    )
+    return sd.EventSample(events, width, height, duration)
+
+
+def dat_words(t, x, y, top):
+    """(word 0, word 1) of a record; top fills bit 28 and reserved bits 29-31."""
+    return t, x | (y << 14) | (top << 28)
+
+
+# tame fields share their small range with the header values drawn below,
+# so events land on every bound; wild records can hold any field value
+tame_record = st.builds(dat_words, st.integers(0, 16), st.integers(0, 12),
+                        st.integers(0, 12), st.integers(0, 15))
+uint32 = st.integers(0, 2**32 - 1)
+wild_record = st.tuples(uint32, uint32) | st.builds(
+    dat_words, uint32, st.integers(0, 2**14 - 1), st.integers(0, 2**14 - 1),
+    st.integers(0, 15))
 
 
 class TestParseDat:
@@ -94,6 +153,52 @@ class TestParseDat:
         assert again.label == sample.label
         assert again.duration_us == sample.duration_us
 
+    @given(
+        records=st.lists(tame_record, max_size=12),
+        wild=st.lists(st.tuples(st.integers(0, 11), wild_record), max_size=2),
+        sort=st.booleans(),
+        width=st.none() | st.integers(-1, 17),
+        height=st.none() | st.integers(-1, 17),
+        duration=st.none() | st.integers(-1, 17) | st.integers(0, 2**33),
+    )
+    # each bound hit exactly, and pixel before timestamp before order
+    @example([dat_words(3, 1, 1, 0), dat_words(5, 1, 1, 0)], [], False, None, None, 5)
+    @example([dat_words(20, 1, 1, 0), dat_words(1, 4, 0, 0)], [], False, 4, None, 10)
+    @example([dat_words(0, 0, 2, 0), dat_words(0, 0, 3, 1)], [], False, 8, 3, None)
+    @example([dat_words(4, 0, 0, 0), dat_words(3, 0, 0, 14)], [], False, 1, 1, 5)
+    @settings(max_examples=400, deadline=None)
+    def test_checks_match_reference(self, records, wild, sort, width, height, duration):
+        for i, record in wild:
+            if records:
+                records[i % len(records)] = record
+        if sort:
+            records.sort()
+        declared = {"width": width, "height": height, "duration": duration}
+        header = "".join(f"% {k} {v}\n" for k, v in declared.items() if v is not None)
+        body = b"".join(struct.pack("<II", *r) for r in records)
+        # a body that starts with '%' (first timestamp's low byte 0x25) is
+        # read as one more header line, so it is not a record body here
+        assume(not body.startswith(b"%"))
+        expected = reference_parse_dat(
+            body,
+            304 if width is None else width,
+            240 if height is None else height,
+            100_000 if duration is None else duration,
+        )
+        try:
+            reference_check(expected)
+        except SpikeDseError as err:
+            with pytest.raises(type(err)) as got:
+                sd.parse_dat(header.encode("ascii") + body)
+            assert str(got.value) == str(err)
+        else:
+            sample = sd.parse_dat(header.encode("ascii") + body)
+            assert sample.events.dtype == expected.events.dtype
+            assert np.array_equal(sample.events, expected.events)
+            assert (sample.sensor_width, sample.sensor_height, sample.duration_us) == (
+                expected.sensor_width, expected.sensor_height, expected.duration_us
+            )
+
     @given(st.binary(max_size=512))
     @settings(max_examples=200, deadline=None)
     def test_parsing_is_total(self, blob):
@@ -125,7 +230,7 @@ class TestParseCsv:
 
     def test_out_of_bounds_is_bad_row(self):
         with pytest.raises(BadRow):
-            sd.parse_csv("10,500,0,1", sensor_width=32, sensor_height=32)
+            sd.parse_csv("10,500,0,1")  # x >= the ATIS sensor's 304 columns
 
     def test_round_trip_normalized(self):
         text = "1000,5,7,1\n2000,9,3,0\n"
@@ -349,8 +454,7 @@ class TestSynthetic:
 
     def test_events_sorted_and_in_bounds(self):
         for c in (0, 1):
-            sample = sd.generate_synthetic(c, seed=8)
-            sample.validate()
+            reference_check(sd.generate_synthetic(c, seed=8))
 
 
 class TestDatasetDirectory:

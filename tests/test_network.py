@@ -647,6 +647,13 @@ class TestCheckpoint:
             "af8240b2c32759d79c741db03118f3fc08675b5f9a09b7eb2b6c52e0d90e5deb"
         )
 
+    def test_weights_of_another_spec_are_not_written(self, tmp_path):
+        path = tmp_path / "w.ckpt"
+        with pytest.raises(ShapeMismatch, match="layer 5 weight"):
+            sd.save_checkpoint(
+                path, sd.build_network(50), sd.init_weights(sd.build_network(100), 0))
+        assert not path.exists()
+
     def test_quant_block_round_trips(self, tmp_path):
         net = sd.build_network(50)
         weights = sd.init_weights(net, seed=1)
@@ -726,6 +733,9 @@ class TestCheckpointErrors:
     @pytest.mark.parametrize("layer,key,value", [
         (0, "kind", "conw"), (2, "in_channels", 1.5), (1, "kernel", 0),
         (None, "reset_mode", "zerp"),
+        # fields a pool or an fc layer would ignore
+        (1, "stride", 1), (1, "padding", 1), (1, "out_channels", 32),
+        (2, "kernel", 3), (3, "padding", 1), (3, "stride", 2),
     ])
     def test_invalid_spec(self, tmp_path, layer, key, value):
         header = self.header()
