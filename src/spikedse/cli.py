@@ -99,15 +99,14 @@ def cmd_dataset_gen(args) -> int:
 
 def cmd_dataset_inspect(args) -> int:
     sample = read_event_file(args.file)
-    ev = sample.events
     summary = {
         "file": str(Path(args.file)),
         "events": sample.n_events,
         "sensor": [sample.sensor_width, sample.sensor_height],
         "duration_us": sample.duration_us,
         "label": sample.label,
-        "t_range": [int(ev["t"].min()), int(ev["t"].max())] if sample.n_events else None,
-        "positive_fraction": float(ev["p"].mean()) if sample.n_events else None,
+        "t_range": [int(sample.t[0]), int(sample.t[-1])] if sample.n_events else None,
+        "positive_fraction": float(sample.p.mean()) if sample.n_events else None,
     }
     print(json.dumps(summary, indent=1, sort_keys=True))
     return 0

@@ -1,8 +1,8 @@
 """Event-camera stream handling: parsing, synthesis, cropping and binning.
 
-Samples are collections of (t, x, y, polarity) events recorded over a fixed
-duration (100 ms for NCARS-style recordings). Two on-disk formats are
-supported:
+A sample holds its (t, x, y, polarity) events, sorted by t over a fixed
+duration (100 ms for NCARS-style recordings), as four uint32 columns, the
+width DAT records store. Two on-disk formats are supported:
 
   DAT  binary: optional ASCII header lines starting with '%', then 8-byte
        records of two little-endian 32-bit words. Word 0 is the timestamp
@@ -48,37 +48,49 @@ DEFAULT_SENSOR_WIDTH = 304
 DEFAULT_SENSOR_HEIGHT = 240
 DEFAULT_DURATION_US = 100_000
 
-EVENT_DTYPE = np.dtype([("t", "<i8"), ("x", "<i4"), ("y", "<i4"), ("p", "<i1")])
-
 _X_BITS = 14
 _Y_BITS = 14
 _X_MASK = (1 << _X_BITS) - 1
 _Y_MASK = (1 << _Y_BITS) - 1
+_MAX_SIDE = 1 << _X_BITS  # the largest sensor side the x/y fields address
+_MAX_DURATION_US = 1 << 32  # every t < duration_us fits the uint32 column
 
 _HEADER_KEYS = {"width", "height", "duration", "label"}
 
 
 @dataclass(frozen=True)
 class EventSample:
-    """A labeled, time-sorted event recording.
+    """A labeled, time-sorted event recording in four equal-length 1-D
+    uint32 columns, one row per event (other integer inputs are cast).
 
     Attributes:
-        events: structured array with fields t, x, y, p, sorted by t.
-        sensor_width: sensor columns; every x is < sensor_width.
-        sensor_height: sensor rows; every y is < sensor_height.
-        duration_us: recording length; every t is in [0, duration_us).
+        t: timestamps in microseconds, sorted, each in [0, duration_us).
+        x: pixel columns, each < sensor_width.
+        y: pixel rows, each < sensor_height.
+        p: polarities, each 0 (negative) or 1 (positive).
+        sensor_width, sensor_height: sensor size in pixels.
+        duration_us: recording length.
         label: class index (0 = background, 1 = car for NCARS-style data).
     """
 
-    events: np.ndarray
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    p: np.ndarray
     sensor_width: int
     sensor_height: int
     duration_us: int = DEFAULT_DURATION_US
     label: int = 0
 
+    def __post_init__(self):
+        for name in ("t", "x", "y", "p"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), np.uint32))
+        if not len(self.t) == len(self.x) == len(self.y) == len(self.p):
+            raise ValueError("event columns differ in length")
+
     @property
     def n_events(self) -> int:
-        return int(self.events.shape[0])
+        return int(self.t.shape[0])
 
 
 @dataclass(frozen=True)
@@ -102,16 +114,6 @@ class SpikeFrames:
         expected = (self.timesteps, 2, self.window, self.window)
         if self.data.shape != expected:
             raise ValueError(f"frame tensor {self.data.shape} != {expected}")
-
-
-def events_from_arrays(t, x, y, p) -> np.ndarray:
-    """Pack parallel coordinate arrays into the structured event layout."""
-    out = np.empty(len(t), dtype=EVENT_DTYPE)
-    out["t"] = t
-    out["x"] = x
-    out["y"] = y
-    out["p"] = p
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +154,19 @@ def parse_dat(data: bytes) -> EventSample:
     sequence either parses or raises a typed error, never crashes.
 
     Raises:
-        MalformedHeader, TruncatedRecord, CoordinateOutOfRange, UnsortedEvents.
+        MalformedHeader (also for a side outside [1, 2**14] or a duration
+        below 1), TruncatedRecord, CoordinateOutOfRange, UnsortedEvents.
     """
     fields, offset = _split_dat_header(data)
     width = fields.get("width", DEFAULT_SENSOR_WIDTH)
     height = fields.get("height", DEFAULT_SENSOR_HEIGHT)
     duration = fields.get("duration", DEFAULT_DURATION_US)
     lab = fields.get("label", 0)
+    if not (1 <= width <= _MAX_SIDE and 1 <= height <= _MAX_SIDE and duration >= 1):
+        raise MalformedHeader(
+            f"header declares a {width}x{height} sensor and {duration} us; sides "
+            f"must be in [1, {_MAX_SIDE}] and the duration >= 1"
+        )
 
     body = data[offset:]
     if len(body) % 8 != 0:
@@ -166,8 +174,10 @@ def parse_dat(data: bytes) -> EventSample:
             f"event section is {len(body)} bytes, not a multiple of 8"
         )
     words = np.frombuffer(body, dtype="<u4")
-    t, w1 = words[0::2], words[1::2]
-    x, y = w1 & _X_MASK, (w1 >> _X_BITS) & _Y_MASK
+    # contiguous copies: every later pass reads a strided word more slowly
+    t, w1 = words[0::2].copy(), words[1::2].copy()
+    x, y = w1 & _X_MASK, w1 >> _X_BITS
+    y &= _Y_MASK
     # the masks and the uint32 timestamp already rule out negative values
     # and polarities other than 0 or 1; the first offending event is named
     if len(t) and (int(x.max()) >= width or int(y.max()) >= height):
@@ -183,8 +193,9 @@ def parse_dat(data: bytes) -> EventSample:
         )
     if np.any(t[1:] < t[:-1]):
         raise UnsortedEvents("DAT records are not sorted by timestamp")
-    p = (w1 >> (_X_BITS + _Y_BITS)) & 0x1
-    return EventSample(events_from_arrays(t, x, y, p), width, height, duration, lab)
+    w1 >>= _X_BITS + _Y_BITS  # w1 becomes the polarity column
+    w1 &= 1
+    return EventSample(t, x, y, w1, width, height, duration, lab)
 
 
 def write_dat(sample: EventSample) -> bytes:
@@ -195,16 +206,9 @@ def write_dat(sample: EventSample) -> bytes:
         f"% duration {sample.duration_us}\n"
         f"% label {sample.label}\n"
     ).encode("ascii")
-    ev = sample.events
-    w0 = ev["t"].astype("<u4")
-    w1 = (
-        ev["x"].astype("<u4")
-        | (ev["y"].astype("<u4") << _X_BITS)
-        | (ev["p"].astype("<u4") << (_X_BITS + _Y_BITS))
-    )
-    body = np.empty(2 * len(ev), dtype="<u4")
-    body[0::2] = w0
-    body[1::2] = w1
+    body = np.empty((sample.n_events, 2), dtype="<u4")
+    body[:, 0] = sample.t
+    body[:, 1] = sample.x | (sample.y << _X_BITS) | (sample.p << (_X_BITS + _Y_BITS))
     return header + body.tobytes()
 
 
@@ -246,20 +250,15 @@ def parse_csv(text: str) -> EventSample:
         xs.append(x)
         ys.append(y)
         ps.append(p)
-    events = events_from_arrays(ts, xs, ys, ps)
-    if events.shape[0] and np.any(np.diff(events["t"]) < 0):
+    if any(b < a for a, b in zip(ts, ts[1:])):
         raise UnsortedEvents("CSV rows are not sorted by timestamp")
-    return EventSample(events, width, height, duration)
+    return EventSample(ts, xs, ys, ps, width, height, duration)
 
 
 def write_csv(sample: EventSample) -> str:
     """Serialise events as normalized CSV rows (no header, \\n endings)."""
-    ev = sample.events
-    lines = [
-        f"{int(t)},{int(x)},{int(y)},{int(p)}"
-        for t, x, y, p in zip(ev["t"], ev["x"], ev["y"], ev["p"])
-    ]
-    return "".join(line + "\n" for line in lines)
+    cols = (sample.t.tolist(), sample.x.tolist(), sample.y.tolist(), sample.p.tolist())
+    return "".join(f"{t},{x},{y},{p}\n" for t, x, y, p in zip(*cols))
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +268,9 @@ def write_csv(sample: EventSample) -> str:
 def occupancy_map(sample: EventSample) -> np.ndarray:
     """Per-pixel event counts, shape (sensor_height, sensor_width)."""
     height, width = sample.sensor_height, sample.sensor_width
-    ev = sample.events
-    flat = ev["y"].astype(np.int64) * width + ev["x"]
+    flat = sample.y.astype(np.intp)  # bincount casts any other index dtype first
+    flat *= width
+    flat += sample.x
     return np.bincount(flat, minlength=height * width).reshape(height, width)
 
 
@@ -285,22 +285,24 @@ def _check_fits(sample: EventSample, size: int) -> None:
 def find_attention_window(sample: EventSample, size: int) -> AttentionWindow:
     """Exact search for the size x size region holding the most events.
 
-    Uses 2-D prefix sums over the occupancy map, so the scan covers every
-    placement in O(sensor area). Ties go to the smallest y0, then the
-    smallest x0.
+    Running sums of the occupancy map, first down the rows and then along
+    them, give every placement's count in O(sensor area). Ties go to the
+    smallest y0, then the smallest x0.
 
     Raises:
         WindowTooLarge: if size exceeds either sensor dimension.
     """
     _check_fits(sample, size)
     counts = occupancy_map(sample)
-    # prefix[i, j] = number of events with y < i and x < j
-    prefix = np.zeros((counts.shape[0] + 1, counts.shape[1] + 1), dtype=np.int64)
-    prefix[1:, 1:] = counts.cumsum(axis=0).cumsum(axis=1)
+    height, width = counts.shape
     k = size
-    window_sums = (
-        prefix[k:, k:] - prefix[:-k, k:] - prefix[k:, :-k] + prefix[:-k, :-k]
-    )
+    acc = np.int32 if sample.n_events < 2**31 else np.int64  # holds any sum
+    rows = np.zeros((height + 1, width), dtype=acc)  # rows[i]: map rows < i
+    np.cumsum(counts, axis=0, dtype=acc, out=rows[1:])
+    bands = rows[k:] - rows[:-k]  # bands[y0, x] = events in rows y0..y0+k-1
+    cols = np.zeros((height - k + 1, width + 1), dtype=acc)
+    np.cumsum(bands, axis=1, out=cols[:, 1:])
+    window_sums = cols[:, k:] - cols[:, :-k]
     flat = int(np.argmax(window_sums))  # row-major argmax = smallest y0 then x0
     y0, x0 = divmod(flat, window_sums.shape[1])
     return AttentionWindow(x0=int(x0), y0=int(y0), size=size)
@@ -328,19 +330,14 @@ def crop(sample: EventSample, window: AttentionWindow) -> EventSample:
             f"window {window} exceeds "
             f"{sample.sensor_width}x{sample.sensor_height} sensor"
         )
-    ev = sample.events
-    keep = (
-        (ev["x"] >= window.x0)
-        & (ev["x"] < window.x0 + window.size)
-        & (ev["y"] >= window.y0)
-        & (ev["y"] < window.y0 + window.size)
-    )
-    kept = ev[keep].copy()
-    kept["x"] -= window.x0
-    kept["y"] -= window.y0
+    # uint32 wraps a coordinate below the origin past any size: one test per axis
+    dx, dy = sample.x - window.x0, sample.y - window.y0
+    keep = dx < window.size
+    keep &= dy < window.size
+    rows = np.flatnonzero(keep)
     return replace(
         sample,
-        events=kept,
+        t=sample.t[rows], x=dx[rows], y=dy[rows], p=sample.p[rows],
         sensor_width=window.size,
         sensor_height=window.size,
     )
@@ -363,10 +360,9 @@ def bin_to_frames(sample: EventSample, timesteps: int) -> SpikeFrames:
         )
     w = sample.sensor_width
     data = np.zeros((timesteps, 2, w, w), dtype=np.uint8)
-    ev = sample.events
-    if ev.shape[0]:
-        bins = (ev["t"] * timesteps) // sample.duration_us
-        data[bins, ev["p"], ev["y"], ev["x"]] = 1
+    if sample.n_events:
+        bins = (sample.t.astype(np.int64) * timesteps) // sample.duration_us
+        data[bins, sample.p, sample.y, sample.x] = 1
     return SpikeFrames(data=data, timesteps=timesteps, window=w)
 
 
@@ -443,6 +439,10 @@ def generate_synthetic(
         raise ValueError(
             f"duration {duration_us} us is shorter than the {sensor_width} bar steps"
         )
+    if duration_us > _MAX_DURATION_US:
+        raise ValueError(
+            f"duration {duration_us} us exceeds the 2**32 us a DAT timestamp holds"
+        )
     rng = np.random.default_rng(seed)
     n_steps = sensor_width
     n_bar = n_steps * sensor_height
@@ -464,15 +464,14 @@ def generate_synthetic(
     y_noise = rng.integers(0, sensor_height, size=n_noise)
     p_noise = rng.integers(0, 2, size=n_noise)
 
-    t = np.concatenate([t_bar, t_noise])
-    order = np.argsort(t, kind="stable")
-    events = events_from_arrays(
-        t[order],
-        np.concatenate([x_bar, x_noise])[order],
-        np.concatenate([y_bar, y_noise])[order],
-        np.concatenate([p_bar, p_noise])[order],
-    )
-    return EventSample(events, sensor_width, sensor_height, duration_us, class_id)
+    order = np.argsort(np.concatenate([t_bar, t_noise]), kind="stable")
+    # the four columns share one allocation, so that many long-lived samples
+    # do not fragment the heap among the int64 temporaries made here
+    columns = np.empty((4, len(order)), dtype=np.uint32)
+    for row, parts in zip(columns, ((t_bar, t_noise), (x_bar, x_noise),
+                                    (y_bar, y_noise), (p_bar, p_noise))):
+        row[:] = np.concatenate(parts)[order]
+    return EventSample(*columns, sensor_width, sensor_height, duration_us, class_id)
 
 
 def make_synthetic_dataset(

@@ -134,6 +134,13 @@ class TestDataset:
         assert summary["events"] > 0
         assert summary["sensor"] == [64, 64]
 
+    def test_gen_past_uint32_timestamps_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["dataset", "gen", "--per-class", "1", "--seed", "0", "--duration",
+                     str(2**32 + 1), "--out", str(out)]) == 1
+        assert "2**32" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_inspect_upper_case_csv_suffix(self, tmp_path, capsys):
         path = tmp_path / "sample.CSV"
         path.write_text("t_us,x,y,p\n10,1,2,1\n20,3,4,0\n")
@@ -162,7 +169,8 @@ class TestDataset:
                 assert a.label == b.label
                 assert a.sensor_width == b.sensor_width == 32
                 assert a.duration_us == b.duration_us == 50_000
-                assert a.events.tobytes() == b.events.tobytes()
+                for col in ("t", "x", "y", "p"):
+                    assert getattr(a, col).tobytes() == getattr(b, col).tobytes()
 
 
 class TestTrainQuantEval:
@@ -702,6 +710,31 @@ BAD_INPUTS = {
     "memory constraint not a number": (
         {}, ["dse", "--constraints", '{"max_memory_mb": "x"}', "--out", "{tmp}/out"],
         "max_memory_mb must be a number",
+    ),
+    "inspect header width -3": (
+        {"h.dat": "% width -3\n"}, ["dataset", "inspect", "{tmp}/h.dat"],
+        "a -3x240 sensor and 100000 us; sides must be in [1, 16384]",
+    ),
+    "inspect header width 0": (
+        {"h.dat": "% width 0\n"}, ["dataset", "inspect", "{tmp}/h.dat"],
+        "a 0x240 sensor",
+    ),
+    "inspect header height 16385": (
+        {"h.dat": "% height 16385\n"}, ["dataset", "inspect", "{tmp}/h.dat"],
+        "a 304x16385 sensor",
+    ),
+    "inspect header duration 0": (
+        {"h.dat": "% duration 0\n"}, ["dataset", "inspect", "{tmp}/h.dat"],
+        "and 0 us; sides must be in [1, 16384] and the duration >= 1",
+    ),
+    "dataset gen duration above 2**32": (
+        {}, GEN + ["--duration", "5000000000"], "exceeds the 2**32 us",
+    ),
+    "train synthetic duration above 2**32": (
+        {"train.json": '{"epochs": 1, "seed": 0, "data": {"synthetic": '
+                       '{"per_class": 2, "duration": 5000000000}}}'},
+        TRAIN,
+        "exceeds the 2**32 us",
     ),
 }
 

@@ -1,5 +1,6 @@
 """Event parsing, windowing, binning and synthesis."""
 
+import hashlib
 import json
 import struct
 
@@ -23,16 +24,26 @@ from spikedse.errors import (
 from spikedse.events import (
     AttentionWindow,
     center_window,
-    events_from_arrays,
     occupancy_map,
 )
 
 
 def make_sample(rows, width=32, height=32, duration=100_000, label=0):
     t, x, y, p = zip(*rows) if rows else ((), (), (), ())
-    return sd.EventSample(
-        events_from_arrays(t, x, y, p), width, height, duration, label
-    )
+    return sd.EventSample(t, x, y, p, width, height, duration, label)
+
+
+def columns(sample):
+    """The sample's (t, x, y, p) columns, each checked to be 1-D uint32."""
+    cols = (sample.t, sample.x, sample.y, sample.p)
+    for col in cols:
+        assert col.dtype == np.uint32 and col.shape == (sample.n_events,)
+    return cols
+
+
+def assert_same_events(a, b):
+    for col_a, col_b in zip(columns(a), columns(b)):
+        assert np.array_equal(col_a, col_b)
 
 
 HEADER = b"% width 32\n% height 32\n% duration 100000\n% label 1\n"
@@ -43,17 +54,22 @@ def pack_record(t, x, y, p):
 
 
 def reference_check(sample):
-    """Every bound an EventSample promises, tested on its packed events.
+    """Every bound an EventSample promises, tested on its columns.
 
-    Seven conditions, then the order; the first offending event is named.
-    parse_dat must raise exactly when this does, with the same error.
+    The geometry, then seven conditions, then the order; the first
+    offending event is named. parse_dat must raise exactly when this does,
+    with the same error.
     """
-    ev = sample.events
-    if ev.shape[0] == 0:
-        return
-    t, x, y, p = ev["t"], ev["x"], ev["y"], ev["p"]
     width, height = sample.sensor_width, sample.sensor_height
     duration = sample.duration_us
+    if not (1 <= width <= 2**14 and 1 <= height <= 2**14 and duration >= 1):
+        raise MalformedHeader(
+            f"header declares a {width}x{height} sensor and {duration} us; sides "
+            f"must be in [1, {2**14}] and the duration >= 1"
+        )
+    if sample.n_events == 0:
+        return
+    t, x, y, p = (col.astype(np.int64) for col in columns(sample))
     off_sensor = (x < 0) | (x >= width) | (y < 0) | (y >= height)
     if np.any(off_sensor):
         bad = np.flatnonzero(off_sensor)[0]
@@ -77,13 +93,10 @@ def reference_parse_dat(body, width, height, duration):
     """Decode 8-byte records into a sample without checking them."""
     words = np.frombuffer(body, dtype="<u4")
     w1 = words[1::2]
-    events = events_from_arrays(
-        words[0::2].astype(np.int64),
-        (w1 & 0x3FFF).astype(np.int32),
-        ((w1 >> 14) & 0x3FFF).astype(np.int32),
-        ((w1 >> 28) & 1).astype(np.int8),
+    return sd.EventSample(
+        words[0::2], w1 & 0x3FFF, (w1 >> 14) & 0x3FFF, (w1 >> 28) & 1,
+        width, height, duration,
     )
-    return sd.EventSample(events, width, height, duration)
 
 
 def dat_words(t, x, y, top):
@@ -112,7 +125,7 @@ class TestParseDat:
         # word 0 = timestamp, word 1 = x | y<<14 | p<<28
         blob = HEADER + pack_record(1000, 5, 7, 1)
         sample = sd.parse_dat(blob)
-        assert np.array_equal(sample.events, events_from_arrays([1000], [5], [7], [1]))
+        assert_same_events(sample, make_sample([(1000, 5, 7, 1)]))
 
     def test_truncated_record(self):
         with pytest.raises(TruncatedRecord):
@@ -137,6 +150,22 @@ class TestParseDat:
         with pytest.raises(MalformedHeader):
             sd.parse_dat(b"% width abc\n" + pack_record(0, 0, 0, 0))
 
+    @pytest.mark.parametrize("line", [
+        b"% width -3\n", b"% width 0\n", b"% width 16385\n", b"% height 0\n",
+        b"% height 16385\n", b"% duration 0\n", b"% duration -1\n",
+    ])
+    def test_geometry_outside_the_record_fields_is_malformed(self, line):
+        for body in (b"", pack_record(0, 0, 0, 0)):
+            with pytest.raises(MalformedHeader, match="sides must be in"):
+                sd.parse_dat(line + body)
+
+    def test_largest_geometry_parses(self):
+        sample = sd.parse_dat(b"% width 16384\n% height 16384\n% duration 1\n"
+                              + pack_record(0, 16383, 16383, 1))
+        assert (sample.sensor_width, sample.sensor_height, sample.duration_us) == (
+            16384, 16384, 1)
+        assert_same_events(sample, make_sample([(0, 16383, 16383, 1)]))
+
     def test_unknown_header_lines_are_comments(self):
         blob = b"% recorded somewhere\n" + HEADER + pack_record(10, 2, 3, 0)
         assert sd.parse_dat(blob).n_events == 1
@@ -149,7 +178,7 @@ class TestParseDat:
     def test_round_trip(self):
         sample = sd.generate_synthetic(1, seed=3)
         again = sd.parse_dat(sd.write_dat(sample))
-        assert np.array_equal(sample.events, again.events)
+        assert_same_events(sample, again)
         assert again.label == sample.label
         assert again.duration_us == sample.duration_us
 
@@ -193,8 +222,7 @@ class TestParseDat:
             assert str(got.value) == str(err)
         else:
             sample = sd.parse_dat(header.encode("ascii") + body)
-            assert sample.events.dtype == expected.events.dtype
-            assert np.array_equal(sample.events, expected.events)
+            assert_same_events(sample, expected)
             assert (sample.sensor_width, sample.sensor_height, sample.duration_us) == (
                 expected.sensor_width, expected.sensor_height, expected.duration_us
             )
@@ -212,7 +240,7 @@ class TestParseDat:
 class TestParseCsv:
     def test_single_row(self):
         sample = sd.parse_csv("1000,5,7,1")
-        assert np.array_equal(sample.events, events_from_arrays([1000], [5], [7], [1]))
+        assert_same_events(sample, make_sample([(1000, 5, 7, 1)]))
 
     def test_bad_polarity(self):
         with pytest.raises(BadRow) as err:
@@ -285,6 +313,15 @@ class TestAttentionWindow:
         assert got == best
         assert (win.y0, win.x0) == best_pos  # argmax tie-break: y0 then x0
 
+    def test_window_sums_beyond_16_bits(self):
+        # 70_000 events on one pixel outweigh 10_000 on another only if no
+        # running sum wraps at 2**16
+        x = np.r_[np.full(10_000, 1), np.full(70_000, 30)]
+        y = np.r_[np.full(10_000, 1), np.full(70_000, 20)]
+        sample = sd.EventSample(np.arange(80_000), x, y, np.ones(80_000), 32, 32)
+        win = sd.find_attention_window(sample, 4)
+        assert (win.x0, win.y0) == (27, 17)
+
     def test_center_window(self):
         win = center_window(make_sample([], 64, 64), 50)
         assert (win.x0, win.y0) == (7, 7)
@@ -294,7 +331,7 @@ class TestCrop:
     def test_corner_rebase(self):
         sample = make_sample([(10, 5, 6, 1)], 32, 32)
         out = sd.crop(sample, AttentionWindow(5, 6, 10))
-        assert np.array_equal(out.events, events_from_arrays([10], [0], [0], [1]))
+        assert_same_events(out, make_sample([(10, 0, 0, 1)]))
         assert out.sensor_width == out.sensor_height == 10
 
     def test_outside_events_dropped(self):
@@ -305,7 +342,7 @@ class TestCrop:
     def test_full_sensor_window_is_identity(self):
         sample = sd.generate_synthetic(0, seed=5, sensor_width=32, sensor_height=32)
         out = sd.crop(sample, AttentionWindow(0, 0, 32))
-        assert np.array_equal(out.events, sample.events)
+        assert_same_events(out, sample)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 32))
     @settings(max_examples=30, deadline=None)
@@ -314,12 +351,11 @@ class TestCrop:
         win = sd.find_attention_window(sample, size)
         out = sd.crop(sample, win)
         assert out.n_events <= sample.n_events
-        ev = sample.events
         inside = np.count_nonzero(
-            (ev["x"] >= win.x0)
-            & (ev["x"] < win.x0 + size)
-            & (ev["y"] >= win.y0)
-            & (ev["y"] < win.y0 + size)
+            (sample.x >= win.x0)
+            & (sample.x < win.x0 + size)
+            & (sample.y >= win.y0)
+            & (sample.y < win.y0 + size)
         )
         assert out.n_events == inside
 
@@ -434,15 +470,15 @@ class TestSynthetic:
     def test_deterministic(self):
         a = sd.generate_synthetic(1, seed=77)
         b = sd.generate_synthetic(1, seed=77)
-        assert np.array_equal(a.events, b.events)
+        assert_same_events(a, b)
 
     def test_zero_noise_bar_trajectory(self):
         sample = sd.generate_synthetic(1, seed=5, noise_events=0)
-        ev = sample.events
+        t, x, _, p = columns(sample)
         n_steps = sample.sensor_width
         slot = sample.duration_us // n_steps
-        assert np.array_equal(ev["x"], ev["t"] // slot)
-        assert np.all(ev["p"] == 1)
+        assert np.array_equal(x, t // slot)
+        assert np.all(p == 1)
 
     def test_class_event_rates_match(self):
         counts = {0: [], 1: []}
@@ -455,6 +491,178 @@ class TestSynthetic:
     def test_events_sorted_and_in_bounds(self):
         for c in (0, 1):
             reference_check(sd.generate_synthetic(c, seed=8))
+
+    def test_duration_past_uint32_timestamps_rejected(self):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            sd.generate_synthetic(0, seed=1, duration_us=2**32 + 1)
+
+    def test_longest_duration_round_trips(self):
+        sample = sd.generate_synthetic(1, seed=4, duration_us=2**32, noise_events=50)
+        assert int(sample.t[-1]) >= 2**31  # the top timestamp bit is in use
+        again = sd.parse_dat(sd.write_dat(sample))
+        assert_same_events(sample, again)
+        assert again.duration_us == 2**32
+
+
+# The structured-record front end the column layout replaced, kept as the
+# oracle: an int64 2-D prefix-sum window search, a four-comparison crop of
+# (int64 t, int32 x, int32 y, int8 p) records, and binning of those records.
+ORACLE_DTYPE = np.dtype([("t", "<i8"), ("x", "<i4"), ("y", "<i4"), ("p", "<i1")])
+
+
+def oracle_records(sample):
+    records = np.empty(sample.n_events, dtype=ORACLE_DTYPE)
+    for name in ORACLE_DTYPE.names:
+        records[name] = getattr(sample, name)
+    return records
+
+
+def oracle_counts(records, width, height):
+    counts = np.zeros((height, width), dtype=np.int64)
+    np.add.at(counts, (records["y"], records["x"]), 1)
+    return counts
+
+
+def oracle_window(records, width, height, size):
+    counts = oracle_counts(records, width, height)
+    prefix = np.zeros((height + 1, width + 1), dtype=np.int64)
+    prefix[1:, 1:] = counts.cumsum(axis=0).cumsum(axis=1)
+    k = size
+    sums = prefix[k:, k:] - prefix[:-k, k:] - prefix[k:, :-k] + prefix[:-k, :-k]
+    y0, x0 = divmod(int(np.argmax(sums)), sums.shape[1])
+    return x0, y0
+
+
+def oracle_crop(records, x0, y0, size):
+    keep = (
+        (records["x"] >= x0)
+        & (records["x"] < x0 + size)
+        & (records["y"] >= y0)
+        & (records["y"] < y0 + size)
+    )
+    kept = records[keep].copy()
+    kept["x"] -= x0
+    kept["y"] -= y0
+    return kept
+
+
+def oracle_frames(kept, size, timesteps, duration):
+    data = np.zeros((timesteps, 2, size, size), dtype=np.uint8)
+    if kept.shape[0]:
+        bins = (kept["t"] * timesteps) // duration
+        data[bins, kept["p"], kept["y"], kept["x"]] = 1
+    return data
+
+
+@st.composite
+def front_end_cases(draw):
+    """(sample, window size, any in-bounds window origin) on a small sensor,
+    so that ties, edge windows and border events are common."""
+    width, height = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    duration = draw(st.integers(1, 10**6) | st.just(2**32))
+    n = draw(st.integers(0, 40))
+    # events packed into a sub-rectangle that may sit against any edge
+    x_lo = draw(st.integers(0, width - 1))
+    y_lo = draw(st.integers(0, height - 1))
+    x_hi = draw(st.integers(x_lo, width - 1))
+    y_hi = draw(st.integers(y_lo, height - 1))
+    rows = sorted(draw(st.lists(
+        st.tuples(st.integers(0, duration - 1), st.integers(x_lo, x_hi),
+                  st.integers(y_lo, y_hi), st.integers(0, 1)),
+        min_size=n, max_size=n)))
+    size = draw(st.integers(1, min(width, height)))
+    origin = draw(st.integers(0, width - size)), draw(st.integers(0, height - size))
+    return make_sample(rows, width, height, duration), size, origin
+
+
+def corner_case(width, height, size, x, y):
+    return make_sample([(0, x, y, 1)], width, height), size, (0, 0)
+
+
+class TestFrontEndOracle:
+    @given(front_end_cases(), st.integers(1, 12), st.sampled_from(sd.events.WINDOW_MODES))
+    # empty; the densest window flush to each corner; a tie between two
+    # windows; events on all four borders of the window and one step outside
+    @example((make_sample([], 7, 5), 3, (4, 2)), 4, "per_sample")
+    @example(corner_case(9, 7, 3, 0, 0), 2, "per_sample")
+    @example(corner_case(9, 7, 3, 8, 0), 2, "per_sample")
+    @example(corner_case(9, 7, 3, 0, 6), 2, "per_sample")
+    @example(corner_case(9, 7, 3, 8, 6), 2, "per_sample")
+    @example((make_sample([(0, 7, 1, 0), (1, 1, 5, 1)], 9, 7), 2, (1, 4)), 3, "per_sample")
+    @example((make_sample([(0, 2, 3, 1), (1, 5, 3, 0), (2, 3, 2, 1), (3, 3, 5, 0),
+                           (4, 1, 3, 1), (5, 6, 3, 0), (6, 3, 1, 1), (7, 3, 6, 0)],
+                          9, 9), 4, (2, 2)), 2, "center")
+    @settings(max_examples=300, deadline=None)
+    def test_matches_structured_path(self, case, timesteps, mode):
+        sample, size, (ox, oy) = case
+        width, height = sample.sensor_width, sample.sensor_height
+        records = oracle_records(sample)
+        assert np.array_equal(occupancy_map(sample), oracle_counts(records, width, height))
+        for name, col in zip(ORACLE_DTYPE.names,
+                             columns(sd.crop(sample, AttentionWindow(ox, oy, size)))):
+            assert np.array_equal(col, oracle_crop(records, ox, oy, size)[name])
+        if mode == "per_sample":
+            x0, y0 = oracle_window(records, width, height, size)
+            win = sd.find_attention_window(sample, size)
+            assert (win.x0, win.y0, win.size) == (x0, y0, size)
+        else:
+            x0, y0 = (width - size) // 2, (height - size) // 2
+        kept = oracle_crop(records, x0, y0, size)
+        cropped = sd.crop_to_window(sample, size, window_mode=mode)
+        for name, col in zip(ORACLE_DTYPE.names, columns(cropped)):
+            assert np.array_equal(col, kept[name])
+        frames = sd.encode_sample(sample, size, timesteps, window_mode=mode)
+        assert np.array_equal(
+            frames.data, oracle_frames(kept, size, timesteps, sample.duration_us)
+        )
+
+
+def pinned_samples():
+    """Fixed-seed recordings: a 80x60 dataset, two at ATIS geometry, and one
+    whose timestamps fill the uint32 range."""
+    train, test = sd.make_synthetic_dataset(per_class=3, seed=2024, sensor_width=80,
+                                            sensor_height=60, noise_events=300)
+    atis = [sd.generate_synthetic(c, seed=7 + c, sensor_width=304, sensor_height=240)
+            for c in (0, 1)]
+    wide = [sd.generate_synthetic(1, seed=9, duration_us=2**32, noise_events=200)]
+    return train, test + atis + wide
+
+
+class TestPinnedBytes:
+    """SHA-256 of what the event pipeline writes and encodes for fixed seeds.
+
+    The digests were recorded from the structured-record implementation the
+    column layout replaced; any change to them changes saved datasets, CSV
+    exports or the frames every network sees."""
+
+    def test_dataset_directory(self, tmp_path):
+        train, test = pinned_samples()
+        sd.write_dataset({"train": train, "test": test}, tmp_path)
+        digest = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == (
+            "c2df9509a303f2262ff84ba9209ca0b89e33cdaea4a185bd24167e84b60a4ed6")
+
+    def test_csv_text(self):
+        train, test = pinned_samples()
+        digest = hashlib.sha256()
+        for sample in train + test:
+            digest.update(sd.write_csv(sample).encode())
+        assert digest.hexdigest() == (
+            "f34e8c8aaafcb91afba8e05d02379d1312d2d3e64769610d61ac876861015214")
+
+    def test_encoded_frames(self):
+        train, test = pinned_samples()
+        digest = hashlib.sha256()
+        for mode in sd.events.WINDOW_MODES:
+            for window, timesteps in ((50, 10), (32, 3)):
+                for frames, label in sd.encode_dataset(
+                    train + test, window, timesteps, window_mode=mode
+                ):
+                    digest.update(frames.data.tobytes() + bytes([label]))
+        assert digest.hexdigest() == (
+            "b9c47d1782ffa876193ae34906c1e55a7ff5ed939dd0c1bd088eed5d5c295612")
 
 
 class TestDatasetDirectory:
@@ -471,7 +679,7 @@ class TestDatasetDirectory:
         loaded = sd.load_dataset(tmp_path, "test")
         assert len(loaded) == len(test)
         for a, b in zip(loaded, test):
-            assert np.array_equal(a.events, b.events)
+            assert_same_events(a, b)
             assert a.label == b.label
 
     def test_parallel_loading_preserves_order(self, tmp_path):
@@ -480,7 +688,7 @@ class TestDatasetDirectory:
         par = sd.load_dataset(tmp_path, "train", workers=4)
         assert [s.label for s in seq] == [p.label for p in par]
         for a, b in zip(seq, par):
-            assert np.array_equal(a.events, b.events)
+            assert_same_events(a, b)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(MissingManifest):
