@@ -23,6 +23,7 @@ import numbers
 from dataclasses import dataclass
 from importlib import resources
 from itertools import product
+from operator import attrgetter
 from pathlib import Path
 
 from .costs import (
@@ -206,20 +207,15 @@ def filter_constraints(
     return kept
 
 
+def _objectives(p: DsePoint) -> tuple:
+    """The four Pareto objectives of a point, each smaller-is-better."""
+    return (-p.accuracy, p.cost.memory_bits, p.cost.latency_units, p.cost.energy_units)
+
+
 def _dominates(p: DsePoint, q: DsePoint) -> bool:
-    ge_acc = p.accuracy >= q.accuracy
-    le_costs = (
-        p.cost.memory_bits <= q.cost.memory_bits
-        and p.cost.latency_units <= q.cost.latency_units
-        and p.cost.energy_units <= q.cost.energy_units
-    )
-    strict = (
-        p.accuracy > q.accuracy
-        or p.cost.memory_bits < q.cost.memory_bits
-        or p.cost.latency_units < q.cost.latency_units
-        or p.cost.energy_units < q.cost.energy_units
-    )
-    return ge_acc and le_costs and strict
+    """p is no worse than q on every objective and differs on at least one."""
+    mine, theirs = _objectives(p), _objectives(q)
+    return all(a <= b for a, b in zip(mine, theirs)) and mine != theirs
 
 
 def pareto_front(points: list[DsePoint]) -> list[DsePoint]:
@@ -228,18 +224,8 @@ def pareto_front(points: list[DsePoint]) -> list[DsePoint]:
     Sorting accuracy-first guarantees any dominator precedes its victims,
     so each candidate only needs checking against the front built so far.
     """
-    ordered = sorted(
-        points,
-        key=lambda p: (
-            -p.accuracy,
-            p.cost.memory_bits,
-            p.cost.latency_units,
-            p.cost.energy_units,
-            p.tag,
-        ),
-    )
     front: list[DsePoint] = []
-    for candidate in ordered:
+    for candidate in sorted(points, key=lambda p: (*_objectives(p), p.tag)):
         if not any(_dominates(kept, candidate) for kept in front):
             front.append(candidate)
     return front
@@ -253,33 +239,34 @@ def select(points: list[DsePoint], constraints: Constraints) -> DsePoint:
     feasible = filter_constraints(points, constraints)
     if not feasible:
         raise NoFeasiblePoint("no point satisfies the given constraints")
-    return min(
-        feasible,
-        key=lambda p: (-p.accuracy, p.cost.memory_bits, p.cost.latency_units, p.bits),
-    )
+    return min(feasible, key=lambda p: (*_objectives(p)[:3], p.bits))
 
 
 # ---------------------------------------------------------------------------
 # Reporting
 # ---------------------------------------------------------------------------
 
-_CSV_COLUMNS = [
-    "tag",
-    "bits",
-    "timesteps",
-    "window",
-    "accuracy",
-    "accuracy_source",
-    "memory_bits",
-    "latency_units",
-    "energy_units",
-    "latency_ratio",
-    "synaptic_ops",
-    "neuron_ops",
-    "memory_vs_baseline",
-    "latency_vs_baseline",
-    "energy_vs_baseline",
-]
+# One (column, value of a DsePoint, parser) row per report column, in file
+# order; each column is named after the last part of its attribute path.
+_REPORT_COLUMNS = tuple(
+    (path.rpartition(".")[2], attrgetter(path), parse)
+    for path, parse in (
+        ("tag", str),
+        ("bits", int),
+        ("timesteps", int),
+        ("window", int),
+        ("accuracy", float),
+        ("accuracy_source", str),
+        ("cost.memory_bits", int),
+        ("cost.latency_units", float),
+        ("cost.energy_units", float),
+        ("cost.latency_ratio", float),
+        ("cost.op_count.synaptic_ops", int),
+        ("cost.op_count.neuron_ops", int),
+    )
+)
+# cost fields written again over the baseline row's, as <first word>_vs_baseline
+_BASELINE_RATIOS = ("memory_bits", "latency_units", "energy_units")
 
 
 def emit_report(points: list[DsePoint], out_dir: str | Path) -> tuple[Path, Path]:
@@ -294,69 +281,42 @@ def emit_report(points: list[DsePoint], out_dir: str | Path) -> tuple[Path, Path
         (p for p in points if p.tag == BASELINE_TAG),
         max(points, key=lambda p: (p.bits, p.timesteps, p.window)) if points else None,
     )
+    header = [column for column, _, _ in _REPORT_COLUMNS] + [
+        f"{field.partition('_')[0]}_vs_baseline" for field in _BASELINE_RATIOS
+    ]
 
-    def rows(subset):
-        for p in subset:
-            yield [
-                p.tag,
-                p.bits,
-                p.timesteps,
-                p.window,
-                repr(p.accuracy),
-                p.accuracy_source,
-                p.cost.memory_bits,
-                repr(p.cost.latency_units),
-                repr(p.cost.energy_units),
-                repr(p.cost.latency_ratio),
-                p.cost.op_count.synaptic_ops,
-                p.cost.op_count.neuron_ops,
-                repr(p.cost.memory_bits / baseline.cost.memory_bits),
-                repr(p.cost.latency_units / baseline.cost.latency_units),
-                repr(p.cost.energy_units / baseline.cost.energy_units),
-            ]
+    def row(p):
+        ratios = [getattr(p.cost, f) / getattr(baseline.cost, f)
+                  for f in _BASELINE_RATIOS]
+        return [value(p) for _, value, _ in _REPORT_COLUMNS] + ratios
 
-    results_path = out / "dse_results.csv"
-    pareto_path = out / "pareto.csv"
-    for path, subset in ((results_path, points), (pareto_path, pareto_front(points))):
+    paths = out / "dse_results.csv", out / "pareto.csv"
+    for path, subset in zip(paths, (points, pareto_front(points))):
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_CSV_COLUMNS)
-            writer.writerows(rows(subset))
-    return results_path, pareto_path
+            csv.writer(fh).writerows([header, *map(row, subset)])
+    return paths
 
 
 def parse_report(path: str | Path) -> list[DsePoint]:
     """Read a dse_results.csv back into DsePoints.
 
-    Per-layer op breakdowns are not serialized, so the reconstructed
-    OpCount carries totals only.
+    Every column but the baseline ratios is read back. Per-layer op
+    breakdowns are not serialized, so the reconstructed OpCount carries
+    totals only. A missing column, a row of the wrong length or a value
+    its parser rejects raises ConfigError.
     """
     points = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            ops = OpCount(
-                synaptic_ops=int(row["synaptic_ops"]),
-                neuron_ops=int(row["neuron_ops"]),
-            )
-            cost = CostReport(
-                tag=row["tag"],
-                bits=int(row["bits"]),
-                timesteps=int(row["timesteps"]),
-                window=int(row["window"]),
-                memory_bits=int(row["memory_bits"]),
-                latency_units=float(row["latency_units"]),
-                energy_units=float(row["energy_units"]),
-                latency_ratio=float(row["latency_ratio"]),
-                op_count=ops,
-            )
+    with ConfigError.guard(f"report {path}"), open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            # DictReader keys surplus fields by None and fills absent ones with None
+            if None in row or None in row.values():
+                raise ValueError(f"line {reader.line_num}: wrong number of fields")
+            v = {column: parse(row[column]) for column, _, parse in _REPORT_COLUMNS}
+            ops = OpCount(v.pop("synaptic_ops"), v.pop("neuron_ops"))
+            acc, source = v.pop("accuracy"), v.pop("accuracy_source")
+            cost = CostReport(**v, op_count=ops)
             points.append(
-                DsePoint(
-                    bits=cost.bits,
-                    timesteps=cost.timesteps,
-                    window=cost.window,
-                    accuracy=float(row["accuracy"]),
-                    cost=cost,
-                    accuracy_source=row["accuracy_source"],
-                )
+                DsePoint(cost.bits, cost.timesteps, cost.window, acc, cost, source)
             )
     return points

@@ -4,6 +4,7 @@ Every domain failure raises a subclass of SpikeDseError so callers (and
 the CLI) can distinguish domain errors from genuine bugs.
 """
 
+import csv
 from contextlib import contextmanager
 
 
@@ -13,17 +14,19 @@ class SpikeDseError(Exception):
     @classmethod
     @contextmanager
     def guard(cls, source: str):
-        """Re-raise KeyError, TypeError and ValueError in the block as cls."""
+        """Re-raise KeyError, TypeError, ValueError and csv.Error in the block
+        as cls."""
         try:
             yield
         except KeyError as exc:
             raise cls(f"{source}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, csv.Error) as exc:
             raise cls(f"{source}: {exc}") from exc
 
 
 class ConfigError(SpikeDseError):
-    """A JSON input (config, grid, constraints, constants, table, manifest) is bad."""
+    """An input file is bad: a JSON config, grid, constraints, constants, table
+    or manifest, or a DSE report CSV read back by parse_report."""
 
 
 class CheckpointError(SpikeDseError):

@@ -155,17 +155,22 @@ def parse_dat(data: bytes) -> EventSample:
 
     Raises:
         MalformedHeader (also for a side outside [1, 2**14] or a duration
-        below 1), TruncatedRecord, CoordinateOutOfRange, UnsortedEvents.
+        outside [1, 2**32]), TruncatedRecord, CoordinateOutOfRange,
+        UnsortedEvents.
     """
     fields, offset = _split_dat_header(data)
     width = fields.get("width", DEFAULT_SENSOR_WIDTH)
     height = fields.get("height", DEFAULT_SENSOR_HEIGHT)
     duration = fields.get("duration", DEFAULT_DURATION_US)
     lab = fields.get("label", 0)
-    if not (1 <= width <= _MAX_SIDE and 1 <= height <= _MAX_SIDE and duration >= 1):
+    if not (
+        1 <= width <= _MAX_SIDE
+        and 1 <= height <= _MAX_SIDE
+        and 1 <= duration <= _MAX_DURATION_US
+    ):
         raise MalformedHeader(
             f"header declares a {width}x{height} sensor and {duration} us; sides "
-            f"must be in [1, {_MAX_SIDE}] and the duration >= 1"
+            f"must be in [1, {_MAX_SIDE}] and the duration >= 1 and <= {_MAX_DURATION_US}"
         )
 
     body = data[offset:]

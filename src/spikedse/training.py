@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -402,9 +402,8 @@ def write_training_log(log: list[EpochStats], path: str | Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_acc", "test_acc", "loss"])
-        for row in log:
-            writer.writerow([row.epoch, row.train_acc, row.test_acc, row.loss])
+        writer.writerow(f.name for f in fields(EpochStats))
+        writer.writerows(map(astuple, log))
 
 
 def evaluate(

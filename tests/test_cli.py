@@ -727,6 +727,12 @@ BAD_INPUTS = {
         {"h.dat": "% duration 0\n"}, ["dataset", "inspect", "{tmp}/h.dat"],
         "and 0 us; sides must be in [1, 16384] and the duration >= 1",
     ),
+    "inspect header duration above 2**32": (
+        {"h.dat": "% duration 99999999999999999999999\n"},
+        ["dataset", "inspect", "{tmp}/h.dat"],
+        "and 99999999999999999999999 us; sides must be in [1, 16384] and the "
+        "duration >= 1 and <= 4294967296",
+    ),
     "dataset gen duration above 2**32": (
         {}, GEN + ["--duration", "5000000000"], "exceeds the 2**32 us",
     ),

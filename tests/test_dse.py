@@ -1,7 +1,13 @@
 """Grid enumeration, constraint filtering, Pareto front, selection, reports."""
 
+import hashlib
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spikedse as sd
 from spikedse.costs import CostReport, OpCount, default_constants, setting_tag
@@ -11,6 +17,7 @@ from spikedse.dse import (
     DseGrid,
     DsePoint,
     _dominates,
+    _objectives,
     emit_report,
     enumerate_grid,
     filter_constraints,
@@ -20,7 +27,7 @@ from spikedse.dse import (
     run_dse,
     select,
 )
-from spikedse.errors import EmptyAxis, MissingBaseline, NoFeasiblePoint
+from spikedse.errors import ConfigError, EmptyAxis, MissingBaseline, NoFeasiblePoint
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +228,82 @@ class TestParetoFront:
             assert not any(_dominates(q, p) for q in table_points)
 
 
+def reference_dominates(p, q):
+    """The dominance test as written before it read one objective tuple."""
+    ge_acc = p.accuracy >= q.accuracy
+    le_costs = (
+        p.cost.memory_bits <= q.cost.memory_bits
+        and p.cost.latency_units <= q.cost.latency_units
+        and p.cost.energy_units <= q.cost.energy_units
+    )
+    strict = (
+        p.accuracy > q.accuracy
+        or p.cost.memory_bits < q.cost.memory_bits
+        or p.cost.latency_units < q.cost.latency_units
+        or p.cost.energy_units < q.cost.energy_units
+    )
+    return ge_acc and le_costs and strict
+
+
+def reference_front(points):
+    """pareto_front as written before it read one objective tuple."""
+    ordered = sorted(points, key=lambda p: (
+        -p.accuracy, p.cost.memory_bits, p.cost.latency_units,
+        p.cost.energy_units, p.tag))
+    front = []
+    for candidate in ordered:
+        if not any(reference_dominates(kept, candidate) for kept in front):
+            front.append(candidate)
+    return front
+
+
+# few values per objective, so ties and equal points are common; -0.0 and
+# NaN check that the tuple form keeps the old relation on both
+small_float = st.sampled_from([0.0, -0.0, 1.0, 2.0, math.nan])
+
+
+@st.composite
+def small_point(draw):
+    cost = CostReport(
+        tag=f"p{draw(st.integers(0, 3))}", bits=32, timesteps=20, window=100,
+        memory_bits=draw(st.integers(0, 2)),
+        latency_units=draw(small_float),
+        energy_units=draw(small_float),
+        latency_ratio=1.0,
+        op_count=OpCount(0, 0),
+    )
+    return DsePoint(32, 20, 100, draw(small_float), cost)
+
+
+TIED = DsePoint(32, 20, 100, 0.0, CostReport("p", 32, 20, 100, 1, 1.0, 1.0, 1.0,
+                                              OpCount(0, 0)))
+
+
+class TestDominance:
+    @given(small_point(), small_point())
+    @example(TIED, replace(TIED))
+    @example(TIED, replace(TIED, accuracy=-0.0))
+    @example(TIED, replace(TIED, accuracy=math.nan))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_reference_relation(self, p, q):
+        assert _dominates(p, q) == reference_dominates(p, q)
+        assert _dominates(q, p) == reference_dominates(q, p)
+        assert not _dominates(p, p)
+
+    @given(st.lists(small_point(), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_front_matches_reference_front(self, points):
+        front = pareto_front(points)
+        assert [id(p) for p in front] == [id(p) for p in reference_front(points)]
+        undominated = [p for p in points
+                       if not any(reference_dominates(q, p) for q in points)]
+        assert {id(p) for p in undominated} <= {id(p) for p in front}
+        # a NaN objective defeats the accuracy-first sort; without one the
+        # scan keeps exactly the undominated points
+        if not any(math.isnan(v) for p in points for v in _objectives(p)):
+            assert {id(p) for p in front} == {id(p) for p in undominated}
+
+
 class TestSelect:
     def test_published_selection_at_8mb_quarter_latency(self, table_points):
         chosen = select(
@@ -274,6 +357,45 @@ class TestEmitReport:
             assert back.cost.latency_ratio == original.cost.latency_ratio
             assert back.cost.op_count.synaptic_ops == original.cost.op_count.synaptic_ops
             assert back.accuracy_source == original.accuracy_source
+
+    def test_every_column_round_trips(self, table_points, tmp_path):
+        results_path, _ = emit_report(table_points, tmp_path)
+        totals_only = [
+            replace(p, cost=replace(p.cost, op_count=OpCount(
+                p.cost.op_count.synaptic_ops, p.cost.op_count.neuron_ops)))
+            for p in table_points
+        ]
+        parsed = parse_report(results_path)
+        assert parsed == totals_only
+        assert repr(parsed) == repr(totals_only)  # ints read back as ints
+
+    def test_report_bytes_pinned(self, table_points, tmp_path):
+        """SHA-256 of the default grid's table-mode reports, recorded from the
+        writer that spelled every column out by hand."""
+        results_path, pareto_path = emit_report(table_points, tmp_path)
+        assert hashlib.sha256(results_path.read_bytes()).hexdigest() == (
+            "2bf9320f8f0e778b1ce2d1316eaa1e3ec5d95d1aa1b7783ac2ecf107f1b72f5d")
+        assert hashlib.sha256(pareto_path.read_bytes()).hexdigest() == (
+            "697b616bfdf707c586f3a3cf9a4e7344e4371c1b66f629b14976cb3128f7e15a")
+
+    @pytest.mark.parametrize("line, field, text, message", [
+        (0, 11, "neurons", "missing key 'neuron_ops'"),
+        (1, 14, None, "line 2: wrong number of fields"),
+        (1, 15, "1.0", "line 2: wrong number of fields"),
+        (2, 6, "x", "invalid literal for int() with base 10: 'x'"),
+        (1, 4, "ninety", "could not convert string to float: 'ninety'"),
+        (1, 0, "x" * 200_000, "field larger than field limit"),
+    ], ids=["missing column", "short row", "long row", "bad int", "bad float",
+            "oversized field"])
+    def test_malformed_report_is_config_error(self, table_points, tmp_path,
+                                              line, field, text, message):
+        results_path, _ = emit_report(table_points, tmp_path)
+        rows = [row.split(",") for row in results_path.read_text().splitlines()]
+        rows[line][field:field + 1] = [] if text is None else [text]
+        results_path.write_text("".join(",".join(row) + "\n" for row in rows))
+        with pytest.raises(ConfigError, match="^report .*dse_results.csv: ") as err:
+            parse_report(results_path)
+        assert message in str(err.value)
 
     def test_baseline_row_normalized_to_one(self, table_points, tmp_path):
         import csv

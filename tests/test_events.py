@@ -62,10 +62,10 @@ def reference_check(sample):
     """
     width, height = sample.sensor_width, sample.sensor_height
     duration = sample.duration_us
-    if not (1 <= width <= 2**14 and 1 <= height <= 2**14 and duration >= 1):
+    if not (1 <= width <= 2**14 and 1 <= height <= 2**14 and 1 <= duration <= 2**32):
         raise MalformedHeader(
             f"header declares a {width}x{height} sensor and {duration} us; sides "
-            f"must be in [1, {2**14}] and the duration >= 1"
+            f"must be in [1, {2**14}] and the duration >= 1 and <= {2**32}"
         )
     if sample.n_events == 0:
         return
@@ -153,6 +153,7 @@ class TestParseDat:
     @pytest.mark.parametrize("line", [
         b"% width -3\n", b"% width 0\n", b"% width 16385\n", b"% height 0\n",
         b"% height 16385\n", b"% duration 0\n", b"% duration -1\n",
+        b"% duration 4294967297\n", b"% duration 99999999999999999999999\n",
     ])
     def test_geometry_outside_the_record_fields_is_malformed(self, line):
         for body in (b"", pack_record(0, 0, 0, 0)):
@@ -165,6 +166,13 @@ class TestParseDat:
         assert (sample.sensor_width, sample.sensor_height, sample.duration_us) == (
             16384, 16384, 1)
         assert_same_events(sample, make_sample([(0, 16383, 16383, 1)]))
+
+    def test_longest_duration_parses(self):
+        sample = sd.parse_dat(b"% duration 4294967296\n" + pack_record(2**32 - 1, 0, 0, 0))
+        assert sample.duration_us == 2**32
+        assert_same_events(sample, make_sample([(2**32 - 1, 0, 0, 0)]))
+        frames = sd.encode_sample(sample, window_size=1, timesteps=4)
+        assert frames.data.sum() == 1 and frames.data[3, 0, 0, 0] == 1
 
     def test_unknown_header_lines_are_comments(self):
         blob = b"% recorded somewhere\n" + HEADER + pack_record(10, 2, 3, 0)
