@@ -129,7 +129,12 @@ def enumerate_grid(grid: DseGrid) -> list[tuple[int, int, int]]:
 
 
 def load_accuracy_table(path: str | Path | None = None) -> dict[str, float]:
-    """Tag -> accuracy fractions; defaults to the bundled NCARS reference."""
+    """Tag -> accuracy fractions; defaults to the bundled NCARS reference.
+
+    Raises:
+        ConfigError: if the file is not a JSON object of numbers, or an
+            accuracy is NaN or outside [0, 1].
+    """
     if path is None:
         text = (
             resources.files("spikedse").joinpath("data/ncars_accuracy.json").read_text()
@@ -137,7 +142,11 @@ def load_accuracy_table(path: str | Path | None = None) -> dict[str, float]:
     else:
         text = Path(path).read_text()
     with ConfigError.guard(f"accuracy table {path}"):
-        return {tag: float(acc) for tag, acc in dict(json.loads(text)).items()}
+        table = {tag: float(acc) for tag, acc in dict(json.loads(text)).items()}
+    bad = {tag: acc for tag, acc in table.items() if not 0.0 <= acc <= 1.0}
+    if bad:
+        raise ConfigError(f"accuracy table {path}: accuracies must be in [0, 1], got {bad}")
+    return table
 
 
 def run_dse(

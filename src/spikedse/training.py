@@ -19,7 +19,9 @@ per layer, then one GEMM each for dW and dx (for a conv, one each per
 im2col row block). `evaluate` simulates a split in chunks whose size
 follows from a byte budget. Optimization is minibatch SGD with momentum
 and a fixed seeded shuffle schedule, so results are bit-identical across
-reruns.
+reruns. An epoch's training accuracy is counted from the output spikes of
+its minibatch forwards, so the training split is never simulated a second
+time; only the test split is evaluated after each epoch.
 """
 
 from __future__ import annotations
@@ -91,7 +93,8 @@ class TrainConfig:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         for name, low in (("epochs", 0), ("seed", 0), ("batch_size", 1),
-                          ("timesteps", 1), ("window", 1)):
+                          ("timesteps", 1), ("window", 1), ("lr_decay_epoch", 0),
+                          ("checkpoint_every", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
 
@@ -292,16 +295,37 @@ def batch_backward(
     spike_mode: SpikeMode = "hard",
 ) -> tuple[GradientSet, float]:
     """Mean (gradients, loss) over a minibatch, simulated as one batch."""
+    grads, loss_value, _ = _batch_step(
+        net, weights, batch, surrogate=surrogate, spike_mode=spike_mode
+    )
+    return grads, loss_value
+
+
+def _batch_step(
+    net: NetworkSpec,
+    weights: WeightSet,
+    batch: list[tuple[SpikeFrames, int]],
+    *,
+    surrogate: SurrogateParams | None = None,
+    spike_mode: SpikeMode = "hard",
+) -> tuple[GradientSet, float, int]:
+    """(mean gradients, mean loss, correct decodes) of one recorded
+    `simulate` of the minibatch; decodes break ties as `evaluate` does."""
     surrogate = surrogate or SurrogateParams()
+    frames = [frames for frames, _ in batch]
+    labels = [label for _, label in batch]
     result = simulate(
         net,
         weights,
-        [frames for frames, _ in batch],
+        frames,
         record=True,
         spike_mode=spike_mode,
         surrogate_half_width=surrogate.half_width,
     )
-    return _gradients(net, weights, result, [label for _, label in batch], surrogate)
+    T = frames[0].timesteps
+    hits = sum(decode(c, T)[0] == label for c, label in zip(result.counts, labels))
+    grads, loss_value = _gradients(net, weights, result, labels, surrogate)
+    return grads, loss_value, hits
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +370,14 @@ def train(
 
     Returns the trained weights and the per-epoch accuracy/loss log, also
     written as "epoch,train_acc,test_acc,loss" CSV when log_path is given.
-    workers is accepted for compatibility and does not change anything:
-    each minibatch runs as one batched simulation.
+    train_acc is the running accuracy over the epoch's minibatches: each
+    minibatch is decoded from the forward pass of its gradient step, with
+    the weights it saw before that step. Logs written before this counting
+    held train_acc of the end-of-epoch weights over the whole training
+    split, so the two are not comparable. test_acc is one `evaluate` of the
+    end-of-epoch weights over test_data (NaN without it); loss is the mean
+    minibatch loss. workers is accepted for compatibility and does not
+    change anything: each minibatch runs as one batched simulation.
     """
     if not data:
         raise EmptyDataset("training split is empty")
@@ -365,17 +395,19 @@ def train(
             lr *= config.lr_decay_factor
         order = rng.permutation(len(data))
         loss_sum = 0.0
+        hits = 0
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
             batch = [data[j] for j in order[start : start + config.batch_size]]
-            grads, batch_loss = batch_backward(net, weights, batch)
+            grads, batch_loss, batch_hits = _batch_step(net, weights, batch)
             _sgd_step(weights, grads, velocity, lr, config.momentum)
             loss_sum += batch_loss
+            hits += batch_hits
             n_batches += 1
 
         stats = EpochStats(
             epoch=epoch,
-            train_acc=evaluate(net, weights, data),
+            train_acc=hits / len(data),
             test_acc=evaluate(net, weights, test_data) if test_data else float("nan"),
             loss=loss_sum / n_batches,
         )

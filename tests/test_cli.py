@@ -277,6 +277,19 @@ class TestDseCommand:
         assert selection["selected"]["tag"] == "10b_5t_100w"
         assert (out / "run.json").exists()
 
+    def test_accuracy_table_outside_unit_interval_is_domain_error(self, tmp_path, capsys):
+        table = {**sd.load_accuracy_table(), "32b_20t_100w": float("nan"),
+                 "10b_5t_50w": 1.7}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table))
+        out = tmp_path / "out"
+        assert main(["dse", "--accuracy-table", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "accuracies must be in [0, 1]" in err
+        assert "Traceback" not in err
+        assert not (out / "dse_results.csv").exists()
+
     def test_reruns_byte_identical(self, tmp_path, capsys):
         args = ["dse", "--constraints", '{"max_memory_mb": 1, "max_latency_ratio": 0.25}']
         o1, o2 = tmp_path / "a", tmp_path / "b"
@@ -597,6 +610,18 @@ BAD_INPUTS = {
         {"table.json": "{'32b_20t_100w': 0.9}"},
         ["dse", "--accuracy-table", "{tmp}/table.json", "--out", "{tmp}/out"],
         "accuracy table",
+    ),
+    "train checkpoint_every negative": (
+        {"train.json": '{"epochs": 1, "seed": 0, "checkpoint_every": -2, '
+                       '"data": {"synthetic": {"per_class": 2}}}'},
+        TRAIN,
+        "checkpoint_every must be >= 0",
+    ),
+    "train lr_decay_epoch negative": (
+        {"train.json": '{"epochs": 1, "seed": 0, "lr_decay_epoch": -5, '
+                       '"data": {"synthetic": {"per_class": 2}}}'},
+        TRAIN,
+        "lr_decay_epoch must be >= 0",
     ),
     "unknown window_mode": (
         {"train.json": '{"epochs": 1, "seed": 0, '

@@ -1,6 +1,7 @@
 """Grid enumeration, constraint filtering, Pareto front, selection, reports."""
 
 import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -99,6 +100,20 @@ class TestRunDse:
         again = run_dse(None, None, DseGrid(), default_constants(),
                         accuracy_table=load_accuracy_table())
         assert again == table_points
+
+    @pytest.mark.parametrize("bad", [float("nan"), 1.7, -0.1, float("inf")])
+    def test_accuracy_table_outside_unit_interval_raises(self, tmp_path, bad):
+        table = {**load_accuracy_table(), "10b_5t_50w": bad}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table))
+        with pytest.raises(ConfigError, match=r"accuracies must be in \[0, 1\]"):
+            load_accuracy_table(path)
+
+    def test_accuracy_table_accepts_zero_and_one(self, tmp_path):
+        table = {**load_accuracy_table(), "10b_5t_50w": 0.0, "32b_20t_100w": 1}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table))
+        assert load_accuracy_table(path) == table
 
     def test_live_mode_needs_baselines(self):
         grid = DseGrid(bits=(32,), timesteps=(5,), windows=(50,))

@@ -5,7 +5,7 @@ import pytest
 
 import spikedse as sd
 from spikedse import training
-from spikedse.errors import EmptyDataset, ShapeMismatch
+from spikedse.errors import ConfigError, EmptyDataset, ShapeMismatch
 from spikedse.events import SpikeFrames
 from spikedse.network import (
     LayerSpec,
@@ -392,6 +392,111 @@ class TestTrain:
         assert len(lines) == 1 + len(log)
 
 
+def reference_train(net, data, config, test_data, checkpoint_dir):
+    """The loop before train_acc came from the minibatch forwards.
+
+    Returns its weights and log (train_acc from one `evaluate` over the
+    training split after every epoch), writing a checkpoint every epoch,
+    plus each epoch's running minibatch accuracy: `evaluate` of every
+    minibatch with the weights before its step, weighted by batch size.
+    """
+    weights = sd.init_weights(net, config.seed)
+    velocity = GradientSet.zeros_like(weights)
+    rng = np.random.default_rng(config.seed)
+    log, running = [], []
+    for epoch in range(config.epochs):
+        lr = config.learning_rate
+        if epoch >= config.lr_decay_epoch:
+            lr *= config.lr_decay_factor
+        order = rng.permutation(len(data))
+        loss_sum, n_batches, correct = 0.0, 0, 0.0
+        for start in range(0, len(order), config.batch_size):
+            batch = [data[j] for j in order[start : start + config.batch_size]]
+            correct += evaluate(net, weights, batch) * len(batch)
+            grads, batch_loss = batch_backward(net, weights, batch)
+            _sgd_step(weights, grads, velocity, lr, config.momentum)
+            loss_sum += batch_loss
+            n_batches += 1
+        log.append(training.EpochStats(
+            epoch=epoch,
+            train_acc=evaluate(net, weights, data),
+            test_acc=evaluate(net, weights, test_data),
+            loss=loss_sum / n_batches,
+        ))
+        running.append(correct / len(data))
+        sd.save_checkpoint(
+            checkpoint_dir / f"epoch_{epoch:04d}.ckpt", net, weights, seed=config.seed
+        )
+    return weights, log, running
+
+
+class TestTrainAccuracyFromMinibatches:
+    """train_acc is counted from the recorded minibatch forwards; everything
+    else matches the loop that re-evaluated the training split."""
+
+    # 20 training samples in batches of 8, 8 and a partial 4
+    CONFIG = TrainConfig(
+        epochs=3, batch_size=8, seed=11, timesteps=5, window=50, checkpoint_every=1
+    )
+
+    @pytest.fixture(scope="class")
+    def runs(self, small_data, tmp_path_factory):
+        train_data, test_data = small_data
+        assert len(train_data) % self.CONFIG.batch_size == 4
+        net = sd.build_network(50)
+        new_dir = tmp_path_factory.mktemp("new")
+        old_dir = tmp_path_factory.mktemp("old")
+        new = train(net, train_data, self.CONFIG, test_data=test_data,
+                    checkpoint_dir=new_dir)
+        old = reference_train(net, train_data, self.CONFIG, test_data, old_dir)
+        return new, old, new_dir, old_dir
+
+    def test_weights_checkpoints_test_acc_and_loss_are_identical(self, runs):
+        (weights, log), (ref_weights, ref_log, _), new_dir, old_dir = runs
+        for a, b in zip(weights.param_arrays(), ref_weights.param_arrays(), strict=True):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+        assert [(s.epoch, s.test_acc, s.loss) for s in log] == [
+            (s.epoch, s.test_acc, s.loss) for s in ref_log
+        ]
+        names = sorted(p.name for p in old_dir.iterdir())
+        assert names == [f"epoch_{e:04d}.ckpt" for e in range(self.CONFIG.epochs)]
+        assert sorted(p.name for p in new_dir.iterdir()) == names
+        for name in names:
+            assert (new_dir / name).read_bytes() == (old_dir / name).read_bytes()
+
+    def test_train_acc_is_running_minibatch_accuracy(self, runs):
+        (_, log), (_, ref_log, running), _, _ = runs
+        assert len(log) == len(running) == self.CONFIG.epochs
+        for stats, expected in zip(log, running):
+            assert stats.train_acc == pytest.approx(expected, abs=1e-12)
+        # the two meanings of train_acc differ on this run
+        assert running != [s.train_acc for s in ref_log]
+
+    @pytest.mark.parametrize("with_test_data", [True, False])
+    def test_evaluate_runs_only_on_the_test_split(self, small_data, monkeypatch,
+                                                  with_test_data):
+        train_data, test_data = small_data
+        seen = []
+        real = training.evaluate
+
+        def spy(net, weights, data, **kwargs):
+            seen.append(data)
+            return real(net, weights, data, **kwargs)
+
+        monkeypatch.setattr(training, "evaluate", spy)
+        config = TrainConfig(epochs=2, batch_size=8, seed=4, timesteps=5, window=50)
+        _, log = train(sd.build_network(50), train_data, config,
+                       test_data=test_data if with_test_data else None)
+        assert len(log) == 2
+        if with_test_data:
+            assert len(seen) == 2
+            assert all(data is test_data for data in seen)
+        else:
+            assert seen == []
+            assert all(np.isnan(s.test_acc) for s in log)
+
+
 class TestTrainConfig:
     def test_from_dict_reads_every_field(self):
         raw = {
@@ -405,6 +510,14 @@ class TestTrainConfig:
         raw = {"epochs": 1, "seed": 2, "data": {}, "strict": True}
         config = TrainConfig.from_dict(raw)
         assert config == TrainConfig(epochs=1, seed=2)
+
+    @pytest.mark.parametrize("name", ["checkpoint_every", "lr_decay_epoch"])
+    def test_negative_epoch_counts_are_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            TrainConfig(epochs=1, **{name: -2})
+        with pytest.raises(ConfigError, match=f"{name} must be >= 0"):
+            TrainConfig.from_dict({"epochs": 1, "seed": 0, name: -5})
+        assert getattr(TrainConfig(epochs=1, **{name: 0}), name) == 0
 
 
 class TestEvaluate:
