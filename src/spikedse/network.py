@@ -23,6 +23,15 @@ No layer has a recurrent synapse, so `simulate` computes each layer's
 synaptic current for all timesteps and samples of a batch at once and only
 scans the LIF update over time. Spikes stay strictly binary (boolean
 arrays); a forward pass is a pure function of (weights, frames, params).
+
+A conv has two kernels: a dense im2col GEMM, and an event-driven one that
+reads only the non-zero input pixels and scatters them through the k x k
+taps. `simulate` picks the event-driven one per conv layer and batch when
+its result is provably the dense one's (hard spikes, an input and ptq
+weights on 2^-n grids whose sums fit the float64 mantissa, see
+`_exact_map`) and the input is sparse enough for it to pay
+(`_active_pixels`). Full-precision weights, fc layers and the backward
+pass always run dense.
 """
 
 from __future__ import annotations
@@ -164,7 +173,9 @@ class WeightSet:
     """Real-valued parameters aligned with NetworkSpec.layers (None = pool).
 
     quant carries optional provenance set by the quantizer (bits, rounding,
-    per-layer fractional bits); it never affects arithmetic here.
+    per-layer fractional bits). Its frac_bits select a kernel, never a
+    value: `simulate` runs a conv event-driven only where the arrays
+    themselves prove the result equal to the dense one.
     """
 
     layers: list[LayerWeights | None]
@@ -239,7 +250,8 @@ def init_weights(spec: NetworkSpec, seed: int) -> WeightSet:
 # The engine works on channels-last tensors whose leading axis holds all
 # T*B (timestep, sample) rows, timestep-major, so each synaptic map is one
 # GEMM over every row at once. A conv is one im2col GEMM over its valid
-# (strided) output positions, built in row blocks.
+# (strided) output positions, built in row blocks, or on sparse input that
+# is summed exactly, one scatter of its non-zero pixels per tap.
 # ---------------------------------------------------------------------------
 
 # Row blocks of a conv's im2col columns: bounds the columns built at once
@@ -248,6 +260,18 @@ _BLOCK_BYTES = 1 << 20
 # Batched evaluation simulates as many samples at once as keep T x the
 # largest per-sample layer output (float64) under this.
 _BATCH_BYTES = 8 << 20
+# The event-driven conv pays per non-zero input pixel, the dense one per
+# output window: per tap and output channel, C MACs for dense and C MACs
+# plus one scattered add for events. A scattered add costs about as much as
+# _SCATTER_COST dense MACs, so events run while the share of non-zero
+# pixels is below C / (C + _SCATTER_COST): 0.25 for the reference conv2
+# (C = 32), where it was measured to cross near 0.25-0.3, and 0.02 for
+# conv1 (C = 2), measured at 0.03-0.04.
+_SCATTER_COST = 96
+# Largest value of the activation dtypes that hold exact integers (binary
+# frames, hard spikes): `_pool` sums them in integers, `simulate` tracks
+# their grid.
+_DTYPE_MAX = {np.dtype(bool): 1, np.dtype(np.uint8): 255}
 
 
 def _conv_size(size: int, kernel: int, padding: int, stride: int) -> int:
@@ -269,8 +293,8 @@ def _pool(x: np.ndarray, kernel: int) -> np.ndarray:
     n, h, w, c = x.shape
     h2, w2 = h // kernel, w // kernel
     acc = np.dtype(float)
-    if x.dtype == bool or x.dtype == np.uint8:
-        acc = np.min_scalar_type(kernel * kernel * (1 if x.dtype == bool else 255))
+    if x.dtype in _DTYPE_MAX:
+        acc = np.min_scalar_type(kernel * kernel * _DTYPE_MAX[x.dtype])
     rows = np.zeros_like(x[:, :h2, : w2 * kernel], dtype=acc)
     for u in range(kernel):
         rows += x[:, u : h2 * kernel : kernel, : w2 * kernel]
@@ -327,17 +351,31 @@ def _weight_matrix(weight: np.ndarray) -> np.ndarray:
 
 
 def _conv(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: int, stride: int
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: np.ndarray,
+    padding: int,
+    stride: int,
+    *,
+    exact: bool = False,
 ) -> np.ndarray:
     """Cross-correlation of channels-last (N, H, W, C) input with (O, C, k, k).
 
-    Returns the (N, Ho, Wo, O) output: per row block, one GEMM of the
-    im2col columns of the valid (strided) output positions against the
-    (k*k*C, O) weight matrix.
+    Returns the (N, Ho, Wo, O) output. The dense kernel makes, per row
+    block, one GEMM of the im2col columns of the valid (strided) output
+    positions against the (k*k*C, O) weight matrix. exact=True says the
+    caller proved every partial sum exact in float64 (see `simulate`);
+    then a stride-1 conv whose input is sparse enough (`_active_pixels`)
+    runs the event-driven `_conv_events` instead, which gives the same
+    values in another summation order.
     """
     o, c, kernel, _ = weight.shape
     if x.shape[3] != c:
         raise ShapeMismatch(f"conv expects {c} input channels, got {x.shape[3]}")
+    if exact and stride == 1:
+        pixels = _active_pixels(x)
+        if pixels is not None:
+            return _conv_events(x, weight, bias, padding, pixels)
     wm = _weight_matrix(weight)
     ho, wo = (_conv_size(size, kernel, padding, stride) for size in x.shape[1:3])
     out = np.empty((x.shape[0], ho, wo, o))
@@ -345,6 +383,59 @@ def _conv(
         np.matmul(cols.reshape(-1, wm.shape[0]), wm, out=out[lo:hi].reshape(-1, o))
     out += bias
     return out
+
+
+def _active_pixels(x: np.ndarray) -> np.ndarray | None:
+    """Flat indices of the (N, H, W) pixels of x with a non-zero channel,
+    or None when they are C / (C + _SCATTER_COST) or more of all pixels.
+
+    One count_nonzero rejects inputs too dense even with every non-zero
+    value packed into as few pixels as possible, before any per-pixel scan.
+    """
+    c = x.shape[3]
+    n_pixels = x.size // c
+    limit = n_pixels * c / (c + _SCATTER_COST)
+    nonzero = np.count_nonzero(x)
+    if nonzero >= limit * c:
+        return None
+    if not nonzero:
+        return np.empty(0, np.intp)
+    pixels = np.flatnonzero(x.reshape(n_pixels, c).any(axis=1))
+    return pixels if pixels.size < limit else None
+
+
+def _conv_events(
+    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: int,
+    pixels: np.ndarray,
+) -> np.ndarray:
+    """Stride-1 `_conv` that reads only the listed non-zero input pixels.
+
+    The output starts as the bias. Per tap, the (P, C) rows of the active
+    pixels whose output lies inside the map meet the tap's (C, O) weights
+    in one GEMM, and the products are added into those outputs. Within one
+    tap the pixels hit distinct outputs, so a fancy-index += is a
+    scatter-add. (One (P, C) @ (C, k*k*O) GEMM for all taps needs a k*k
+    times larger product buffer, which measured slower: fresh pages.)
+    """
+    n, h, w, c = x.shape
+    o, _, kernel, _ = weight.shape
+    ho, wo = h + 2 * padding - kernel + 1, w + 2 * padding - kernel + 1
+    out = np.empty((n * ho * wo, o))
+    out[:] = bias
+    active = x.reshape(-1, c)[pixels].astype(float, copy=False)
+    taps = weight.transpose(2, 3, 1, 0)  # (k, k, C, O)
+    sample, rest = np.divmod(pixels, h * w)
+    row, col = np.divmod(rest, w)
+    base = sample * (ho * wo)
+    for u in range(kernel):
+        out_row = row + (padding - u)
+        row_ok = (out_row >= 0) & (out_row < ho)
+        row_base = base + out_row * wo
+        for v in range(kernel):
+            out_col = col + (padding - v)
+            ok = row_ok & (out_col >= 0) & (out_col < wo)
+            out[(row_base + out_col)[ok]] += active[ok] @ taps[u, v]
+    return out.reshape(n, ho, wo, o)
 
 
 def _conv_backward(
@@ -388,6 +479,34 @@ def _conv_backward(
         d_wm.reshape(kernel, kernel, c, o).transpose(3, 2, 0, 1)
     )
     return d_weight, grad.reshape(-1, o).sum(axis=0), d_x
+
+
+def _grid_codes(arr: np.ndarray, frac_bits: int) -> np.ndarray | None:
+    """arr as integer codes on the 2^-frac_bits grid, or None if any value
+    lies off it. Scaling by a power of two is exact, so the test is."""
+    codes = arr * 2.0**frac_bits
+    return codes if np.array_equal(codes, np.round(codes)) else None
+
+
+def _exact_map(lw: LayerWeights, frac_bits, grid: tuple[int, int] | None) -> bool:
+    """True if every partial sum of a layer's synaptic map is exact in float64.
+
+    frac_bits is the layer's entry in a quant record (anything else is not
+    trusted), grid is (g, m) when the input is on the 2^-g grid with
+    |x| <= m. The weight and bias arrays themselves must be on the
+    2^-frac_bits grid; then every product and partial sum is an integer
+    multiple of 2^-(frac_bits + g), and all of them are exact in any order
+    while the largest possible |sum|, bias included, stays below 2^53.
+    """
+    if grid is None or not (isinstance(frac_bits, numbers.Integral)
+                            and 0 <= frac_bits < 64):
+        return False
+    w, b = _grid_codes(lw.weight, frac_bits), _grid_codes(lw.bias, frac_bits)
+    if w is None or b is None:
+        return False
+    g, x_max = grid
+    bound = np.abs(w).reshape(len(w), -1).sum(axis=1) * (x_max << g) + np.abs(b) * 2**g
+    return float(bound.max()) < 2.0**53
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +596,8 @@ def simulate(
 
     Each spiking layer computes its synaptic current for all T*B rows in
     one pass, then scans the LIF recurrence over T. All samples must share
-    T and the network's window.
+    T and the network's window. A conv runs event-driven where that is
+    exact and pays (see the module doc); the values are the same either way.
     """
     timesteps = {f.timesteps for f in frames}
     if len(timesteps) != 1:
@@ -495,14 +615,27 @@ def simulate(
     x = np.stack([f.data for f in frames], axis=1).transpose(0, 1, 3, 4, 2)
     x = x.reshape((n,) + x.shape[2:])
     trace: list[LayerTrace | None] | None = [None] * len(net.layers) if record else None
+    hard = spike_mode == "hard"
+    frac_bits = (weights.quant or {}).get("frac_bits")
+    if not isinstance(frac_bits, list) or len(frac_bits) != len(net.layers):
+        frac_bits = [None] * len(net.layers)
+    # (g, m) while x is on the 2^-g grid with |x| <= m: integer frames, hard
+    # spikes, and their averages over power-of-two pools
+    grid = (0, _DTYPE_MAX[x.dtype]) if x.dtype in _DTYPE_MAX else None
 
     for i, layer in enumerate(net.layers):
         if layer.kind == "avg_pool":
             x = _pool(x, layer.kernel)
+            area = layer.kernel**2
+            if grid is not None and area & (area - 1) == 0:  # a power of two
+                grid = (grid[0] + area.bit_length() - 1, grid[1])
+            else:
+                grid = None
             continue
         lw = weights.layers[i]
         if layer.kind == "conv":
-            v = _conv(x, lw.weight, lw.bias, layer.padding, layer.stride)
+            exact = hard and _exact_map(lw, frac_bits[i], grid)
+            v = _conv(x, lw.weight, lw.bias, layer.padding, layer.stride, exact=exact)
         else:
             if x.ndim == 4:  # the weights flatten (C, H, W)
                 x = x.transpose(0, 3, 1, 2)
@@ -525,6 +658,7 @@ def simulate(
                 spikes=spikes,
             )
         x = spikes.reshape((n,) + spikes.shape[2:])
+        grid = (0, 1) if hard else None
     counts = x.reshape(T, B, -1).sum(axis=0, dtype=float)
     return ForwardResult(counts=counts, trace=trace)
 

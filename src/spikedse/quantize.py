@@ -26,7 +26,7 @@ from typing import Literal
 
 import numpy as np
 
-from .network import NetworkSpec, WeightSet
+from .network import NetworkSpec, WeightSet, _grid_codes
 
 Rounding = Literal["TR", "RN", "SR"]
 
@@ -178,7 +178,8 @@ def grid_aligned(weights: WeightSet, config: QuantConfig) -> bool:
     The frac_bits come only from the quant block ptq attaches (rounding can
     shift a layer's max magnitude across a power of two, so recomputing the
     format from quantized values is not always faithful); weights without
-    one are not aligned. Scaling by 2^frac_bits is exact, so the check is.
+    one are not aligned. The per-array test is `network._grid_codes`, the
+    one `simulate` uses to choose its conv kernel.
     """
     quant = weights.quant or {}
     if quant.get("bits") != config.bits:
@@ -187,7 +188,6 @@ def grid_aligned(weights: WeightSet, config: QuantConfig) -> bool:
         if lw is None:
             continue
         for arr in (lw.weight, lw.bias):
-            scaled = arr * 2.0**frac_bits
-            if not np.array_equal(scaled, np.round(scaled)):
+            if _grid_codes(arr, frac_bits) is None:
                 return False
     return True

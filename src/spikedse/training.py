@@ -92,6 +92,13 @@ class TrainConfig:
                 raise TypeError(f"{name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.learning_rate < 0:
+            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate!r}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum!r}")
+        if self.lr_decay_factor < 0:
+            raise ValueError(
+                f"lr_decay_factor must be >= 0, got {self.lr_decay_factor!r}")
         for name, low in (("epochs", 0), ("seed", 0), ("batch_size", 1),
                           ("timesteps", 1), ("window", 1), ("lr_decay_epoch", 0),
                           ("checkpoint_every", 0)):

@@ -712,6 +712,24 @@ BAD_INPUTS = {
         TRAIN,
         "lr_decay_factor must be finite",
     ),
+    "train learning_rate negative": (
+        {"train.json": '{"epochs": 1, "seed": 0, "learning_rate": -0.1, '
+                       '"data": {"synthetic": {"per_class": 2}}}'},
+        TRAIN,
+        "learning_rate must be >= 0, got -0.1",
+    ),
+    "train momentum 1.5": (
+        {"train.json": '{"epochs": 1, "seed": 0, "momentum": 1.5, '
+                       '"data": {"synthetic": {"per_class": 2}}}'},
+        TRAIN,
+        "momentum must be in [0, 1), got 1.5",
+    ),
+    "train lr_decay_factor negative": (
+        {"train.json": '{"epochs": 1, "seed": 0, "lr_decay_factor": -1.0, '
+                       '"data": {"synthetic": {"per_class": 2}}}'},
+        TRAIN,
+        "lr_decay_factor must be >= 0, got -1.0",
+    ),
     "live train config learning_rate NaN": (
         {"grid.json": '{"bits": [10], "timesteps": [5], "windows": [50]}',
          "train.json": '{"epochs": 1, "seed": 0, "learning_rate": NaN, '

@@ -394,6 +394,8 @@ class TestConvKernels:
         n, o = 3, 4
         if on_grid:  # 2^-n grids: every partial sum is exact in float64
             x = rng.integers(0, 17, (n, h, w, c)) / 16
+            if on_grid == "sparse":  # about a fifth of the pixels non-zero
+                x *= rng.random((n, h, w, 1)) < 0.2
             weight = rng.integers(-64, 65, (o, c, 3, 3)) / 64
             bias = rng.integers(-8, 9, o) / 8
         else:
@@ -413,17 +415,27 @@ class TestConvKernels:
             )
 
     @pytest.mark.parametrize("split", [False, True])
-    @pytest.mark.parametrize("on_grid", [True, False])
+    @pytest.mark.parametrize("on_grid", [True, False, "sparse"])
     @pytest.mark.parametrize("c,stride,pad,h,w", SHAPES)
     def test_forward_and_backward_match_loops(
         self, monkeypatch, c, stride, pad, h, w, on_grid, split
     ):
+        """on_grid="sparse" runs the forward as an exactly summed conv with
+        no density limit, so every stride-1 shape takes `_conv_events`."""
         if split:  # row blocks of two samples: the third one is a partial block
             ho, wo = (h + 2 * pad - 3) // stride + 1, (w + 2 * pad - 3) // stride + 1
             monkeypatch.setattr(network, "_BLOCK_BYTES", 2 * ho * wo * 9 * c * 8)
         rng = np.random.default_rng(c * 100 + h * 10 + w)
         x, weight, bias = self.operands(rng, c, h, w, on_grid)
-        out = network._conv(x, weight, bias, pad, stride)
+        sparse = on_grid == "sparse"
+        calls = []
+        if sparse:
+            monkeypatch.setattr(network, "_SCATTER_COST", 0)
+            kernel = network._conv_events
+            monkeypatch.setattr(network, "_conv_events",
+                                lambda *args: calls.append(1) or kernel(*args))
+        out = network._conv(x, weight, bias, pad, stride, exact=sparse)
+        assert len(calls) == (sparse and stride == 1)
         self.check(out, direct_conv(x, weight, bias, pad, stride), on_grid)
 
         if on_grid:
@@ -604,6 +616,111 @@ class TestEngineEquivalence:
         single = np.array([forward(net, weights, frames).counts for frames, _ in data])
         assert batched.sum() > 0
         assert np.array_equal(batched, single)
+
+
+def sparse_quantized_net(window, bits):
+    """A ptq net whose layers all fire on ATIS-geometry recordings while
+    only 9-17 % of conv2's input pixels are non-zero (conv1's: about half)."""
+    net = sd.build_network(window)
+    weights = active_weights(net, 2, 1.5)
+    for i in (5, 6):  # keeps the 4-bit fc weights off zero
+        weights.layers[i].weight *= 2.0
+    return net, sd.ptq(weights, sd.QuantConfig(bits=bits, rounding="RN"))
+
+
+class TestEventDrivenConv:
+    """`simulate`'s event-driven conv against its dense im2col conv: on a
+    2^-n grid whose sums fit the mantissa both are exact, so equal."""
+
+    @pytest.fixture(scope="class")
+    def recordings(self):
+        samples, _ = sd.make_synthetic_dataset(
+            per_class=2, seed=2, test_fraction=0.0,
+            sensor_width=sd.events.DEFAULT_SENSOR_WIDTH,
+            sensor_height=sd.events.DEFAULT_SENSOR_HEIGHT,
+        )
+        return samples
+
+    @staticmethod
+    def run(monkeypatch, net, weights, frames, **kwargs):
+        """Recorded `simulate` twice: as is, and with every conv dense.
+        Returns both results and the layers that ran `_conv_events`."""
+        event_layers = []
+        kernel = network._conv_events
+        index = {id(lw.weight): i for i, lw in enumerate(weights.layers) if lw is not None}
+
+        def spy(x, weight, *args):
+            event_layers.append(index[id(weight)])
+            return kernel(x, weight, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(network, "_conv_events", spy)
+            result = simulate(net, weights, frames, record=True, **kwargs)
+            patch.setattr(network, "_active_pixels", lambda x: None)
+            dense = simulate(net, weights, frames, record=True, **kwargs)
+        return result, dense, event_layers
+
+    @staticmethod
+    def assert_equal(result, dense):
+        assert np.array_equal(result.counts, dense.counts)
+        for got, want in zip(result.trace, dense.trace, strict=True):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.array_equal(got.potentials, want.potentials)
+                assert np.array_equal(got.spikes, want.spikes)
+
+    @pytest.mark.parametrize("bits", [4, 10, 16, 32])
+    @pytest.mark.parametrize("window", [50, 100])
+    def test_quantized_conv2_is_event_driven_and_equal(
+        self, monkeypatch, recordings, window, bits
+    ):
+        net, weights = sparse_quantized_net(window, bits)
+        frames = [f for f, _ in sd.encode_dataset(recordings, window, 10)]
+        result, dense, event_layers = self.run(monkeypatch, net, weights, frames)
+        assert event_layers == [3]  # conv2; conv1's input is too dense
+        assert all(tr.spikes.any() for tr in result.trace if tr is not None)
+        self.assert_equal(result, dense)
+
+    @pytest.mark.parametrize("case", ["off grid", "relaxed", "no quant"])
+    def test_inexact_layers_stay_dense(self, monkeypatch, recordings, case):
+        net, weights = sparse_quantized_net(50, 10)
+        kwargs = {}
+        if case == "off grid":  # the quant record stays, the array moves
+            weights.layers[3].weight[0, 0, 0, 0] += 2.0**-40
+        elif case == "relaxed":
+            kwargs["spike_mode"] = "relaxed"
+        else:
+            weights.quant = None
+        frames = [f for f, _ in sd.encode_dataset(recordings, 50, 10)]
+        result, dense, event_layers = self.run(
+            monkeypatch, net, weights, frames, **kwargs)
+        assert event_layers == []
+        self.assert_equal(result, dense)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_only_stride_one_convs_are_event_driven(self, monkeypatch, stride):
+        net = NetworkSpec(
+            layers=(
+                LayerSpec("conv", 2, 4, kernel=3, padding=1, stride=stride),
+                LayerSpec("fully_connected", 4 * (8 // stride) ** 2, 2),
+            ),
+            input_window=8,
+        )
+        weights = sd.ptq(active_weights(net, 3, 4.0), sd.QuantConfig(bits=8))
+        rng = np.random.default_rng(stride)
+        frames = [random_frames(rng, 50, 8, density=0.002) for _ in range(4)]
+        result, dense, event_layers = self.run(monkeypatch, net, weights, frames)
+        assert event_layers == ([0] if stride == 1 else [])
+        assert result.trace[0].spikes.any()
+        self.assert_equal(result, dense)
+
+    @pytest.mark.parametrize("frac_bits,exact", [(40, True), (44, False)])
+    def test_exactness_bound(self, frac_bits, exact):
+        # codes of 2^(f-1) over 288 taps, times |x| <= 4 codes on the 2^-2
+        # grid: 2^(f+9.17), below 2^53 at f=40 and above it at f=44
+        lw = network.LayerWeights(np.full((2, 32, 3, 3), 0.5), np.zeros(2))
+        assert network._exact_map(lw, frac_bits, (2, 1)) is exact
+        assert network._exact_map(lw, frac_bits, None) is False
 
 
 class TestDecode:
