@@ -30,8 +30,13 @@ taps. `simulate` picks the event-driven one per conv layer and batch when
 its result is provably the dense one's (hard spikes, an input and ptq
 weights on 2^-n grids whose sums fit the float64 mantissa, see
 `_exact_map`) and the input is sparse enough for it to pay
-(`_active_pixels`). Full-precision weights, fc layers and the backward
-pass always run dense.
+(`_active_pixels`). Otherwise the dense kernel runs, and when at most half
+of the (timestep, sample) input frames hold a non-zero value it runs over
+those frames only; the silent ones get the bias map, bit for bit what the
+GEMM gives them. The backward pass (`_conv_backward`) gathers a conv's
+weight gradient from the same per-tap pixel indices when its recorded
+input is sparse (`_active_pixels`), instead of rebuilding im2col columns.
+fc layers always run dense.
 """
 
 from __future__ import annotations
@@ -250,8 +255,9 @@ def init_weights(spec: NetworkSpec, seed: int) -> WeightSet:
 # The engine works on channels-last tensors whose leading axis holds all
 # T*B (timestep, sample) rows, timestep-major, so each synaptic map is one
 # GEMM over every row at once. A conv is one im2col GEMM over its valid
-# (strided) output positions, built in row blocks, or on sparse input that
-# is summed exactly, one scatter of its non-zero pixels per tap.
+# (strided) output positions, built in row blocks and skipping all-zero
+# frames, or on sparse input that is summed exactly, one scatter of its
+# non-zero pixels per tap.
 # ---------------------------------------------------------------------------
 
 # Row blocks of a conv's im2col columns: bounds the columns built at once
@@ -266,7 +272,9 @@ _BATCH_BYTES = 8 << 20
 # _SCATTER_COST dense MACs, so events run while the share of non-zero
 # pixels is below C / (C + _SCATTER_COST): 0.25 for the reference conv2
 # (C = 32), where it was measured to cross near 0.25-0.3, and 0.02 for
-# conv1 (C = 2), measured at 0.03-0.04.
+# conv1 (C = 2), measured at 0.03-0.04. The backward's per-tap gather of
+# d_weight uses the same test; on conv2 it measured faster than the column
+# GEMM up to that limit.
 _SCATTER_COST = 96
 # Largest value of the activation dtypes that hold exact integers (binary
 # frames, hard spikes): `_pool` sums them in integers, `simulate` tracks
@@ -321,12 +329,14 @@ def _pool_backward(grad_out: np.ndarray, kernel: int, in_shape: tuple) -> np.nda
     return grad_in
 
 
-def _column_blocks(x: np.ndarray, kernel: int, padding: int, stride: int):
+def _column_blocks(x: np.ndarray, kernel: int, padding: int, stride: int,
+                   *, fill: bool = True):
     """Yield (lo, hi, cols) over row blocks of (N, H, W, C) input x.
 
     cols is the (hi - lo, Ho, Wo, k, k, C) im2col block of x[lo:hi] at the
-    valid (strided) output positions, about _BLOCK_BYTES in size. The
-    buffers are reused: consume a block before drawing the next.
+    valid (strided) output positions, about _BLOCK_BYTES in size; with
+    fill=False it is the same buffer, not written. The buffers are reused:
+    consume a block before drawing the next.
     """
     n, h, w, c = x.shape
     ho, wo = (_conv_size(size, kernel, padding, stride) for size in (h, w))
@@ -339,8 +349,9 @@ def _column_blocks(x: np.ndarray, kernel: int, padding: int, stride: int):
     cols = np.empty(windows.shape)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        xp[: hi - lo, padding : padding + h, padding : padding + w] = x[lo:hi]
-        cols[: hi - lo] = windows[: hi - lo]
+        if fill:
+            xp[: hi - lo, padding : padding + h, padding : padding + w] = x[lo:hi]
+            cols[: hi - lo] = windows[: hi - lo]
         yield lo, hi, cols[: hi - lo]
 
 
@@ -363,11 +374,16 @@ def _conv(
 
     Returns the (N, Ho, Wo, O) output. The dense kernel makes, per row
     block, one GEMM of the im2col columns of the valid (strided) output
-    positions against the (k*k*C, O) weight matrix. exact=True says the
-    caller proved every partial sum exact in float64 (see `simulate`);
-    then a stride-1 conv whose input is sparse enough (`_active_pixels`)
-    runs the event-driven `_conv_events` instead, which gives the same
-    values in another summation order.
+    positions against the (k*k*C, O) weight matrix. When at most half of
+    the N input frames have a non-zero value, the all-zero frames get the
+    bias map and the GEMM reads the live frames only. BLAS computes each
+    output row from its own input row, so the values stay the dense ones
+    as long as no product has a single row (numpy sends that to GEMV,
+    which sums in another order): a 1 x 1 output map keeps every frame.
+    exact=True says the caller proved every partial sum exact in float64
+    (see `simulate`); then a stride-1 conv whose input is sparse enough
+    (`_active_pixels`) runs the event-driven `_conv_events` instead, which
+    gives the same values in another summation order.
     """
     o, c, kernel, _ = weight.shape
     if x.shape[3] != c:
@@ -376,6 +392,23 @@ def _conv(
         pixels = _active_pixels(x)
         if pixels is not None:
             return _conv_events(x, weight, bias, padding, pixels)
+    n = x.shape[0]
+    ho, wo = (_conv_size(size, kernel, padding, stride) for size in x.shape[1:3])
+    live = np.flatnonzero(x.any(axis=(1, 2, 3)))
+    if 2 * live.size > n or (live.size and ho * wo == 1):
+        return _conv_dense(x, weight, bias, padding, stride)
+    out = np.empty((n, ho, wo, o))
+    out[:] = bias
+    if live.size:
+        out[live] = _conv_dense(x[live], weight, bias, padding, stride)
+    return out
+
+
+def _conv_dense(
+    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: int, stride: int
+) -> np.ndarray:
+    """`_conv` as one im2col GEMM per row block over every input frame."""
+    o, _, kernel, _ = weight.shape
     wm = _weight_matrix(weight)
     ho, wo = (_conv_size(size, kernel, padding, stride) for size in x.shape[1:3])
     out = np.empty((x.shape[0], ho, wo, o))
@@ -404,6 +437,29 @@ def _active_pixels(x: np.ndarray) -> np.ndarray | None:
     return pixels if pixels.size < limit else None
 
 
+def _tap_outputs(pixels: np.ndarray, h: int, w: int, kernel: int, padding: int):
+    """Yield (u, v, ok, rows) per tap of a stride-1 conv over input pixels.
+
+    pixels are flat indices into an (N, h, w) input; ok marks those whose
+    output through tap (u, v) lies inside the (Ho, Wo) map, and rows are
+    those outputs' flat (N, Ho, Wo) indices. Within one tap the pixels
+    reach distinct outputs. `_conv_events` scatters through these indices
+    and `_weight_grad_events` gathers through them.
+    """
+    ho, wo = h + 2 * padding - kernel + 1, w + 2 * padding - kernel + 1
+    sample, rest = np.divmod(pixels, h * w)
+    row, col = np.divmod(rest, w)
+    base = sample * (ho * wo)
+    for u in range(kernel):
+        out_row = row + (padding - u)
+        row_ok = (out_row >= 0) & (out_row < ho)
+        row_base = base + out_row * wo
+        for v in range(kernel):
+            out_col = col + (padding - v)
+            ok = row_ok & (out_col >= 0) & (out_col < wo)
+            yield u, v, ok, (row_base + out_col)[ok]
+
+
 def _conv_events(
     x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: int,
     pixels: np.ndarray,
@@ -420,22 +476,16 @@ def _conv_events(
     n, h, w, c = x.shape
     o, _, kernel, _ = weight.shape
     ho, wo = h + 2 * padding - kernel + 1, w + 2 * padding - kernel + 1
-    out = np.empty((n * ho * wo, o))
+    out = np.empty((n, ho, wo, o))
     out[:] = bias
+    if not pixels.size:
+        return out
+    flat = out.reshape(-1, o)
     active = x.reshape(-1, c)[pixels].astype(float, copy=False)
     taps = weight.transpose(2, 3, 1, 0)  # (k, k, C, O)
-    sample, rest = np.divmod(pixels, h * w)
-    row, col = np.divmod(rest, w)
-    base = sample * (ho * wo)
-    for u in range(kernel):
-        out_row = row + (padding - u)
-        row_ok = (out_row >= 0) & (out_row < ho)
-        row_base = base + out_row * wo
-        for v in range(kernel):
-            out_col = col + (padding - v)
-            ok = row_ok & (out_col >= 0) & (out_col < wo)
-            out[(row_base + out_col)[ok]] += active[ok] @ taps[u, v]
-    return out.reshape(n, ho, wo, o)
+    for u, v, ok, rows in _tap_outputs(pixels, h, w, kernel, padding):
+        flat[rows] += active[ok] @ taps[u, v]
+    return out
 
 
 def _conv_backward(
@@ -449,21 +499,31 @@ def _conv_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """(d_weight, d_bias, d_input) of `_conv` for dL/d(output) grad.
 
-    Each row block's columns are rebuilt from the recorded input x:
-    d_weight accumulates cols^T @ grad, and d_input is col2im of
-    grad @ W^T, k*k strided adds into the block's padded gradient.
+    d_weight is cols^T @ grad over row blocks of im2col columns rebuilt
+    from the recorded input x. A stride-1 conv whose x is sparse
+    (`_active_pixels`) builds no columns: per tap, the active pixels'
+    (P, C) rows meet the (P, O) gradient rows of their outputs in one
+    GEMM, the same sum without its zero terms. d_input is col2im of
+    grad @ W^T, k*k strided adds into each row block's padded gradient.
     """
     o, c, kernel, _ = weight.shape
     h, w = x.shape[1:3]
     wm = _weight_matrix(weight)
-    d_wm = np.zeros_like(wm)
-    tmp = np.empty_like(wm)
+    pixels = _active_pixels(x) if stride == 1 else None
+    gather = pixels is not None
+    if gather:
+        d_wm = _weight_grad_events(grad, x, pixels, kernel, padding)
+    else:
+        d_wm, tmp = np.zeros_like(wm), np.empty_like(wm)
     d_x = np.empty(x.shape) if input_grad else None
-    for lo, hi, cols in _column_blocks(x, kernel, padding, stride):
+    # the blocks hold x's columns for d_weight, or only lend d_input a buffer
+    blocks = _column_blocks(x, kernel, padding, stride, fill=not gather)
+    for lo, hi, cols in blocks if input_grad or not gather else ():
         flat = cols.reshape(-1, wm.shape[0])
         g = grad[lo:hi].reshape(-1, o)
-        np.matmul(flat.T, g, out=tmp)
-        d_wm += tmp
+        if not gather:
+            np.matmul(flat.T, g, out=tmp)
+            d_wm += tmp
         if not input_grad:
             continue
         np.matmul(g, wm.T, out=flat)  # cols now hold dL/d(cols)
@@ -479,6 +539,21 @@ def _conv_backward(
         d_wm.reshape(kernel, kernel, c, o).transpose(3, 2, 0, 1)
     )
     return d_weight, grad.reshape(-1, o).sum(axis=0), d_x
+
+
+def _weight_grad_events(
+    grad: np.ndarray, x: np.ndarray, pixels: np.ndarray, kernel: int, padding: int
+) -> np.ndarray:
+    """The (k*k*C, O) d_weight matrix of a stride-1 conv from the listed
+    non-zero pixels of its input x, one gather-GEMM per tap."""
+    _, h, w, c = x.shape
+    o = grad.shape[3]
+    d_taps = np.zeros((kernel, kernel, c, o))
+    active = x.reshape(-1, c)[pixels]
+    g = grad.reshape(-1, o)
+    for u, v, ok, rows in _tap_outputs(pixels, h, w, kernel, padding):
+        np.matmul(active[ok].T, g[rows], out=d_taps[u, v])
+    return d_taps.reshape(kernel * kernel * c, o)
 
 
 def _grid_codes(arr: np.ndarray, frac_bits: int) -> np.ndarray | None:

@@ -15,9 +15,11 @@ central finite differences can certify the backward implementation.
 The loss is mean squared error between per-class firing rates and the
 one-hot target. Each minibatch is simulated as one batch by
 `network.simulate`, and its mean gradient comes from one reverse LIF scan
-per layer, then one GEMM each for dW and dx (for a conv, one each per
-im2col row block). `evaluate` simulates a split in chunks whose size
-follows from a byte budget. Optimization is minibatch SGD with momentum
+per layer, then one GEMM each for dW and dx. A conv makes its dx GEMM per
+im2col row block; its dW GEMM is one per row block as well, or, when the
+recorded input is sparse, one per tap over the non-zero input pixels
+only. `evaluate` simulates a split in the fewest equal chunks a byte
+budget allows. Optimization is minibatch SGD with momentum
 and a fixed seeded shuffle schedule, so results are bit-identical across
 reruns. An epoch's training accuracy is counted from the output spikes of
 its minibatch forwards, so the training split is never simulated a second
@@ -454,12 +456,13 @@ def evaluate(
 ) -> float:
     """Fraction of correctly decoded samples.
 
-    The split runs through `simulate` in chunks of as many samples as keep
-    T x the largest per-sample layer output (float64) under
-    `network._BATCH_BYTES`, so memory stays flat as W and T grow. All
-    samples must share one timestep count. When quant is given the
-    weights must already be quantized (this only validates grid
-    alignment; it never quantizes).
+    The split runs through `simulate` in as few chunks as keep T x the
+    largest per-sample layer output (float64) under `network._BATCH_BYTES`,
+    so memory stays flat as W and T grow. The chunks share one size (the
+    last may be smaller), so no call pays the engine's per-call cost for
+    a small remainder. All samples must share one timestep count. When
+    quant is given the weights must already be quantized (this only
+    validates grid alignment; it never quantizes).
 
     Raises:
         ShapeMismatch: if the samples do not share one timestep count.
@@ -475,7 +478,8 @@ def evaluate(
         )
     T = timesteps.pop()
     largest = max(math.prod(shape) for shape in layer_shapes(net.layers, net.input_window))
-    chunk = max(1, _BATCH_BYTES // (T * largest * 8))
+    budget = max(1, _BATCH_BYTES // (T * largest * 8))
+    chunk = -(-len(data) // -(-len(data) // budget))  # fewest chunks, equal sizes
     hits = 0
     for lo in range(0, len(data), chunk):
         part = data[lo : lo + chunk]

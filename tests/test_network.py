@@ -451,6 +451,120 @@ class TestConvKernels:
         assert np.array_equal(no_dx[0], actual[0])
 
 
+class TestSparseTrainingConvs:
+    """The full-precision conv paths that skip silent input: all-zero input
+    frames get the bias map (`_conv`), and a sparse input's d_weight is one
+    gather-GEMM per tap (`_conv_backward`)."""
+
+    @staticmethod
+    def spy_dense(monkeypatch):
+        """Record the frame count of every `_conv_dense` call."""
+        rows = []
+        kernel = network._conv_dense
+        monkeypatch.setattr(network, "_conv_dense",
+                            lambda x, *args: rows.append(len(x)) or kernel(x, *args))
+        return rows
+
+    @classmethod
+    def run(cls, monkeypatch, net, weights, frames):
+        """Recorded `simulate` as is and with every conv on all its frames;
+        returns both results and the frame counts the first one's GEMMs read."""
+        with monkeypatch.context() as patch:
+            rows = cls.spy_dense(patch)
+            result = simulate(net, weights, frames, record=True)
+            rows = list(rows)
+            patch.setattr(network, "_conv", lambda x, weight, bias, padding, stride,
+                          exact=False: network._conv_dense(x, weight, bias, padding, stride))
+            dense = simulate(net, weights, frames, record=True)
+        return result, dense, rows
+
+    @pytest.mark.parametrize("live", [0.0, 0.1, 0.3, 0.5, 0.6, 1.0])
+    @pytest.mark.parametrize("c,stride,pad,h,w", [
+        (2, 1, 1, 7, 5), (2, 2, 0, 9, 6), (32, 1, 1, 6, 6), (32, 2, 1, 7, 7),
+        (32, 1, 0, 3, 3), (4, 1, 0, 3, 4),
+    ])
+    def test_live_frame_gemm_equals_dense_bit_for_bit(
+        self, monkeypatch, c, stride, pad, h, w, live
+    ):
+        rng = np.random.default_rng(int(live * 10) + c + h)
+        n = 40
+        frames = rng.permutation(n) < round(live * n)
+        x = rng.random((n, h, w, c)) * (rng.random((n, h, w, 1)) < 0.3)
+        x[~frames] = 0.0
+        x[frames, 0, 0, 0] = 0.5  # every live frame has a non-zero pixel
+        weight = rng.uniform(-1, 1, (5, c, 3, 3))
+        bias = rng.uniform(-1, 1, 5)
+        rows = self.spy_dense(monkeypatch)
+        out = network._conv(x, weight, bias, pad, stride)
+        n_live = int(frames.sum())
+        if 2 * n_live > n or (n_live and out.shape[1:3] == (1, 1)):
+            assert rows == [n]  # more than half live, or a GEMV-sized product
+        else:
+            assert rows == ([n_live] if n_live else [])
+        assert np.array_equal(out, network._conv_dense(x, weight, bias, pad, stride))
+
+    def test_recorded_forward_equals_dense(self, monkeypatch):
+        samples, _ = sd.make_synthetic_dataset(per_class=3, seed=11, test_fraction=0.0)
+        frames = [f for f, _ in sd.encode_dataset(samples, 50, 10)]
+        net = sd.build_network(50)
+        weights = active_weights(net, 1, 1.0)  # 40 % of conv2's input frames are live
+        for i in (3, 5, 6):
+            weights.layers[i].weight *= 3.0
+        result, dense, rows = self.run(monkeypatch, net, weights, frames)
+        assert rows == [60, 24]  # conv1 reads every frame, conv2 the live 40 %
+        assert all(tr.spikes.any() for tr in result.trace if tr is not None)
+        TestEventDrivenConv.assert_equal(result, dense)
+
+    @pytest.mark.parametrize("case", ["all dead", "one live frame", "1x1 map"])
+    def test_edge_batches_equal_dense(self, monkeypatch, case):
+        window = 3 if case == "1x1 map" else 6
+        net = NetworkSpec(
+            layers=(
+                LayerSpec("conv", 2, 4, kernel=3, padding=0 if window == 3 else 1),
+                LayerSpec("fully_connected", 4 * (1 if window == 3 else 36), 2),
+            ),
+            input_window=window,
+        )
+        weights = active_weights(net, 4, 3.0)
+        weights.layers[0].bias[:2] += 0.3  # silent frames fire on the bias alone
+        data = np.zeros((5, 2, window, window), np.uint8)
+        if case != "all dead":
+            data[2, :, 1, 1] = 1  # one live frame of the 10
+        frames = [SpikeFrames(data, 5, window), SpikeFrames(np.zeros_like(data), 5, window)]
+        result, dense, rows = self.run(monkeypatch, net, weights, frames)
+        # a one-frame GEMM over a 1x1 map would be GEMV: it keeps every frame
+        assert rows == {"all dead": [], "one live frame": [1], "1x1 map": [10]}[case]
+        assert result.trace[0].spikes.any()
+        TestEventDrivenConv.assert_equal(result, dense)
+
+    @pytest.mark.parametrize("share", [0.0, 0.3, 0.8])
+    @pytest.mark.parametrize("c,pad,h,w", [(32, 1, 6, 6), (32, 0, 5, 7), (8, 1, 4, 9)])
+    def test_gathered_weight_gradient_matches_dense(self, monkeypatch, c, pad, h, w,
+                                                     share):
+        """share is the expected share of non-zero pixels as a fraction of
+        the largest that `_active_pixels` accepts."""
+        rng = np.random.default_rng(c + h + int(share * 10))
+        density = share * c / (c + network._SCATTER_COST)
+        x = rng.random((30, h, w, c)) * (rng.random((30, h, w, 1)) < density)
+        weight = rng.uniform(-1, 1, (6, c, 3, 3))
+        grad = rng.uniform(-1, 1, (30, h + 2 * pad - 2, w + 2 * pad - 2, 6))
+        calls = []
+        kernel = network._weight_grad_events
+        with monkeypatch.context() as patch:
+            patch.setattr(network, "_weight_grad_events",
+                          lambda *args: calls.append(1) or kernel(*args))
+            gathered = network._conv_backward(grad, x, weight, pad, 1, input_grad=True)
+            no_dx = network._conv_backward(grad, x, weight, pad, 1, input_grad=False)
+        assert len(calls) == 2
+        assert no_dx[2] is None and np.array_equal(no_dx[0], gathered[0])
+        monkeypatch.setattr(network, "_active_pixels", lambda x: None)
+        dense = network._conv_backward(grad, x, weight, pad, 1, input_grad=True)
+        scale = max(np.abs(dense[0]).max(), 1e-300)
+        assert np.abs(gathered[0] - dense[0]).max() <= 1e-12 * scale
+        assert np.array_equal(gathered[1], dense[1])
+        assert np.array_equal(gathered[2], dense[2])
+
+
 class TestForward:
     def test_zero_frames_zero_counts(self):
         net = sd.build_network(50)

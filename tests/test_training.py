@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spikedse as sd
-from spikedse import training
+from spikedse import network, training
 from spikedse.errors import ConfigError, EmptyDataset, ShapeMismatch
 from spikedse.events import SpikeFrames
 from spikedse.network import (
@@ -229,6 +229,41 @@ class TestBackward:
                 lw.weight *= 2.0
                 lw.bias += 0.1
         assert finite_difference_error(spec, weights, frames, label=1) < 1e-3
+
+    def test_gathered_conv_weight_gradient_matches_finite_differences(self, monkeypatch):
+        # conv2 reads 16 channels of which conv1's negative bias keeps most
+        # pixels silent: its d_weight comes from the per-tap gather-GEMMs
+        spec = NetworkSpec(
+            layers=(
+                LayerSpec("conv", 2, 16, kernel=3, padding=1, stride=1),
+                LayerSpec("avg_pool", 16, 16, kernel=2, stride=2),
+                LayerSpec("conv", 16, 4, kernel=3, padding=1, stride=1),
+                LayerSpec("avg_pool", 4, 4, kernel=2, stride=2),
+                LayerSpec("fully_connected", 4 * 2 * 2, 4),
+                LayerSpec("fully_connected", 4, 2),
+            ),
+            input_window=8,
+            lif=LifParams(v_threshold=0.4, leak=0.25),
+        )
+        rng = np.random.default_rng(3)
+        data = np.zeros((8, 2, 8, 8), np.uint8)
+        data[[0, 4]] = rng.random((2, 2, 8, 8)) < 0.04  # events at t=0 and t=4 only
+        frames = SpikeFrames(data, 8, 8)
+        weights = sd.init_weights(spec, seed=3)
+        for lw in weights.layers:
+            if lw is not None:
+                lw.weight *= 3.0
+                lw.bias += rng.normal(0, 0.05, lw.bias.shape)
+        weights.layers[0].bias -= 0.6
+        gathered = []
+        kernel = network._weight_grad_events
+        monkeypatch.setattr(network, "_weight_grad_events",
+                            lambda grad, x, *args: gathered.append(x.shape[3])
+                            or kernel(grad, x, *args))
+        assert finite_difference_error(spec, weights, frames, label=1) < 1e-3
+        assert gathered == [16, 2]  # conv2, and conv1 on its sparse frames
+        grads, _ = backward(spec, weights, frames, 1, spike_mode="relaxed")
+        assert all(np.count_nonzero(grads.layers[i]["weight"]) for i in (0, 2, 4, 5))
 
     def test_scan_product_is_d_s_times_surrogate_bit_for_bit(self):
         # T=1: no carry, so the scan leaves exactly d_s * surrogate(V)
@@ -591,6 +626,20 @@ class TestEvaluate:
         assert np.array_equal(np.concatenate([c for _, c in calls]), single)
         hits = [sd.decode(c, 5)[0] == label for c, (_, label) in zip(single, data)]
         assert accuracy == np.mean(hits)
+
+    @pytest.mark.parametrize("n,budget,sizes", [
+        (24, 22, [12, 12]), (10, 4, [4, 4, 2]), (10, 10, [10]), (7, 3, [3, 3, 1]),
+        (22, 22, [22]), (23, 22, [12, 11]),
+    ])
+    def test_fewest_chunks_of_equal_size(self, monkeypatch, n, budget, sizes):
+        net = sd.build_network(50)
+        weights = sd.init_weights(net, seed=0)
+        frames = SpikeFrames(np.zeros((2, 2, 50, 50), np.uint8), 2, 50)
+        per_sample = 2 * 32 * 12 * 12 * 8  # T x conv1's output, float64
+        monkeypatch.setattr(training, "_BATCH_BYTES", budget * per_sample + 100)
+        calls = self.spy_on_simulate(monkeypatch)
+        assert evaluate(net, weights, [(frames, 0)] * n) == 1.0
+        assert [m for m, _ in calls] == sizes
 
     def test_mixed_timesteps_raise(self, small_data):
         net = sd.build_network(50)
