@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--test-fraction", type=float, dest="test_fraction",
                        default=_SYNTHETIC_DEFAULTS["test_fraction"])
-    p_gen.add_argument("--sensor", type=_bounded_int(1),
+    p_gen.add_argument("--sensor", type=_bounded_int(1, 16384),  # a DAT side: 14 bits
                        default=_SYNTHETIC_DEFAULTS["sensor"])
     p_gen.add_argument("--duration", type=_bounded_int(1),
                        default=_SYNTHETIC_DEFAULTS["duration"])

@@ -54,6 +54,7 @@ _X_MASK = (1 << _X_BITS) - 1
 _Y_MASK = (1 << _Y_BITS) - 1
 _MAX_SIDE = 1 << _X_BITS  # the largest sensor side the x/y fields address
 _MAX_DURATION_US = 1 << 32  # every t < duration_us fits the uint32 column
+_MAX_EVENTS = 1 << 31  # generate_synthetic's sort keys need n < 2**31
 
 _HEADER_KEYS = {"width", "height", "duration", "label"}
 
@@ -146,6 +147,42 @@ def _split_dat_header(data: bytes) -> tuple[dict, int]:
     return fields, offset
 
 
+def _check_geometry(width: int, height: int, duration: int) -> None:
+    """Raise MalformedHeader unless a DAT header can declare this geometry."""
+    if not (
+        1 <= width <= _MAX_SIDE
+        and 1 <= height <= _MAX_SIDE
+        and 1 <= duration <= _MAX_DURATION_US
+    ):
+        raise MalformedHeader(
+            f"header declares a {width}x{height} sensor and {duration} us; sides "
+            f"must be in [1, {_MAX_SIDE}] and the duration >= 1 and <= {_MAX_DURATION_US}"
+        )
+
+
+def _check_events(t: np.ndarray, x: np.ndarray, y: np.ndarray,
+                  width: int, height: int, duration: int) -> None:
+    """Raise CoordinateOutOfRange (pixel, then timestamp) or UnsortedEvents
+    for uint32 columns that break the declared geometry and duration.
+
+    The uint32 columns already rule out negative values; the first
+    offending event is named.
+    """
+    if len(t) and (int(x.max()) >= width or int(y.max()) >= height):
+        bad = int(np.argmax((x >= width) | (y >= height)))
+        raise CoordinateOutOfRange(
+            f"event {bad}: pixel ({int(x[bad])}, {int(y[bad])}) outside "
+            f"{width}x{height} sensor"
+        )
+    if len(t) and int(t.max()) >= duration:
+        bad = int(np.argmax(t >= duration))
+        raise CoordinateOutOfRange(
+            f"event {bad}: timestamp {int(t[bad])} outside [0, {duration})"
+        )
+    if np.any(t[1:] < t[:-1]):
+        raise UnsortedEvents("DAT records are not sorted by timestamp")
+
+
 def parse_dat(data: bytes) -> EventSample:
     """Parse a DAT byte string into an EventSample.
 
@@ -163,15 +200,7 @@ def parse_dat(data: bytes) -> EventSample:
     height = fields.get("height", DEFAULT_SENSOR_HEIGHT)
     duration = fields.get("duration", DEFAULT_DURATION_US)
     lab = fields.get("label", 0)
-    if not (
-        1 <= width <= _MAX_SIDE
-        and 1 <= height <= _MAX_SIDE
-        and 1 <= duration <= _MAX_DURATION_US
-    ):
-        raise MalformedHeader(
-            f"header declares a {width}x{height} sensor and {duration} us; sides "
-            f"must be in [1, {_MAX_SIDE}] and the duration >= 1 and <= {_MAX_DURATION_US}"
-        )
+    _check_geometry(width, height, duration)
 
     body = data[offset:]
     if len(body) % 8 != 0:
@@ -183,28 +212,29 @@ def parse_dat(data: bytes) -> EventSample:
     t, w1 = words[0::2].copy(), words[1::2].copy()
     x, y = w1 & _X_MASK, w1 >> _X_BITS
     y &= _Y_MASK
-    # the masks and the uint32 timestamp already rule out negative values
-    # and polarities other than 0 or 1; the first offending event is named
-    if len(t) and (int(x.max()) >= width or int(y.max()) >= height):
-        bad = int(np.argmax((x >= width) | (y >= height)))
-        raise CoordinateOutOfRange(
-            f"event {bad}: pixel ({int(x[bad])}, {int(y[bad])}) outside "
-            f"{width}x{height} sensor"
-        )
-    if len(t) and int(t.max()) >= duration:
-        bad = int(np.argmax(t >= duration))
-        raise CoordinateOutOfRange(
-            f"event {bad}: timestamp {int(t[bad])} outside [0, {duration})"
-        )
-    if np.any(t[1:] < t[:-1]):
-        raise UnsortedEvents("DAT records are not sorted by timestamp")
+    _check_events(t, x, y, width, height, duration)
     w1 >>= _X_BITS + _Y_BITS  # w1 becomes the polarity column
     w1 &= 1
     return EventSample(t, x, y, w1, width, height, duration, lab)
 
 
 def write_dat(sample: EventSample) -> bytes:
-    """Serialise a sample to DAT bytes; round-trips through parse_dat."""
+    """Serialise a sample to DAT bytes; round-trips through parse_dat.
+
+    Raises:
+        ValueError: for a sample parse_dat would refuse to read back (a side
+        or duration outside the DAT bounds, an event outside the sensor or
+        the duration, unsorted timestamps) or whose polarity field would
+        not hold its value (a polarity other than 0 or 1).
+    """
+    try:
+        _check_geometry(sample.sensor_width, sample.sensor_height, sample.duration_us)
+        _check_events(sample.t, sample.x, sample.y, sample.sensor_width,
+                      sample.sensor_height, sample.duration_us)
+    except SpikeDseError as exc:
+        raise ValueError(f"cannot write DAT that would not read back: {exc}") from exc
+    if sample.n_events and int(sample.p.max()) > 1:
+        raise ValueError("cannot write DAT: a polarity is not 0 or 1")
     header = (
         f"% width {sample.sensor_width}\n"
         f"% height {sample.sensor_height}\n"
@@ -437,9 +467,32 @@ def generate_synthetic(
     one positive event per bar pixel per step, plus uniform noise. Class 0
     is uniform noise alone, with its count matched to class 1's total so
     the two classes have the same event rate.
+
+    Events are sorted by timestamp; equal timestamps keep generation
+    order, bar events (column by column, top to bottom) before noise
+    events. One sort of unique int64 keys (t << b) | i gives that order,
+    where i is the event's generation index and b = n.bit_length() for n
+    events: t < 2**32 and n < 2**31 keep every key below 2**63.
+
+    Raises:
+        ValueError: class_id not 0 or 1, a side outside [1, 2**14] (so the
+        sample can be written as DAT), noise_events < 0 or a total of
+        2**31 events or more, or a duration shorter than the sensor width
+        or longer than 2**32 us.
     """
     if class_id not in (0, 1):
         raise ValueError(f"class_id must be 0 or 1, got {class_id}")
+    if not (1 <= sensor_width <= _MAX_SIDE and 1 <= sensor_height <= _MAX_SIDE):
+        raise ValueError(
+            f"sensor {sensor_width}x{sensor_height}: sides must be in [1, {_MAX_SIDE}]"
+        )
+    n_steps = sensor_width
+    n_bar = n_steps * sensor_height
+    if not 0 <= noise_events < _MAX_EVENTS - n_bar:
+        raise ValueError(
+            f"noise_events must be >= 0 and below {_MAX_EVENTS - n_bar} for a "
+            f"{sensor_width}x{sensor_height} sensor, got {noise_events}"
+        )
     if duration_us < sensor_width:  # the bar needs a time slot >= 1 us per column
         raise ValueError(
             f"duration {duration_us} us is shorter than the {sensor_width} bar steps"
@@ -449,14 +502,12 @@ def generate_synthetic(
             f"duration {duration_us} us exceeds the 2**32 us a DAT timestamp holds"
         )
     rng = np.random.default_rng(seed)
-    n_steps = sensor_width
-    n_bar = n_steps * sensor_height
 
     if class_id == 1:
         step = np.repeat(np.arange(n_steps), sensor_height)
         slot = duration_us // n_steps
         t_bar = step * slot + rng.integers(0, slot, size=n_bar)
-        x_bar = step.astype(np.int64)
+        x_bar = step
         y_bar = np.tile(np.arange(sensor_height), n_steps)
         p_bar = np.ones(n_bar, dtype=np.int64)
         n_noise = noise_events
@@ -469,12 +520,20 @@ def generate_synthetic(
     y_noise = rng.integers(0, sensor_height, size=n_noise)
     p_noise = rng.integers(0, 2, size=n_noise)
 
-    order = np.argsort(np.concatenate([t_bar, t_noise]), kind="stable")
+    keys = np.concatenate([t_bar, t_noise])
+    n = len(keys)
+    b = n.bit_length()
+    keys <<= b
+    keys |= np.arange(n)
+    keys.sort()  # unique keys: any sort gives the stable order
+    order = keys & ((1 << b) - 1)
+    keys >>= b
     # the four columns share one allocation, so that many long-lived samples
     # do not fragment the heap among the int64 temporaries made here
-    columns = np.empty((4, len(order)), dtype=np.uint32)
-    for row, parts in zip(columns, ((t_bar, t_noise), (x_bar, x_noise),
-                                    (y_bar, y_noise), (p_bar, p_noise))):
+    columns = np.empty((4, n), dtype=np.uint32)
+    columns[0] = keys
+    for row, parts in zip(columns[1:], ((x_bar, x_noise), (y_bar, y_noise),
+                                        (p_bar, p_noise))):
         row[:] = np.concatenate(parts)[order]
     return EventSample(*columns, sensor_width, sensor_height, duration_us, class_id)
 

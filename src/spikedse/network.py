@@ -378,8 +378,10 @@ def _conv(
     the N input frames have a non-zero value, the all-zero frames get the
     bias map and the GEMM reads the live frames only. BLAS computes each
     output row from its own input row, so the values stay the dense ones
-    as long as no product has a single row (numpy sends that to GEMV,
-    which sums in another order): a 1 x 1 output map keeps every frame.
+    (`_conv_dense` never makes a one-row product). OpenBLAS keeps that
+    for O = 32, the reference nets' count, at every row count; for some
+    other O (1-3 or 9-11, say) its edge kernels sum in an order that
+    depends on the row count, so there the values can move by rounding.
     exact=True says the caller proved every partial sum exact in float64
     (see `simulate`); then a stride-1 conv whose input is sparse enough
     (`_active_pixels`) runs the event-driven `_conv_events` instead, which
@@ -395,7 +397,7 @@ def _conv(
     n = x.shape[0]
     ho, wo = (_conv_size(size, kernel, padding, stride) for size in x.shape[1:3])
     live = np.flatnonzero(x.any(axis=(1, 2, 3)))
-    if 2 * live.size > n or (live.size and ho * wo == 1):
+    if 2 * live.size > n:
         return _conv_dense(x, weight, bias, padding, stride)
     out = np.empty((n, ho, wo, o))
     out[:] = bias
@@ -407,13 +409,23 @@ def _conv(
 def _conv_dense(
     x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: int, stride: int
 ) -> np.ndarray:
-    """`_conv` as one im2col GEMM per row block over every input frame."""
+    """`_conv` as one im2col GEMM per row block over every input frame.
+
+    A block of one row (one frame of a 1 x 1 output map) is computed as
+    the first row of a two-row product: numpy sends a one-row product to
+    GEMV, which sums in another order than the GEMM of the other blocks.
+    """
     o, _, kernel, _ = weight.shape
     wm = _weight_matrix(weight)
     ho, wo = (_conv_size(size, kernel, padding, stride) for size in x.shape[1:3])
     out = np.empty((x.shape[0], ho, wo, o))
     for lo, hi, cols in _column_blocks(x, kernel, padding, stride):
-        np.matmul(cols.reshape(-1, wm.shape[0]), wm, out=out[lo:hi].reshape(-1, o))
+        flat = cols.reshape(-1, wm.shape[0])
+        dest = out[lo:hi].reshape(-1, o)
+        if len(flat) == 1:
+            dest[:] = (flat[[0, 0]] @ wm)[:1]
+        else:
+            np.matmul(flat, wm, out=dest)
     out += bias
     return out
 

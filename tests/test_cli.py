@@ -785,6 +785,18 @@ BAD_INPUTS = {
         TRAIN,
         "exceeds the 2**32 us",
     ),
+    "train synthetic sensor above 2**14": (
+        {"train.json": '{"epochs": 1, "seed": 0, "data": {"synthetic": '
+                       '{"per_class": 2, "sensor": 20000}}}'},
+        TRAIN,
+        "data block synthetic: sensor 20000x20000: sides must be in [1, 16384]",
+    ),
+    "train synthetic negative noise_events": (
+        {"train.json": '{"epochs": 1, "seed": 0, "data": {"synthetic": '
+                       '{"per_class": 2, "noise_events": -1}}}'},
+        TRAIN,
+        "data block synthetic: noise_events must be >= 0",
+    ),
 }
 
 
@@ -822,6 +834,7 @@ BAD_ARGUMENTS = {
     "dataset gen seed negative": GEN + ["--seed", "-1"],
     "dataset gen noise-events negative": GEN + ["--noise-events", "-1"],
     "dataset gen sensor 0": GEN + ["--sensor", "0"],
+    "dataset gen sensor above 16384": GEN + ["--sensor", "16385"],
     "dataset gen duration 0": GEN + ["--duration", "0"],
     "dataset gen classes": [
         "dataset", "gen", "--classes", "3", "--per-class", "2", "--seed", "1",

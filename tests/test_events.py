@@ -190,6 +190,38 @@ class TestParseDat:
         assert again.label == sample.label
         assert again.duration_us == sample.duration_us
 
+    # name: (sample, what parse_dat would say of its DAT bytes)
+    UNREADABLE = {
+        "width above 2**14": (make_sample([], width=20000, height=4), MalformedHeader),
+        "height 0": (make_sample([], height=0), MalformedHeader),
+        "duration 0": (make_sample([], duration=0), MalformedHeader),
+        "duration above 2**32": (make_sample([], duration=2**32 + 1), MalformedHeader),
+        "y outside 8x4": (make_sample([(0, 1, 5, 0)], width=8, height=4),
+                          CoordinateOutOfRange),
+        "x outside 8x4": (make_sample([(0, 8, 0, 0)], width=8, height=4),
+                          CoordinateOutOfRange),
+        "t at duration": (make_sample([(0, 0, 0, 1), (1000, 0, 0, 1)], duration=1000),
+                          CoordinateOutOfRange),
+        "unsorted": (make_sample([(5, 0, 0, 1), (4, 0, 0, 1)]), UnsortedEvents),
+    }
+
+    @pytest.mark.parametrize("name", list(UNREADABLE))
+    def test_writer_refuses_what_the_reader_refuses(self, name):
+        sample, reader_error = self.UNREADABLE[name]
+        with pytest.raises(ValueError, match="would not read back"):
+            sd.write_dat(sample)
+        # the same bytes, written without the check, are what parse_dat refuses
+        header = (f"% width {sample.sensor_width}\n% height {sample.sensor_height}\n"
+                  f"% duration {sample.duration_us}\n").encode()
+        body = b"".join(pack_record(int(t), int(x), int(y), int(p))
+                        for t, x, y, p in zip(*columns(sample)))
+        with pytest.raises(reader_error):
+            sd.parse_dat(header + body)
+
+    def test_writer_refuses_a_polarity_its_bit_cannot_hold(self):
+        with pytest.raises(ValueError, match="polarity"):
+            sd.write_dat(make_sample([(0, 0, 0, 2)]))
+
     @given(
         records=st.lists(tame_record, max_size=12),
         wild=st.lists(st.tuples(st.integers(0, 11), wild_record), max_size=2),
@@ -510,6 +542,93 @@ class TestSynthetic:
         again = sd.parse_dat(sd.write_dat(sample))
         assert_same_events(sample, again)
         assert again.duration_us == 2**32
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"sensor_width": 0}, "sides must be in"),
+        ({"sensor_height": 0}, "sides must be in"),
+        ({"sensor_width": 2**14 + 1}, "sides must be in"),
+        ({"sensor_width": 20000, "sensor_height": 20000}, "sides must be in"),
+        ({"noise_events": -1}, "noise_events must be >= 0"),
+        ({"noise_events": 2**31 - 64 * 64}, "noise_events must be >= 0"),
+    ])
+    def test_bounds_rejected_before_any_allocation(self, monkeypatch, kwargs, message):
+        def no_generator(seed):
+            raise AssertionError("generate_synthetic reached its generator")
+
+        monkeypatch.setattr(sd.events.np.random, "default_rng", no_generator)
+        for class_id in (0, 1):
+            with pytest.raises(ValueError, match=message):
+                sd.generate_synthetic(class_id, seed=1, **kwargs)
+
+    def test_largest_side_accepted(self):
+        sample = sd.generate_synthetic(0, seed=2, sensor_width=2**14, sensor_height=1,
+                                       duration_us=2**14, noise_events=0)
+        assert sample.n_events == 2**14
+        assert_same_events(sample, sd.parse_dat(sd.write_dat(sample)))
+
+
+def stable_argsort_synthetic(class_id, seed, *, sensor_width=64, sensor_height=64,
+                             duration_us=100_000, noise_events=1024):
+    """The generator before the unique-key sort, kept as the oracle: one
+    stable argsort of the concatenated bar-then-noise timestamps."""
+    rng = np.random.default_rng(seed)
+    n_steps = sensor_width
+    n_bar = n_steps * sensor_height
+    if class_id == 1:
+        step = np.repeat(np.arange(n_steps), sensor_height)
+        slot = duration_us // n_steps
+        t_bar = step * slot + rng.integers(0, slot, size=n_bar)
+        x_bar = step.astype(np.int64)
+        y_bar = np.tile(np.arange(sensor_height), n_steps)
+        p_bar = np.ones(n_bar, dtype=np.int64)
+        n_noise = noise_events
+    else:
+        t_bar = x_bar = y_bar = p_bar = np.empty(0, dtype=np.int64)
+        n_noise = noise_events + n_bar
+    t_noise = rng.integers(0, duration_us, size=n_noise)
+    x_noise = rng.integers(0, sensor_width, size=n_noise)
+    y_noise = rng.integers(0, sensor_height, size=n_noise)
+    p_noise = rng.integers(0, 2, size=n_noise)
+    order = np.argsort(np.concatenate([t_bar, t_noise]), kind="stable")
+    return tuple(
+        np.concatenate(parts)[order].astype(np.uint32)
+        for parts in ((t_bar, t_noise), (x_bar, x_noise), (y_bar, y_noise),
+                      (p_bar, p_noise))
+    )
+
+
+@st.composite
+def synthetic_cases(draw):
+    """Generator keywords: small sensors or ATIS geometry; durations at the
+    bar's one-microsecond slot (many equal timestamps), the default, the
+    uint32 limit or anywhere between; no noise or some."""
+    if draw(st.booleans()):
+        width, height = sd.events.DEFAULT_SENSOR_WIDTH, sd.events.DEFAULT_SENSOR_HEIGHT
+    else:
+        width, height = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+    duration = draw(st.one_of(
+        st.just(width), st.just(sd.events.DEFAULT_DURATION_US), st.just(2**32),
+        st.integers(width, 2**32),
+    ))
+    noise = draw(st.one_of(st.just(0), st.integers(0, 3000)))
+    return {"sensor_width": width, "sensor_height": height, "duration_us": duration,
+            "noise_events": noise}
+
+
+class TestSyntheticOracle:
+    @given(st.sampled_from([0, 1]), st.integers(0, 2**63 - 1), synthetic_cases())
+    @example(1, 3, {"sensor_width": 304, "sensor_height": 240, "duration_us": 304,
+                    "noise_events": 1024})
+    @example(0, 4, {"sensor_width": 304, "sensor_height": 240, "duration_us": 2**32,
+                    "noise_events": 0})
+    @example(1, 5, {"sensor_width": 1, "sensor_height": 1, "duration_us": 1,
+                    "noise_events": 0})
+    @settings(max_examples=150, deadline=None)
+    def test_unique_key_sort_matches_stable_argsort(self, class_id, seed, kwargs):
+        sample = sd.generate_synthetic(class_id, seed, **kwargs)
+        expected = stable_argsort_synthetic(class_id, seed, **kwargs)
+        for col, want in zip(columns(sample), expected):
+            assert np.array_equal(col, want)
 
 
 # The structured-record front end the column layout replaced, kept as the
