@@ -54,6 +54,9 @@ class DseGrid:
             values = getattr(self, name)
             if not all(isinstance(v, numbers.Integral) for v in values):
                 raise TypeError(f"grid {name} must be integers, got {list(values)}")
+            # a repeated value would run and report its points twice
+            if len(set(values)) != len(values):
+                raise ValueError(f"grid {name} must not repeat a value, got {list(values)}")
         if min((*self.timesteps, *self.windows), default=1) < 1:
             raise ValueError("grid timesteps and windows must be >= 1")
         for bits in self.bits:

@@ -35,8 +35,9 @@ of the (timestep, sample) input frames hold a non-zero value it runs over
 those frames only; the silent ones get the bias map, bit for bit what the
 GEMM gives them. The backward pass (`_conv_backward`) gathers a conv's
 weight gradient from the same per-tap pixel indices when its recorded
-input is sparse (`_active_pixels`), instead of rebuilding im2col columns.
-fc layers always run dense.
+input is sparse (`_active_pixels`), instead of rebuilding im2col columns,
+and takes its input gradient from the dense kernel too, as a transposed
+conv (`_conv_input_grad`). fc layers always run dense.
 """
 
 from __future__ import annotations
@@ -97,6 +98,9 @@ class LayerSpec:
             raise ValueError(f"{self.kind} layer needs positive sizes, got {sizes}")
         if self.kind != "fully_connected" and self.kernel < 1:
             raise ValueError(f"{self.kind} layer needs a kernel >= 1")
+        # with padding >= kernel the border outputs read nothing but padding
+        if self.kind == "conv" and self.padding >= self.kernel:
+            raise ValueError(f"conv needs padding < kernel, got {sizes}")
         # a pool tiles its input channel by channel; an fc layer has no window
         pool_ok = (self.stride, self.padding, self.out_channels) == (
             self.kernel, 0, self.in_channels)
@@ -194,6 +198,13 @@ class WeightSet:
             ],
             quant=dict(self.quant) if self.quant else None,
         )
+
+    def frac_bits(self) -> list | None:
+        """The quant record's frac_bits if it is a list of one entry per
+        layer; a record read from a file may hold anything else."""
+        frac_bits = (self.quant or {}).get("frac_bits")
+        ok = isinstance(frac_bits, list) and len(frac_bits) == len(self.layers)
+        return frac_bits if ok else None
 
     def param_arrays(self) -> list[np.ndarray]:
         """All parameter tensors in deterministic (layer, weight, bias) order."""
@@ -329,14 +340,12 @@ def _pool_backward(grad_out: np.ndarray, kernel: int, in_shape: tuple) -> np.nda
     return grad_in
 
 
-def _column_blocks(x: np.ndarray, kernel: int, padding: int, stride: int,
-                   *, fill: bool = True):
+def _column_blocks(x: np.ndarray, kernel: int, padding: int, stride: int):
     """Yield (lo, hi, cols) over row blocks of (N, H, W, C) input x.
 
     cols is the (hi - lo, Ho, Wo, k, k, C) im2col block of x[lo:hi] at the
-    valid (strided) output positions, about _BLOCK_BYTES in size; with
-    fill=False it is the same buffer, not written. The buffers are reused:
-    consume a block before drawing the next.
+    valid (strided) output positions, about _BLOCK_BYTES in size. The
+    buffers are reused: consume a block before drawing the next.
     """
     n, h, w, c = x.shape
     ho, wo = (_conv_size(size, kernel, padding, stride) for size in (h, w))
@@ -349,9 +358,8 @@ def _column_blocks(x: np.ndarray, kernel: int, padding: int, stride: int,
     cols = np.empty(windows.shape)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        if fill:
-            xp[: hi - lo, padding : padding + h, padding : padding + w] = x[lo:hi]
-            cols[: hi - lo] = windows[: hi - lo]
+        xp[: hi - lo, padding : padding + h, padding : padding + w] = x[lo:hi]
+        cols[: hi - lo] = windows[: hi - lo]
         yield lo, hi, cols[: hi - lo]
 
 
@@ -515,42 +523,49 @@ def _conv_backward(
     from the recorded input x. A stride-1 conv whose x is sparse
     (`_active_pixels`) builds no columns: per tap, the active pixels'
     (P, C) rows meet the (P, O) gradient rows of their outputs in one
-    GEMM, the same sum without its zero terms. d_input is col2im of
-    grad @ W^T, k*k strided adds into each row block's padded gradient.
+    GEMM, the same sum without its zero terms. d_input is the transposed
+    conv of grad (`_conv_input_grad`).
     """
     o, c, kernel, _ = weight.shape
-    h, w = x.shape[1:3]
-    wm = _weight_matrix(weight)
     pixels = _active_pixels(x) if stride == 1 else None
-    gather = pixels is not None
-    if gather:
+    if pixels is not None:
         d_wm = _weight_grad_events(grad, x, pixels, kernel, padding)
     else:
-        d_wm, tmp = np.zeros_like(wm), np.empty_like(wm)
-    d_x = np.empty(x.shape) if input_grad else None
-    # the blocks hold x's columns for d_weight, or only lend d_input a buffer
-    blocks = _column_blocks(x, kernel, padding, stride, fill=not gather)
-    for lo, hi, cols in blocks if input_grad or not gather else ():
-        flat = cols.reshape(-1, wm.shape[0])
-        g = grad[lo:hi].reshape(-1, o)
-        if not gather:
-            np.matmul(flat.T, g, out=tmp)
+        d_wm = np.zeros((kernel * kernel * c, o))
+        tmp = np.empty_like(d_wm)
+        for lo, hi, cols in _column_blocks(x, kernel, padding, stride):
+            g = grad[lo:hi].reshape(-1, o)
+            np.matmul(cols.reshape(len(g), -1).T, g, out=tmp)
             d_wm += tmp
-        if not input_grad:
-            continue
-        np.matmul(g, wm.T, out=flat)  # cols now hold dL/d(cols)
-        d_xp = np.zeros((hi - lo, h + 2 * padding, w + 2 * padding, c))
-        ho, wo = cols.shape[1:3]
-        for u in range(kernel):
-            for v in range(kernel):
-                d_xp[:, u : u + stride * ho : stride, v : v + stride * wo : stride] += (
-                    cols[:, :, :, u, v]
-                )
-        d_x[lo:hi] = d_xp[:, padding : padding + h, padding : padding + w]
     d_weight = np.ascontiguousarray(
         d_wm.reshape(kernel, kernel, c, o).transpose(3, 2, 0, 1)
     )
+    d_x = _conv_input_grad(grad, weight, padding, stride, x.shape) if input_grad else None
     return d_weight, grad.reshape(-1, o).sum(axis=0), d_x
+
+
+def _conv_input_grad(
+    grad: np.ndarray, weight: np.ndarray, padding: int, stride: int, in_shape: tuple
+) -> np.ndarray:
+    """d_input of `_conv` for dL/d(output) grad, as one transposed conv.
+
+    A conv's input gradient is a conv (Dumoulin & Visin, arXiv:1603.07285)
+    of grad, placed on the padded input's grid of window origins, at
+    stride 1 and padding k - 1 - p, with the weight flipped in space and
+    its channel axes swapped. Its output is exactly in_shape (N, H, W, C),
+    and `_conv_dense` makes it as one GEMM per row block with C output
+    columns: 32 on the reference conv2, where OpenBLAS gives a row the
+    same value at every row count (see `_conv`).
+    """
+    n, h, w, c = in_shape
+    o, _, kernel, _ = weight.shape
+    if stride > 1:  # zeros between the strided outputs and after the last
+        origins = (_conv_size(size, kernel, padding, 1) for size in (h, w))
+        dilated = np.zeros((n, *origins, o))
+        dilated[:, ::stride, ::stride] = grad
+        grad = dilated
+    flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    return _conv_dense(grad, flipped, np.zeros(c), kernel - 1 - padding, 1)
 
 
 def _weight_grad_events(
@@ -703,9 +718,7 @@ def simulate(
     x = x.reshape((n,) + x.shape[2:])
     trace: list[LayerTrace | None] | None = [None] * len(net.layers) if record else None
     hard = spike_mode == "hard"
-    frac_bits = (weights.quant or {}).get("frac_bits")
-    if not isinstance(frac_bits, list) or len(frac_bits) != len(net.layers):
-        frac_bits = [None] * len(net.layers)
+    frac_bits = weights.frac_bits() or [None] * len(net.layers)
     # (g, m) while x is on the 2^-g grid with |x| <= m: integer frames, hard
     # spikes, and their averages over power-of-two pools
     grid = (0, _DTYPE_MAX[x.dtype]) if x.dtype in _DTYPE_MAX else None

@@ -21,6 +21,7 @@ raised.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Literal
 
@@ -178,16 +179,18 @@ def grid_aligned(weights: WeightSet, config: QuantConfig) -> bool:
     The frac_bits come only from the quant block ptq attaches (rounding can
     shift a layer's max magnitude across a power of two, so recomputing the
     format from quantized values is not always faithful); weights without
-    one are not aligned. The per-array test is `network._grid_codes`, the
-    one `simulate` uses to choose its conv kernel.
+    one, or whose block lacks an integer in [0, bits - 1] for some
+    parameterized layer, are not aligned. The per-array test is
+    `network._grid_codes`, the one `simulate` uses to choose its conv kernel.
     """
-    quant = weights.quant or {}
-    if quant.get("bits") != config.bits:
+    frac_bits = weights.frac_bits()
+    if (weights.quant or {}).get("bits") != config.bits or frac_bits is None:
         return False
-    for lw, frac_bits in zip(weights.layers, quant["frac_bits"]):
+    for lw, frac in zip(weights.layers, frac_bits):
         if lw is None:
             continue
-        for arr in (lw.weight, lw.bias):
-            if _grid_codes(arr, frac_bits) is None:
-                return False
+        if not (isinstance(frac, numbers.Integral) and 0 <= frac < config.bits):
+            return False
+        if any(_grid_codes(arr, frac) is None for arr in (lw.weight, lw.bias)):
+            return False
     return True

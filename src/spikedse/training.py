@@ -15,15 +15,16 @@ central finite differences can certify the backward implementation.
 The loss is mean squared error between per-class firing rates and the
 one-hot target. Each minibatch is simulated as one batch by
 `network.simulate`, and its mean gradient comes from one reverse LIF scan
-per layer, then one GEMM each for dW and dx. A conv makes its dx GEMM per
-im2col row block; its dW GEMM is one per row block as well, or, when the
-recorded input is sparse, one per tap over the non-zero input pixels
-only. `evaluate` simulates a split in the fewest equal chunks a byte
-budget allows. Optimization is minibatch SGD with momentum
-and a fixed seeded shuffle schedule, so results are bit-identical across
-reruns. An epoch's training accuracy is counted from the output spikes of
-its minibatch forwards, so the training split is never simulated a second
-time; only the test split is evaluated after each epoch.
+per layer, then one GEMM each for dW and dx. A conv's dx is a transposed
+conv of dL/dV, run by the forward conv kernel (one GEMM per row block);
+its dW GEMM is one per im2col row block, or, when the recorded input is
+sparse, one per tap over the non-zero input pixels only. `evaluate`
+simulates a split in the fewest equal chunks a byte budget allows.
+Optimization is minibatch SGD with momentum and a fixed seeded shuffle
+schedule, so results are bit-identical across reruns. An epoch's training
+accuracy is counted from the output spikes of its minibatch forwards, so
+the training split is never simulated a second time; only the test split
+is evaluated after each epoch.
 """
 
 from __future__ import annotations

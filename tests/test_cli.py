@@ -544,6 +544,11 @@ BAD_INPUTS = {
         ["dse", "--grid", "{tmp}/grid.json", "--out", "{tmp}/out"],
         "missing key 'timesteps'",
     ),
+    "grid repeats a bits value": (
+        {"grid.json": '{"bits": [10, 10], "timesteps": [5], "windows": [50]}'},
+        ["dse", "--grid", "{tmp}/grid.json", "--out", "{tmp}/out"],
+        "grid bits must not repeat a value",
+    ),
     "grid not json": (
         {"grid.json": "bits: [32]"},
         ["dse", "--grid", "{tmp}/grid.json", "--out", "{tmp}/out"],

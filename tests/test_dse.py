@@ -78,6 +78,11 @@ class TestEnumerateGrid:
     def test_stable_across_calls(self):
         assert enumerate_grid(DseGrid()) == enumerate_grid(DseGrid())
 
+    @pytest.mark.parametrize("axis", ["bits", "timesteps", "windows"])
+    def test_repeated_axis_value(self, axis):
+        with pytest.raises(ValueError, match=f"grid {axis} must not repeat"):
+            DseGrid(**{axis: (10, 10) if axis == "bits" else (50, 50)})
+
     def test_empty_axis(self):
         with pytest.raises(EmptyAxis):
             enumerate_grid(DseGrid(bits=()))

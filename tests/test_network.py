@@ -387,6 +387,8 @@ class TestConvKernels:
         (32, 1, 0, 5, 7),
         (32, 2, 1, 7, 7),
         (32, 1, 1, 3, 3),
+        (4, 1, 2, 4, 5),  # p = k - 1: d_input is a transposed conv at padding 0
+        (2, 3, 1, 8, 8),  # stride 3 with a remainder row and column
     ]
 
     @staticmethod
@@ -996,6 +998,8 @@ class TestCheckpointErrors:
         # fields a pool or an fc layer would ignore
         (1, "stride", 1), (1, "padding", 1), (1, "out_channels", 32),
         (2, "kernel", 3), (3, "padding", 1), (3, "stride", 2),
+        # a conv whose border outputs would read only padding
+        (0, "padding", 3),
     ])
     def test_invalid_spec(self, tmp_path, layer, key, value):
         header = self.header()

@@ -208,12 +208,26 @@ class TestPtq:
         w.flat[np.argmax(np.abs(w))] += 0.3 * 2.0 ** -q.quant["frac_bits"][-1]
         assert not grid_aligned(q, config)
 
-    def test_grid_check_needs_matching_record(self, trained_like):
+    @pytest.mark.parametrize("quant", [
+        None,
+        {"bits": 10},
+        {"bits": 10, "frac_bits": None},
+        {"bits": 10, "frac_bits": [None] * 7},
+        {"bits": 10, "frac_bits": ["a"] * 7},
+        # the first layer is a pool: a short list must not skip the weights
+        {"bits": 10, "frac_bits": [3]},
+        # every weight lies on the 2^-10 grid, but a 10-bit grid has at most 9
+        {"bits": 10, "frac_bits": [10] * 7},
+    ], ids=["none", "no-frac-bits", "frac-bits-none", "all-none", "strings",
+            "one-entry", "frac-bits-too-large"])
+    def test_grid_check_needs_matching_record(self, trained_like, quant):
+        """A quant block only ptq would write counts: one from a hand-edited
+        checkpoint gives False, never an exception or an unchecked True."""
         _, weights = trained_like
         q = ptq(weights, QuantConfig(bits=10))
         assert grid_aligned(q, QuantConfig(bits=10))
         assert not grid_aligned(q, QuantConfig(bits=4))
-        q.quant = None
+        q.quant = quant
         assert not grid_aligned(q, QuantConfig(bits=10))
 
     def test_sr_deterministic_per_seed(self, trained_like):
