@@ -1,8 +1,9 @@
 """Event-camera stream handling: parsing, synthesis, cropping and binning.
 
 A sample holds its (t, x, y, polarity) events, sorted by t over a fixed
-duration (100 ms for NCARS-style recordings), as four uint32 columns, the
-width DAT records store. Two on-disk formats are supported:
+duration (100 ms for NCARS-style recordings), as four columns at the
+widths of their DAT fields: uint32 t, uint16 x and y (14-bit fields) and
+uint8 p, 9 bytes per event. Two on-disk formats are supported:
 
   DAT  binary: optional ASCII header lines starting with '%', then 8-byte
        records of two little-endian 32-bit words. Word 0 is the timestamp
@@ -22,6 +23,7 @@ from multiple threads.
 from __future__ import annotations
 
 import json
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -56,19 +58,54 @@ _MAX_SIDE = 1 << _X_BITS  # the largest sensor side the x/y fields address
 _MAX_DURATION_US = 1 << 32  # every t < duration_us fits the uint32 column
 _MAX_EVENTS = 1 << 31  # generate_synthetic's sort keys need n < 2**31
 
+# (name, dtype) of each event column: the narrowest unsigned type that holds
+# its DAT field
+_COLUMNS = (("t", np.uint32), ("x", np.uint16), ("y", np.uint16), ("p", np.uint8))
+_MAX_SAMPLE_SIDE = 1 << 16  # the pixels a uint16 x or y column addresses
+
 _HEADER_KEYS = {"width", "height", "duration", "label"}
+
+
+def _as_column(values, dtype, name: str) -> np.ndarray:
+    """values as an array of dtype, kept as is when it already has it.
+
+    Raises:
+        ValueError: if the cast would change a value (a negative value, one
+        too large for dtype, or a non-integral float) instead of wrapping.
+    """
+    col = np.asarray(values)
+    if col.dtype == dtype:
+        return col
+    try:
+        with np.errstate(invalid="ignore"):  # a float outside dtype fails below
+            cast = col.astype(dtype)
+    except OverflowError as exc:  # a Python int beyond int64 or uint64
+        raise ValueError(f"event column {name} holds a value outside "
+                         f"{np.dtype(dtype).name}") from exc
+    if not np.array_equal(cast, col):
+        raise ValueError(f"event column {name} holds a value that is not an "
+                         f"integer in the {np.dtype(dtype).name} range")
+    return cast
 
 
 @dataclass(frozen=True)
 class EventSample:
     """A labeled, time-sorted event recording in four equal-length 1-D
-    uint32 columns, one row per event (other integer inputs are cast).
+    columns, one row per event, at the widths of their DAT fields.
+
+    A column that already has its dtype is kept as it is (no copy). Any
+    other input is cast, and a cast that would change a value raises
+    ValueError: a negative value, one too large for the column, or a
+    non-integral float. p stays an integer, not bool, because it indexes
+    the polarity channel when binning. A sensor side above 2**16, beyond
+    what the x and y columns address, is a ValueError too.
 
     Attributes:
-        t: timestamps in microseconds, sorted, each in [0, duration_us).
-        x: pixel columns, each < sensor_width.
-        y: pixel rows, each < sensor_height.
-        p: polarities, each 0 (negative) or 1 (positive).
+        t: uint32 timestamps in microseconds, sorted, each in
+            [0, duration_us).
+        x: uint16 pixel columns, each < sensor_width.
+        y: uint16 pixel rows, each < sensor_height.
+        p: uint8 polarities, each 0 (negative) or 1 (positive).
         sensor_width, sensor_height: sensor size in pixels.
         duration_us: recording length.
         label: class index (0 = background, 1 = car for NCARS-style data).
@@ -84,10 +121,15 @@ class EventSample:
     label: int = 0
 
     def __post_init__(self):
-        for name in ("t", "x", "y", "p"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), np.uint32))
+        for name, dtype in _COLUMNS:
+            object.__setattr__(self, name, _as_column(getattr(self, name), dtype, name))
         if not len(self.t) == len(self.x) == len(self.y) == len(self.p):
             raise ValueError("event columns differ in length")
+        if max(self.sensor_width, self.sensor_height) > _MAX_SAMPLE_SIDE:
+            raise ValueError(
+                f"a {self.sensor_width}x{self.sensor_height} sensor has pixels the "
+                f"uint16 x and y columns cannot hold; sides must be <= {_MAX_SAMPLE_SIDE}"
+            )
 
     @property
     def n_events(self) -> int:
@@ -96,11 +138,20 @@ class EventSample:
 
 @dataclass(frozen=True)
 class AttentionWindow:
-    """A square region of the sensor where events concentrate."""
+    """A square region of the sensor where events concentrate.
+
+    Fields are stored as Python ints (any integer, NumPy scalars included,
+    is accepted), so that arithmetic with an event column keeps the
+    column's dtype.
+    """
 
     x0: int
     y0: int
     size: int
+
+    def __post_init__(self):
+        for name in ("x0", "y0", "size"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -163,9 +214,9 @@ def _check_geometry(width: int, height: int, duration: int) -> None:
 def _check_events(t: np.ndarray, x: np.ndarray, y: np.ndarray,
                   width: int, height: int, duration: int) -> None:
     """Raise CoordinateOutOfRange (pixel, then timestamp) or UnsortedEvents
-    for uint32 columns that break the declared geometry and duration.
+    for event columns that break the declared geometry and duration.
 
-    The uint32 columns already rule out negative values; the first
+    The unsigned columns already rule out negative values; the first
     offending event is named.
     """
     if len(t) and (int(x.max()) >= width or int(y.max()) >= height):
@@ -181,6 +232,14 @@ def _check_events(t: np.ndarray, x: np.ndarray, y: np.ndarray,
         )
     if np.any(t[1:] < t[:-1]):
         raise UnsortedEvents("DAT records are not sorted by timestamp")
+
+
+def _column_block(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Uninitialised (t, x, y, p) columns for n events as views of one
+    9n-byte block, so that a long-lived sample is one allocation."""
+    block = np.empty(9 * n, dtype=np.uint8)
+    return (block[: 4 * n].view(np.uint32), block[4 * n : 6 * n].view(np.uint16),
+            block[6 * n : 8 * n].view(np.uint16), block[8 * n :])
 
 
 def parse_dat(data: bytes) -> EventSample:
@@ -208,14 +267,17 @@ def parse_dat(data: bytes) -> EventSample:
             f"event section is {len(body)} bytes, not a multiple of 8"
         )
     words = np.frombuffer(body, dtype="<u4")
-    # contiguous copies: every later pass reads a strided word more slowly
-    t, w1 = words[0::2].copy(), words[1::2].copy()
-    x, y = w1 & _X_MASK, w1 >> _X_BITS
+    t, x, y, p = _column_block(len(words) // 2)
+    t[:] = words[0::2]
+    # a contiguous copy: each of the three passes below reads it once
+    w1 = words[1::2].copy()
+    np.bitwise_and(w1, _X_MASK, out=x, casting="unsafe")
+    np.right_shift(w1, _X_BITS, out=y, casting="unsafe")  # keeps bits 14-29
     y &= _Y_MASK
     _check_events(t, x, y, width, height, duration)
-    w1 >>= _X_BITS + _Y_BITS  # w1 becomes the polarity column
-    w1 &= 1
-    return EventSample(t, x, y, w1, width, height, duration, lab)
+    np.right_shift(w1, _X_BITS + _Y_BITS, out=p, casting="unsafe")  # bits 28-31
+    p &= 1
+    return EventSample(t, x, y, p, width, height, duration, lab)
 
 
 def write_dat(sample: EventSample) -> bytes:
@@ -243,7 +305,12 @@ def write_dat(sample: EventSample) -> bytes:
     ).encode("ascii")
     body = np.empty((sample.n_events, 2), dtype="<u4")
     body[:, 0] = sample.t
-    body[:, 1] = sample.x | (sample.y << _X_BITS) | (sample.p << (_X_BITS + _Y_BITS))
+    # widen y and p before shifting: a uint16 y << 14 drops y's high bits
+    word = sample.y.astype(np.uint32)
+    word <<= _X_BITS
+    word |= sample.x
+    word |= sample.p.astype(np.uint32) << (_X_BITS + _Y_BITS)
+    body[:, 1] = word
     return header + body.tobytes()
 
 
@@ -354,7 +421,15 @@ def center_window(sample: EventSample, size: int) -> AttentionWindow:
 
 
 def crop(sample: EventSample, window: AttentionWindow) -> EventSample:
-    """Keep events inside the window, re-based to the window origin."""
+    """Keep events inside the window, re-based to the window origin.
+
+    One compare per axis, in the uint16 column dtype: a coordinate x left
+    of the origin wraps to 2**16 - (x0 - x) >= 2**16 - x0, which is at
+    least the window size because the window ends inside a sensor side of
+    at most 2**16 (2**14 for any sample a DAT file can hold, so such a
+    coordinate wraps to at least 2**16 - 2**14). The same holds above the
+    origin.
+    """
     if (
         window.x0 < 0
         or window.y0 < 0
@@ -365,7 +440,7 @@ def crop(sample: EventSample, window: AttentionWindow) -> EventSample:
             f"window {window} exceeds "
             f"{sample.sensor_width}x{sample.sensor_height} sensor"
         )
-    # uint32 wraps a coordinate below the origin past any size: one test per axis
+    # window fields are Python ints, so the differences stay uint16 and wrap
     dx, dy = sample.x - window.x0, sample.y - window.y0
     keep = dx < window.size
     keep &= dy < window.size
@@ -396,8 +471,15 @@ def bin_to_frames(sample: EventSample, timesteps: int) -> SpikeFrames:
     w = sample.sensor_width
     data = np.zeros((timesteps, 2, w, w), dtype=np.uint8)
     if sample.n_events:
-        bins = (sample.t.astype(np.int64) * timesteps) // sample.duration_us
-        data[bins, sample.p, sample.y, sample.x] = 1
+        # one flat intp index ((bin * 2 + p) * w + y) * w + x: a single
+        # scatter, instead of four narrow index arrays each cast to intp
+        flat = sample.t.astype(np.intp)
+        flat *= timesteps
+        flat //= sample.duration_us
+        for col, scale in ((sample.p, 2), (sample.y, w), (sample.x, w)):
+            flat *= scale
+            flat += col
+        data.reshape(-1)[flat] = 1
     return SpikeFrames(data=data, timesteps=timesteps, window=w)
 
 
@@ -530,12 +612,12 @@ def generate_synthetic(
     keys >>= b
     # the four columns share one allocation, so that many long-lived samples
     # do not fragment the heap among the int64 temporaries made here
-    columns = np.empty((4, n), dtype=np.uint32)
-    columns[0] = keys
-    for row, parts in zip(columns[1:], ((x_bar, x_noise), (y_bar, y_noise),
-                                        (p_bar, p_noise))):
-        row[:] = np.concatenate(parts)[order]
-    return EventSample(*columns, sensor_width, sensor_height, duration_us, class_id)
+    t, x, y, p = _column_block(n)
+    t[:] = keys
+    for col, parts in zip((x, y, p), ((x_bar, x_noise), (y_bar, y_noise),
+                                      (p_bar, p_noise))):
+        col[:] = np.concatenate(parts)[order]  # every value fits the column
+    return EventSample(t, x, y, p, sensor_width, sensor_height, duration_us, class_id)
 
 
 def make_synthetic_dataset(

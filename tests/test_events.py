@@ -1,5 +1,6 @@
 """Event parsing, windowing, binning and synthesis."""
 
+import dataclasses
 import hashlib
 import json
 import struct
@@ -33,11 +34,16 @@ def make_sample(rows, width=32, height=32, duration=100_000, label=0):
     return sd.EventSample(t, x, y, p, width, height, duration, label)
 
 
+# each column at the width of its DAT field: 4 + 2 + 2 + 1 = 9 bytes per event
+COLUMN_DTYPES = (np.uint32, np.uint16, np.uint16, np.uint8)
+
+
 def columns(sample):
-    """The sample's (t, x, y, p) columns, each checked to be 1-D uint32."""
+    """The sample's (t, x, y, p) columns, each checked to be 1-D and of its
+    COLUMN_DTYPES entry."""
     cols = (sample.t, sample.x, sample.y, sample.p)
-    for col in cols:
-        assert col.dtype == np.uint32 and col.shape == (sample.n_events,)
+    for col, dtype in zip(cols, COLUMN_DTYPES):
+        assert col.dtype == dtype and col.shape == (sample.n_events,)
     return cols
 
 
@@ -183,6 +189,17 @@ class TestParseDat:
         assert sample.sensor_width == 304
         assert sample.sensor_height == 240
 
+    def test_widest_fields_round_trip(self):
+        # every bit of x, y, p and t set: y and p must be widened to 32 bits
+        # before they are shifted into the record word
+        sample = make_sample([(2**32 - 1, 16383, 16383, 1)], width=2**14,
+                             height=2**14, duration=2**32)
+        blob = sd.write_dat(sample)
+        assert blob.endswith(pack_record(2**32 - 1, 16383, 16383, 1))
+        again = sd.parse_dat(blob)
+        assert_same_events(again, sample)
+        assert again.duration_us == 2**32
+
     def test_round_trip(self):
         sample = sd.generate_synthetic(1, seed=3)
         again = sd.parse_dat(sd.write_dat(sample))
@@ -308,6 +325,70 @@ class TestParseCsv:
         assert sd.parse_csv("").n_events == 0
 
 
+class TestColumnContract:
+    """Every producer gives (uint32, uint16, uint16, uint8) columns, 9 bytes
+    per event, and EventSample refuses a value its column cannot hold."""
+
+    @staticmethod
+    def producers(tmp_path):
+        synthetic = sd.generate_synthetic(1, seed=3, sensor_width=32, sensor_height=32)
+        sd.write_dataset({"train": [synthetic, synthetic]}, tmp_path)
+        return {
+            "parse_dat": sd.parse_dat(sd.write_dat(synthetic)),
+            "parse_csv": sd.parse_csv("t_us,x,y,p\n10,5,7,1\n20,303,239,0\n"),
+            "generate_synthetic": synthetic,
+            "crop": sd.crop(synthetic, AttentionWindow(3, 4, 20)),
+            "replace": dataclasses.replace(synthetic, label=0),
+            "load_dataset workers=1": sd.load_dataset(tmp_path, "train", workers=1)[1],
+            "load_dataset workers=2": sd.load_dataset(tmp_path, "train", workers=2)[1],
+        }
+
+    def test_every_producer_gives_nine_bytes_per_event(self, tmp_path):
+        for name, sample in self.producers(tmp_path).items():
+            assert sample.n_events > 0, name
+            cols = columns(sample)
+            assert sum(col.nbytes for col in cols) == 9 * sample.n_events, name
+
+    @pytest.mark.parametrize("producer", ["generate_synthetic", "parse_dat"])
+    def test_columns_share_one_allocation(self, producer):
+        sample = sd.generate_synthetic(0, seed=4, sensor_width=16, sensor_height=16)
+        if producer == "parse_dat":
+            sample = sd.parse_dat(sd.write_dat(sample))
+        block = sample.t.base
+        assert block is not None and block.nbytes == 9 * sample.n_events
+        assert all(col.base is block for col in columns(sample))
+
+    def test_columns_of_their_dtype_are_not_copied(self):
+        cols = [np.arange(3, dtype=dtype) for dtype in COLUMN_DTYPES]
+        sample = sd.EventSample(*cols, 8, 8)
+        assert all(got is col for got, col in zip(columns(sample), cols))
+
+    @pytest.mark.parametrize("column,value", [
+        ("t", -1), ("t", 2**32), ("x", -1), ("x", 2**16), ("y", 70_000),
+        ("p", 256), ("p", -1), ("x", 1.5), ("t", float("nan")), ("x", 2**70),
+    ])
+    def test_value_outside_its_column_is_refused(self, column, value):
+        cols = {name: [0, 1] for name in "txyp"}
+        for values in ([0, value], np.array([0, value])):  # list, then array
+            cols[column] = values
+            with pytest.raises(ValueError, match=f"event column {column} "):
+                sd.EventSample(**cols, sensor_width=8, sensor_height=8)
+
+    def test_sensor_side_beyond_the_columns_is_refused(self):
+        # a window ending past 2**16 would let a uint16 crop keep wrapped pixels
+        sd.EventSample([], [], [], [], 2**16, 2**16)
+        for width, height in ((2**16 + 1, 4), (4, 70_000)):
+            with pytest.raises(ValueError, match="sides must be <= 65536"):
+                sd.EventSample([], [], [], [], width, height)
+
+    def test_integral_floats_and_wider_ints_are_cast(self):
+        sample = sd.EventSample(np.array([0.0, 2.0**32 - 1]), np.array([0, 65535]),
+                                np.array([3, 4], np.uint64), np.ones(2), 8, 8)
+        t, x, y, p = columns(sample)
+        assert t.tolist() == [0, 2**32 - 1] and x.tolist() == [0, 65535]
+        assert y.tolist() == [3, 4] and p.tolist() == [1, 1]
+
+
 class TestAttentionWindow:
     def test_degenerate_concentration(self):
         rows = [(i * 10, 0, 0, 1) for i in range(20)]
@@ -378,6 +459,18 @@ class TestCrop:
         sample = make_sample([(10, 1, 1, 1), (20, 30, 30, 0)], 32, 32)
         out = sd.crop(sample, AttentionWindow(0, 0, 8))
         assert out.n_events == 1
+
+    @pytest.mark.parametrize("int_type", [np.int64, np.uint16])
+    def test_numpy_integer_window_crops_like_python_ints(self, int_type):
+        # a NumPy origin must not promote x - x0 to a signed type, where a
+        # pixel left of or above the origin would not wrap past the size
+        sample = make_sample([(0, 0, 0, 1), (1, 5, 5, 1), (2, 9, 9, 0)], 10, 10)
+        window = AttentionWindow(int_type(4), int_type(4), int_type(4))
+        assert (type(window.x0), type(window.y0), type(window.size)) == (int, int, int)
+        out = sd.crop(sample, window)
+        assert_same_events(out, sd.crop(sample, AttentionWindow(4, 4, 4)))
+        assert_same_events(out, make_sample([(1, 1, 1, 1)]))
+        assert sd.bin_to_frames(out, 2).data.sum() == 1
 
     def test_full_sensor_window_is_identity(self):
         sample = sd.generate_synthetic(0, seed=5, sensor_width=32, sensor_height=32)
