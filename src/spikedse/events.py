@@ -79,10 +79,10 @@ def _as_column(values, dtype, name: str) -> np.ndarray:
     try:
         with np.errstate(invalid="ignore"):  # a float outside dtype fails below
             cast = col.astype(dtype)
-    except OverflowError as exc:  # a Python int beyond int64 or uint64
-        raise ValueError(f"event column {name} holds a value outside "
-                         f"{np.dtype(dtype).name}") from exc
-    if not np.array_equal(cast, col):
+        exact = np.array_equal(cast, col)
+    except OverflowError:  # a Python int beyond int64 or uint64
+        exact = False
+    if not exact:
         raise ValueError(f"event column {name} holds a value that is not an "
                          f"integer in the {np.dtype(dtype).name} range")
     return cast
