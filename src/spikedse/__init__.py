@@ -77,7 +77,6 @@ from .training import (
     SurrogateParams,
     TrainConfig,
     backward,
-    batch_backward,
     evaluate,
     loss,
     surrogate_derivative,

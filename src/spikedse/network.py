@@ -199,6 +199,14 @@ class WeightSet:
             quant=dict(self.quant) if self.quant else None,
         )
 
+    def zeros_like(self) -> "WeightSet":
+        """All-zero parameters of the same shapes, without a quant record."""
+        return WeightSet(layers=[
+            None if lw is None
+            else LayerWeights(np.zeros_like(lw.weight), np.zeros_like(lw.bias))
+            for lw in self.layers
+        ])
+
     def frac_bits(self) -> list | None:
         """The quant record's frac_bits if it is a list of one entry per
         layer; a record read from a file may hold anything else."""

@@ -13,18 +13,20 @@ forward as well, which makes forward and backward exactly consistent so
 central finite differences can certify the backward implementation.
 
 The loss is mean squared error between per-class firing rates and the
-one-hot target. Each minibatch is simulated as one batch by
-`network.simulate`, and its mean gradient comes from one reverse LIF scan
-per layer, then one GEMM each for dW and dx. A conv's dx is a transposed
+one-hot target. `backward` simulates a minibatch as one recorded batch by
+`network.simulate` and returns its mean gradient as a `WeightSet` (dW and
+db in each spiking layer's LayerWeights), from one reverse LIF scan per
+layer, then one GEMM each for dW and dx. A conv's dx is a transposed
 conv of dL/dV, run by the forward conv kernel (one GEMM per row block);
 its dW GEMM is one per im2col row block, or, when the recorded input is
 sparse, one per tap over the non-zero input pixels only. `evaluate`
 simulates a split in the fewest equal chunks a byte budget allows.
-Optimization is minibatch SGD with momentum and a fixed seeded shuffle
-schedule, so results are bit-identical across reruns. An epoch's training
-accuracy is counted from the output spikes of its minibatch forwards, so
-the training split is never simulated a second time; only the test split
-is evaluated after each epoch.
+Optimization is minibatch SGD with momentum (the velocity is a
+`WeightSet` too) and a fixed seeded shuffle schedule, so results are
+bit-identical across reruns. An epoch's training accuracy is counted from
+the output counts `backward` returns for its minibatches, so the training
+split is never simulated a second time; only the test split is evaluated
+after each epoch.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .checkpoint import save_checkpoint
 from .errors import ConfigError, EmptyDataset, ShapeMismatch
 from .events import SpikeFrames
 from .network import (
-    ForwardResult,
     LayerSpec,
     LayerTrace,
     LayerWeights,
@@ -143,24 +144,6 @@ def loss(rates: np.ndarray, label: int) -> float:
     return float(np.mean((rates - onehot) ** 2))
 
 
-@dataclass
-class GradientSet:
-    """dL/dW and dL/db shaped like the WeightSet (None for pooling)."""
-
-    layers: list[dict | None]
-
-    @classmethod
-    def zeros_like(cls, weights: WeightSet) -> "GradientSet":
-        return cls(
-            layers=[
-                None
-                if lw is None
-                else {"weight": np.zeros_like(lw.weight), "bias": np.zeros_like(lw.bias)}
-                for lw in weights.layers
-            ]
-        )
-
-
 def _lif_backward(
     v: np.ndarray,
     spikes: np.ndarray,
@@ -241,20 +224,33 @@ def _layer_backward(
     return d_weight, d_bias, d_x
 
 
-def _gradients(
+def backward(
     net: NetworkSpec,
     weights: WeightSet,
-    result: ForwardResult,
-    labels: list[int],
-    surrogate: SurrogateParams,
-) -> tuple[GradientSet, float]:
-    """Mean (gradients, loss) over the B samples of a recorded `simulate`.
+    batch: list[tuple[SpikeFrames, int]],
+    *,
+    surrogate: SurrogateParams | None = None,
+    spike_mode: SpikeMode = "hard",
+) -> tuple[WeightSet, float, np.ndarray]:
+    """Backpropagate a minibatch through time and space from one recorded
+    `simulate`: (mean gradients, mean loss, (B, K) output spike counts).
 
-    Consumes the trace: each layer's potentials become dL/dV, and its entry
-    is released once used so backward holds no more than forward did.
+    The gradients hold LayerWeights(d_weight, d_bias) per spiking layer and
+    None at pools. Each layer's recorded potentials become dL/dV in place,
+    and its trace entry is released once used, so backward holds no more
+    than forward did.
     """
-    trace = result.trace
-    counts = result.counts.reshape(len(labels), -1)
+    surrogate = surrogate or SurrogateParams()
+    labels = [label for _, label in batch]
+    result = simulate(
+        net,
+        weights,
+        [frames for frames, _ in batch],
+        record=True,
+        spike_mode=spike_mode,
+        surrogate_half_width=surrogate.half_width,
+    )
+    trace, counts = result.trace, result.counts
     B, K = counts.shape
     first = next(i for i, layer in enumerate(net.layers) if layer.spiking)
     T = trace[first].spikes.shape[0]
@@ -264,7 +260,7 @@ def _gradients(
     # dL/ds_out at every timestep (rates are a mean over T, the loss over B)
     d_s = np.tile(2.0 * (rates - onehot) / (K * T * B), (T, 1))
 
-    grads = GradientSet(layers=[None] * len(net.layers))
+    grads = WeightSet(layers=[None] * len(net.layers))
     pool = 1  # consecutive floor-mode pools act as one pool of the product kernel
     for i in range(len(net.layers) - 1, first - 1, -1):
         layer = net.layers[i]
@@ -276,66 +272,9 @@ def _gradients(
             input_grad=i > first,
         )
         trace[i] = None
-        grads.layers[i] = {"weight": d_w, "bias": d_b}
+        grads.layers[i] = LayerWeights(d_w, d_b)
         pool = 1
-    return grads, loss_value
-
-
-def backward(
-    net: NetworkSpec,
-    weights: WeightSet,
-    frames: SpikeFrames,
-    label: int,
-    *,
-    surrogate: SurrogateParams | None = None,
-    spike_mode: SpikeMode = "hard",
-) -> tuple[GradientSet, float]:
-    """Backpropagate one sample through time and space: (gradients, loss)."""
-    return batch_backward(
-        net, weights, [(frames, label)], surrogate=surrogate, spike_mode=spike_mode
-    )
-
-
-def batch_backward(
-    net: NetworkSpec,
-    weights: WeightSet,
-    batch: list[tuple[SpikeFrames, int]],
-    *,
-    surrogate: SurrogateParams | None = None,
-    spike_mode: SpikeMode = "hard",
-) -> tuple[GradientSet, float]:
-    """Mean (gradients, loss) over a minibatch, simulated as one batch."""
-    grads, loss_value, _ = _batch_step(
-        net, weights, batch, surrogate=surrogate, spike_mode=spike_mode
-    )
-    return grads, loss_value
-
-
-def _batch_step(
-    net: NetworkSpec,
-    weights: WeightSet,
-    batch: list[tuple[SpikeFrames, int]],
-    *,
-    surrogate: SurrogateParams | None = None,
-    spike_mode: SpikeMode = "hard",
-) -> tuple[GradientSet, float, int]:
-    """(mean gradients, mean loss, correct decodes) of one recorded
-    `simulate` of the minibatch; decodes break ties as `evaluate` does."""
-    surrogate = surrogate or SurrogateParams()
-    frames = [frames for frames, _ in batch]
-    labels = [label for _, label in batch]
-    result = simulate(
-        net,
-        weights,
-        frames,
-        record=True,
-        spike_mode=spike_mode,
-        surrogate_half_width=surrogate.half_width,
-    )
-    T = frames[0].timesteps
-    hits = sum(decode(c, T)[0] == label for c, label in zip(result.counts, labels))
-    grads, loss_value = _gradients(net, weights, result, labels, surrogate)
-    return grads, loss_value, hits
+    return grads, loss_value, counts
 
 
 # ---------------------------------------------------------------------------
@@ -352,18 +291,18 @@ class EpochStats:
 
 def _sgd_step(
     weights: WeightSet,
-    grads: GradientSet,
-    velocity: GradientSet,
+    grads: WeightSet,
+    velocity: WeightSet,
     lr: float,
     momentum: float,
 ) -> None:
     for lw, g, v in zip(weights.layers, grads.layers, velocity.layers):
         if lw is None:
             continue
-        v["weight"] = momentum * v["weight"] - lr * g["weight"]
-        v["bias"] = momentum * v["bias"] - lr * g["bias"]
-        lw.weight = lw.weight + v["weight"]
-        lw.bias = lw.bias + v["bias"]
+        v.weight = momentum * v.weight - lr * g.weight
+        v.bias = momentum * v.bias - lr * g.bias
+        lw.weight = lw.weight + v.weight
+        lw.bias = lw.bias + v.bias
 
 
 def train(
@@ -395,7 +334,7 @@ def train(
     if config.epochs == 0:
         return weights, []
 
-    velocity = GradientSet.zeros_like(weights)
+    velocity = weights.zeros_like()
     rng = np.random.default_rng(config.seed)
     log: list[EpochStats] = []
 
@@ -409,10 +348,11 @@ def train(
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
             batch = [data[j] for j in order[start : start + config.batch_size]]
-            grads, batch_loss, batch_hits = _batch_step(net, weights, batch)
+            grads, batch_loss, counts = backward(net, weights, batch)
             _sgd_step(weights, grads, velocity, lr, config.momentum)
             loss_sum += batch_loss
-            hits += batch_hits
+            T = batch[0][0].timesteps
+            hits += sum(decode(c, T)[0] == label for c, (_, label) in zip(counts, batch))
             n_batches += 1
 
         stats = EpochStats(

@@ -172,8 +172,8 @@ def test_criterion_5_gradient_check():
             lw.bias += rng.normal(0, 0.05, lw.bias.shape)
     sur = SurrogateParams(half_width=0.5)
     label = 1
-    grads, _ = backward(
-        spec, weights, frames, label, surrogate=sur, spike_mode="relaxed"
+    grads, _, _ = backward(
+        spec, weights, [(frames, label)], surrogate=sur, spike_mode="relaxed"
     )
 
     def relaxed_loss():
@@ -190,7 +190,7 @@ def test_criterion_5_gradient_check():
             continue
         for name in ("weight", "bias"):
             flat = getattr(lw, name).reshape(-1)
-            g = grads.layers[i][name].reshape(-1)
+            g = getattr(grads.layers[i], name).reshape(-1)
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + h

@@ -781,6 +781,11 @@ BAD_INPUTS = {
         "and 99999999999999999999999 us; sides must be in [1, 16384] and the "
         "duration >= 1 and <= 4294967296",
     ),
+    "dataset gen sensor past the event cap": (
+        {}, ["dataset", "gen", "--per-class", "1", "--seed", "1", "--sensor", "16384",
+             "--out", "{tmp}/data"],
+        "sensor 16384x16384: its 268435456 bar events reach the 2**24 events",
+    ),
     "dataset gen duration above 2**32": (
         {}, GEN + ["--duration", "5000000000"], "exceeds the 2**32 us",
     ),

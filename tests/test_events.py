@@ -642,7 +642,8 @@ class TestSynthetic:
         ({"sensor_width": 2**14 + 1}, "sides must be in"),
         ({"sensor_width": 20000, "sensor_height": 20000}, "sides must be in"),
         ({"noise_events": -1}, "noise_events must be >= 0"),
-        ({"noise_events": 2**31 - 64 * 64}, "noise_events must be >= 0"),
+        ({"noise_events": 2**24 - 64 * 64}, "noise_events must be >= 0"),
+        ({"sensor_width": 4096, "sensor_height": 4096}, "bar events reach the 2\\*\\*24"),
     ])
     def test_bounds_rejected_before_any_allocation(self, monkeypatch, kwargs, message):
         def no_generator(seed):

@@ -14,12 +14,10 @@ from spikedse.network import (
     forward,
 )
 from spikedse.training import (
-    GradientSet,
     SurrogateParams,
     TrainConfig,
     _sgd_step,
     backward,
-    batch_backward,
     evaluate,
     loss,
     surrogate_derivative,
@@ -57,8 +55,8 @@ def finite_difference_error(spec, weights, frames, label, h=1e-4):
     """Largest relative gap between relaxed-mode backward and central
     differences over every weight and bias."""
     sur = SurrogateParams(half_width=0.5)
-    grads, _ = backward(
-        spec, weights, frames, label=label, surrogate=sur, spike_mode="relaxed"
+    grads, _, _ = backward(
+        spec, weights, [(frames, label)], surrogate=sur, spike_mode="relaxed"
     )
     max_rel = 0.0
     for i, lw in enumerate(weights.layers):
@@ -66,7 +64,7 @@ def finite_difference_error(spec, weights, frames, label, h=1e-4):
             continue
         for name in ("weight", "bias"):
             flat = getattr(lw, name).reshape(-1)
-            g = grads.layers[i][name].reshape(-1)
+            g = getattr(grads.layers[i], name).reshape(-1)
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + h
@@ -136,13 +134,13 @@ class TestBackward:
         spec = toy_spec()
         weights = sd.init_weights(spec, seed=0)
         frames = SpikeFrames(np.zeros((2, 2, 6, 6), np.uint8), 2, 6)
-        grads, _ = backward(spec, weights, frames, label=0)
+        grads, _, _ = backward(spec, weights, [(frames, 0)])
         for i, layer in enumerate(spec.layers):
             if layer.spiking:
-                assert np.all(grads.layers[i]["weight"] == 0)
+                assert np.all(grads.layers[i].weight == 0)
         # biases can still receive gradient through the surrogate window
         assert any(
-            np.any(grads.layers[i]["bias"] != 0)
+            np.any(grads.layers[i].bias != 0)
             for i, l in enumerate(spec.layers)
             if l.spiking
         )
@@ -162,7 +160,7 @@ class TestBackward:
         )
         label = 1
         sur = SurrogateParams(half_width=0.5)
-        grads, _ = backward(spec, weights, frames, label, surrogate=sur)
+        grads, _, _ = backward(spec, weights, [(frames, label)], surrogate=sur)
 
         x = np.array([1.0, 1.0])
         v = weights.layers[0].weight @ x + weights.layers[0].bias
@@ -171,8 +169,8 @@ class TestBackward:
         d_s = 2 * (s - y) / 2  # mean over 2 classes, T=1
         d_v = d_s * surrogate_derivative(v, 0.4, sur)
         expected_w = np.outer(d_v, x)
-        assert np.allclose(grads.layers[0]["weight"], expected_w)
-        assert np.allclose(grads.layers[0]["bias"], d_v)
+        assert np.allclose(grads.layers[0].weight, expected_w)
+        assert np.allclose(grads.layers[0].bias, d_v)
 
     def test_relaxed_mode_matches_finite_differences(self):
         # acceptance-level check, kept small here; h = 1e-4, tol 1e-3
@@ -262,8 +260,8 @@ class TestBackward:
                             or kernel(grad, x, *args))
         assert finite_difference_error(spec, weights, frames, label=1) < 1e-3
         assert gathered == [16, 2]  # conv2, and conv1 on its sparse frames
-        grads, _ = backward(spec, weights, frames, 1, spike_mode="relaxed")
-        assert all(np.count_nonzero(grads.layers[i]["weight"]) for i in (0, 2, 4, 5))
+        grads, _, _ = backward(spec, weights, [(frames, 1)], spike_mode="relaxed")
+        assert all(np.count_nonzero(grads.layers[i].weight) for i in (0, 2, 4, 5))
 
     def test_scan_product_is_d_s_times_surrogate_bit_for_bit(self):
         # T=1: no carry, so the scan leaves exactly d_s * surrogate(V)
@@ -320,19 +318,20 @@ class TestBackward:
                 lw.bias += 0.15
         batch = small_data[0][:20]
         assert len(batch) == 20
-        grads, batch_loss = batch_backward(net, weights, batch)
-        singles = [backward(net, weights, frames, label) for frames, label in batch]
-        assert batch_loss == pytest.approx(np.mean([l for _, l in singles]), rel=1e-12)
+        grads, batch_loss, _ = backward(net, weights, batch)
+        singles = [backward(net, weights, [sample]) for sample in batch]
+        assert batch_loss == pytest.approx(np.mean([l for _, l, _ in singles]), rel=1e-12)
         for i, g in enumerate(grads.layers):
             if g is None:
                 continue
             for name in ("weight", "bias"):
-                mean = np.mean([s.layers[i][name] for s, _ in singles], axis=0)
+                mean = np.mean([getattr(s.layers[i], name) for s, _, _ in singles],
+                               axis=0)
                 scale = np.abs(mean).max()
                 assert scale > 0
                 # rtol 1e-12 of the layer's largest entry: summation order differs
                 np.testing.assert_allclose(
-                    g[name], mean, rtol=1e-12, atol=1e-12 * scale
+                    getattr(g, name), mean, rtol=1e-12, atol=1e-12 * scale
                 )
 
 
@@ -393,14 +392,40 @@ class TestTrain:
         net = sd.build_network(50)
         frames, label = small_data[0][0]
         weights = sd.init_weights(net, seed=3)
-        velocity = GradientSet.zeros_like(weights)
+        velocity = weights.zeros_like()
         losses = []
         for _ in range(50):
-            grads, value = backward(net, weights, frames, label)
+            grads, value, _ = backward(net, weights, [(frames, label)])
             losses.append(value)
             _sgd_step(weights, grads, velocity, lr=0.05, momentum=0.0)
         for before, after in zip(losses, losses[1:]):
             assert after <= before + 1e-6
+
+    def test_one_backward_per_minibatch(self, small_data, monkeypatch):
+        net = sd.build_network(50)
+        config = TrainConfig(epochs=2, batch_size=8, seed=4, timesteps=5, window=50)
+        reference = sd.init_weights(net, seed=4)
+        real, calls = training.backward, []
+
+        def spy(net, weights, batch, **kwargs):
+            result = real(net, weights, batch, **kwargs)
+            calls.append((len(batch), result))
+            return result
+
+        monkeypatch.setattr(training, "backward", spy)
+        train(net, small_data[0], config)
+        n = len(small_data[0])
+        sizes = [min(config.batch_size, n - lo) for lo in range(0, n, config.batch_size)]
+        assert len(sizes) == -(-n // config.batch_size)
+        assert [size for size, _ in calls] == sizes * config.epochs
+        for size, (grads, _, counts) in calls:
+            assert isinstance(grads, sd.WeightSet)
+            assert counts.shape == (size, net.layers[-1].out_channels)
+            for layer, g, lw in zip(net.layers, grads.layers, reference.layers):
+                assert (g is None) == (layer.kind == "avg_pool")
+                if g is not None:
+                    assert g.weight.shape == lw.weight.shape
+                    assert g.bias.shape == lw.bias.shape
 
     def test_periodic_checkpoints(self, small_data, tmp_path):
         net = sd.build_network(50)
@@ -436,7 +461,7 @@ def reference_train(net, data, config, test_data, checkpoint_dir):
     minibatch with the weights before its step, weighted by batch size.
     """
     weights = sd.init_weights(net, config.seed)
-    velocity = GradientSet.zeros_like(weights)
+    velocity = weights.zeros_like()
     rng = np.random.default_rng(config.seed)
     log, running = [], []
     for epoch in range(config.epochs):
@@ -448,7 +473,7 @@ def reference_train(net, data, config, test_data, checkpoint_dir):
         for start in range(0, len(order), config.batch_size):
             batch = [data[j] for j in order[start : start + config.batch_size]]
             correct += evaluate(net, weights, batch) * len(batch)
-            grads, batch_loss = batch_backward(net, weights, batch)
+            grads, batch_loss, _ = backward(net, weights, batch)
             _sgd_step(weights, grads, velocity, lr, config.momentum)
             loss_sum += batch_loss
             n_batches += 1
