@@ -7,7 +7,8 @@ spec, a precision tag, the training seed and the tensor shapes, plus the
 quantization block {bits, rounding, frac_bits} when the weights came out
 of the quantizer. Writing is fully deterministic so identical inputs give
 byte-identical files. The loader checks the header's tensor list against
-the spec and the payload size against those tensors, and raises
+the spec and the payload size against those tensors, builds the WeightSet
+(which checks the quantization block against the payload), and raises
 CheckpointError for any file it cannot read back whole.
 """
 
@@ -91,7 +92,8 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkSpec, WeightSet, dict]:
     Raises:
         CheckpointError: if the header line is missing or not JSON, is not
             this format, lacks a key, lists tensors other than the spec's,
-            or the payload is shorter or longer than those tensors.
+            the payload is shorter or longer than those tensors, or the
+            quant block is one `WeightSet` refuses for that payload.
     """
     data = Path(path).read_bytes()
     newline = data.find(b"\n")
@@ -106,14 +108,11 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkSpec, WeightSet, dict]:
     with CheckpointError.guard(str(path)):
         spec = _spec_from_dict(header["spec"])
         listed = [(e["layer"], e["name"], e["shape"]) for e in header["tensors"]]
-    quant = header.get("quant")
     expected = _tensor_list(spec)
     if listed != expected:
         raise CheckpointError(
             f"{path}: tensors {listed} do not match the spec's {expected}"
         )
-    if quant is not None and not isinstance(quant, dict):
-        raise CheckpointError(f"{path}: quant block is not an object")
     sizes = [math.prod(shape) for _, _, shape in expected]
     offset = newline + 1
     if len(data) - offset != 4 * sum(sizes):
@@ -130,5 +129,6 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkSpec, WeightSet, dict]:
     layers: list[LayerWeights | None] = [None] * len(spec.layers)
     for (i, _, _), weight, bias in zip(expected[::2], arrays[::2], arrays[1::2]):
         layers[i] = LayerWeights(weight, bias)
-    weights = WeightSet(layers=layers, quant=quant)
+    with CheckpointError.guard(str(path)):
+        weights = WeightSet(layers, quant=header.get("quant"))
     return spec, weights, header

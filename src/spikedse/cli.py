@@ -40,7 +40,13 @@ from .events import (
 )
 from .network import build_network
 from .quantize import QuantConfig, ptq
-from .training import TrainConfig, evaluate, train, write_training_log
+from .training import (
+    TrainConfig,
+    _check_training_bytes,
+    evaluate,
+    train,
+    write_training_log,
+)
 
 
 def _flags(args: argparse.Namespace) -> dict:
@@ -156,7 +162,8 @@ def _load_splits(data_cfg: dict | None, workers: int) -> tuple[list, list, str]:
 def cmd_train(args) -> int:
     raw = _read_config(args.config)
     config = TrainConfig.from_dict(raw)
-    strict = _strict(raw)
+    net = build_network(config.window, strict=_strict(raw))
+    _check_training_bytes(net, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train_samples, test_samples, mode = _load_splits(raw.get("data"), args.workers)
@@ -164,7 +171,6 @@ def cmd_train(args) -> int:
         encode_dataset(split, config.window, config.timesteps, window_mode=mode)
         for split in (train_samples, test_samples)
     )
-    net = build_network(config.window, strict=strict)
     weights, log = train(
         net,
         train_data,
@@ -229,7 +235,7 @@ def cmd_dse(args) -> int:
         if args.data:  # the directory overrides the data block's, other keys stay
             data = raw.get("data", {})
             raw["data"] = {**data, "dir": args.data} if isinstance(data, dict) else data
-        # Check the config and every window before loading or cropping.
+        # Check the config, every window and its memory before loading or cropping.
         strict = _strict(raw)
         nets = {w: build_network(w, strict=strict) for w in grid.windows}
         configs = {
@@ -237,6 +243,8 @@ def cmd_dse(args) -> int:
             for w in grid.windows
             for t in grid.timesteps
         }
+        for (_, w), config in configs.items():
+            _check_training_bytes(nets[w], config)
         train_samples, test_samples, mode = _load_splits(raw.get("data"), args.workers)
         # The window search depends only on W, and T only changes the
         # binning: crop each sample once per W, then bin the crops per T.

@@ -29,7 +29,8 @@ reads only the non-zero input pixels and scatters them through the k x k
 taps. `simulate` picks the event-driven one per conv layer and batch when
 its result is provably the dense one's (hard spikes, an input and ptq
 weights on 2^-n grids whose sums fit the float64 mantissa, see
-`_exact_map`) and the input is sparse enough for it to pay
+`_exact_map`; a WeightSet checks its record and grid once, when it is
+made) and the input is sparse enough for it to pay
 (`_active_pixels`). Otherwise the dense kernel runs, and when at most half
 of the (timestep, sample) input frames hold a non-zero value it runs over
 those frames only; the silent ones get the bias map, bit for bit what the
@@ -177,27 +178,47 @@ class LayerWeights:
     bias: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightSet:
     """Real-valued parameters aligned with NetworkSpec.layers (None = pool).
 
-    quant carries optional provenance set by the quantizer (bits, rounding,
-    per-layer fractional bits). Its frac_bits select a kernel, never a
-    value: `simulate` runs a conv event-driven only where the arrays
-    themselves prove the result equal to the dense one.
+    quant is None or ptq's record (bits, rounding, per-layer frac_bits,
+    saturated), checked once, here: bits in [2, 32], one frac_bits entry
+    per layer, None exactly at pools and in [0, bits - 1] elsewhere, and
+    every weight and bias on its layer's 2^-frac_bits grid, else
+    ValueError. Those arrays are then read-only, and a layer's arrays are
+    replaced only by building a new WeightSet, so the record holds for the
+    object's life and `simulate` trusts it.
     """
 
-    layers: list[LayerWeights | None]
+    layers: tuple[LayerWeights | None, ...]
     quant: dict | None = None
 
-    def copy(self) -> "WeightSet":
-        return WeightSet(
-            layers=[
-                None if lw is None else LayerWeights(lw.weight.copy(), lw.bias.copy())
-                for lw in self.layers
-            ],
-            quant=dict(self.quant) if self.quant else None,
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "layers", tuple(self.layers))
+        if self.quant is None:
+            return
+        if not isinstance(self.quant, dict):
+            raise ValueError(f"quant record must be a dict, got {self.quant!r}")
+        bits, frac_bits = self.quant.get("bits"), self.quant.get("frac_bits")
+        if not (isinstance(bits, numbers.Integral) and 2 <= bits <= 32):
+            raise ValueError(f"quant bits must be an integer in [2, 32], got {bits!r}")
+        if not (isinstance(frac_bits, list) and len(frac_bits) == len(self.layers)):
+            raise ValueError(f"quant frac_bits needs {len(self.layers)} entries, "
+                             f"got {frac_bits!r}")
+        for i, (lw, frac) in enumerate(zip(self.layers, frac_bits)):
+            if lw is None:
+                if frac is not None:
+                    raise ValueError(f"quant frac_bits[{i}] is {frac!r} at a pool")
+                continue
+            if not (isinstance(frac, numbers.Integral) and 0 <= frac < bits):
+                raise ValueError(f"quant frac_bits[{i}] {frac!r} is not in [0, {bits - 1}]")
+            for name, arr in (("weight", lw.weight), ("bias", lw.bias)):
+                codes = arr * 2.0**frac  # scaling by a power of two is exact
+                if not (np.isfinite(codes).all() and np.array_equal(codes, np.round(codes))):
+                    raise ValueError(f"layer {i} {name} lies off its 2^-{frac} grid")
+        for arr in self.param_arrays():
+            arr.flags.writeable = False
 
     def zeros_like(self) -> "WeightSet":
         """All-zero parameters of the same shapes, without a quant record."""
@@ -206,13 +227,6 @@ class WeightSet:
             else LayerWeights(np.zeros_like(lw.weight), np.zeros_like(lw.bias))
             for lw in self.layers
         ])
-
-    def frac_bits(self) -> list | None:
-        """The quant record's frac_bits if it is a list of one entry per
-        layer; a record read from a file may hold anything else."""
-        frac_bits = (self.quant or {}).get("frac_bits")
-        ok = isinstance(frac_bits, list) and len(frac_bits) == len(self.layers)
-        return frac_bits if ok else None
 
     def param_arrays(self) -> list[np.ndarray]:
         """All parameter tensors in deterministic (layer, weight, bias) order."""
@@ -591,32 +605,23 @@ def _weight_grad_events(
     return d_taps.reshape(kernel * kernel * c, o)
 
 
-def _grid_codes(arr: np.ndarray, frac_bits: int) -> np.ndarray | None:
-    """arr as integer codes on the 2^-frac_bits grid, or None if any value
-    lies off it. Scaling by a power of two is exact, so the test is."""
-    codes = arr * 2.0**frac_bits
-    return codes if np.array_equal(codes, np.round(codes)) else None
-
-
-def _exact_map(lw: LayerWeights, frac_bits, grid: tuple[int, int] | None) -> bool:
+def _exact_map(lw: LayerWeights, frac_bits: int, grid: tuple[int, int] | None) -> bool:
     """True if every partial sum of a layer's synaptic map is exact in float64.
 
-    frac_bits is the layer's entry in a quant record (anything else is not
-    trusted), grid is (g, m) when the input is on the 2^-g grid with
-    |x| <= m. The weight and bias arrays themselves must be on the
-    2^-frac_bits grid; then every product and partial sum is an integer
-    multiple of 2^-(frac_bits + g), and all of them are exact in any order
-    while the largest possible |sum|, bias included, stays below 2^53.
+    frac_bits is the layer's entry in its WeightSet's checked quant record,
+    so the weight and bias arrays are on the 2^-frac_bits grid; grid is
+    (g, m) when the input is on the 2^-g grid with |x| <= m. Then every
+    product and partial sum is an integer multiple of 2^-(frac_bits + g),
+    and all of them are exact in any order while the largest possible
+    |sum|, bias included, stays below 2^53 (scaled by a power of two, the
+    bound is exact too).
     """
-    if grid is None or not (isinstance(frac_bits, numbers.Integral)
-                            and 0 <= frac_bits < 64):
-        return False
-    w, b = _grid_codes(lw.weight, frac_bits), _grid_codes(lw.bias, frac_bits)
-    if w is None or b is None:
+    if grid is None:
         return False
     g, x_max = grid
-    bound = np.abs(w).reshape(len(w), -1).sum(axis=1) * (x_max << g) + np.abs(b) * 2**g
-    return float(bound.max()) < 2.0**53
+    scale = 2.0 ** (frac_bits + g)
+    w_sum = np.abs(lw.weight).reshape(len(lw.weight), -1).sum(axis=1)
+    return float((w_sum * (x_max * scale) + np.abs(lw.bias) * scale).max()) < 2.0**53
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +731,7 @@ def simulate(
     x = x.reshape((n,) + x.shape[2:])
     trace: list[LayerTrace | None] | None = [None] * len(net.layers) if record else None
     hard = spike_mode == "hard"
-    frac_bits = weights.frac_bits() or [None] * len(net.layers)
+    quant = weights.quant
     # (g, m) while x is on the 2^-g grid with |x| <= m: integer frames, hard
     # spikes, and their averages over power-of-two pools
     grid = (0, _DTYPE_MAX[x.dtype]) if x.dtype in _DTYPE_MAX else None
@@ -742,7 +747,8 @@ def simulate(
             continue
         lw = weights.layers[i]
         if layer.kind == "conv":
-            exact = hard and _exact_map(lw, frac_bits[i], grid)
+            exact = hard and quant is not None and _exact_map(
+                lw, quant["frac_bits"][i], grid)
             v = _conv(x, lw.weight, lw.bias, layer.padding, layer.stride, exact=exact)
         else:
             if x.ndim == 4:  # the weights flatten (C, H, W)

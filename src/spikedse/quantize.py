@@ -15,19 +15,21 @@ rounding schemes:
 Quantized tensors remain ordinary float arrays whose values all lie on the
 layer grid; memory accounting is analytic via memory_of. Values pushed out
 of range by rounding saturate to the grid edge and are counted, never
-raised.
+raised. ptq returns a new WeightSet whose quant record (bits, rounding,
+per-layer frac_bits, saturated count) is checked once, when the WeightSet
+is made, against its read-only arrays; nothing downstream re-derives the
+grid from the floats.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from .network import NetworkSpec, WeightSet, _grid_codes
+from .network import LayerWeights, NetworkSpec, WeightSet
 
 Rounding = Literal["TR", "RN", "SR"]
 
@@ -137,13 +139,15 @@ def ptq(weights: WeightSet, config: QuantConfig) -> WeightSet:
     Each parameterized layer's format comes from its weight tensor; biases
     reuse the same format. The returned WeightSet carries a quant
     provenance block (bits, rounding, per-layer frac_bits, saturated
-    count). Neither the input nor the config is modified.
+    count), checked when it is built, and read-only arrays. Neither the
+    input nor the config is modified.
     """
-    out = weights.copy()
+    layers: list[LayerWeights | None] = []
     frac_bits: list[int | None] = []
     saturated = 0
-    for i, lw in enumerate(out.layers):
+    for i, lw in enumerate(weights.layers):
         if lw is None:
+            layers.append(None)
             frac_bits.append(None)
             continue
         fmt = choose_format(lw.weight, config.bits)
@@ -153,18 +157,16 @@ def ptq(weights: WeightSet, config: QuantConfig) -> WeightSet:
             if config.rounding == "SR"
             else None
         )
-        lw.weight, sat_w = quantize_array(lw.weight, fmt, config.rounding, rng)
-        saturated += sat_w
-        if lw.bias.size:
-            lw.bias, sat_b = quantize_array(lw.bias, fmt, config.rounding, rng)
-            saturated += sat_b
-    out.quant = {
+        weight, sat_w = quantize_array(lw.weight, fmt, config.rounding, rng)
+        bias, sat_b = quantize_array(lw.bias, fmt, config.rounding, rng)
+        layers.append(LayerWeights(weight, bias))
+        saturated += sat_w + sat_b
+    return WeightSet(layers, quant={
         "bits": config.bits,
         "rounding": config.rounding,
         "frac_bits": frac_bits,
         "saturated": saturated,
-    }
-    return out
+    })
 
 
 def memory_of(spec: NetworkSpec, bits: int) -> int:
@@ -173,24 +175,12 @@ def memory_of(spec: NetworkSpec, bits: int) -> int:
 
 
 def grid_aligned(weights: WeightSet, config: QuantConfig) -> bool:
-    """True if ptq quantized the weights at config.bits and every parameter
-    lies exactly on its layer's recorded fixed-point grid.
+    """True if ptq quantized the weights at config.bits.
 
-    The frac_bits come only from the quant block ptq attaches (rounding can
-    shift a layer's max magnitude across a power of two, so recomputing the
-    format from quantized values is not always faithful); weights without
-    one, or whose block lacks an integer in [0, bits - 1] for some
-    parameterized layer, are not aligned. The per-array test is
-    `network._grid_codes`, the one `simulate` uses to choose its conv kernel.
+    The frac_bits come only from the quant record (rounding can shift a
+    layer's max magnitude across a power of two, so recomputing the format
+    from quantized values is not always faithful). A WeightSet checks its
+    record, and that every parameter lies on the record's grid, when it is
+    made, so only the width is compared here.
     """
-    frac_bits = weights.frac_bits()
-    if (weights.quant or {}).get("bits") != config.bits or frac_bits is None:
-        return False
-    for lw, frac in zip(weights.layers, frac_bits):
-        if lw is None:
-            continue
-        if not (isinstance(frac, numbers.Integral) and 0 <= frac < config.bits):
-            return False
-        if any(_grid_codes(arr, frac) is None for arr in (lw.weight, lw.bias)):
-            return False
-    return True
+    return weights.quant is not None and weights.quant["bits"] == config.bits

@@ -260,7 +260,7 @@ def backward(
     # dL/ds_out at every timestep (rates are a mean over T, the loss over B)
     d_s = np.tile(2.0 * (rates - onehot) / (K * T * B), (T, 1))
 
-    grads = WeightSet(layers=[None] * len(net.layers))
+    grads: list[LayerWeights | None] = [None] * len(net.layers)
     pool = 1  # consecutive floor-mode pools act as one pool of the product kernel
     for i in range(len(net.layers) - 1, first - 1, -1):
         layer = net.layers[i]
@@ -272,9 +272,9 @@ def backward(
             input_grad=i > first,
         )
         trace[i] = None
-        grads.layers[i] = LayerWeights(d_w, d_b)
+        grads[i] = LayerWeights(d_w, d_b)
         pool = 1
-    return grads, loss_value, counts
+    return WeightSet(grads), loss_value, counts
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +303,41 @@ def _sgd_step(
         v.bias = momentum * v.bias - lr * g.bias
         lw.weight = lw.weight + v.weight
         lw.bias = lw.bias + v.bias
+
+
+# The CLI's `train` and live `dse` refuse a (T, W) whose training
+# `_check_training_bytes` puts above this many bytes, before any data is
+# generated or loaded. Past it NumPy fails deep inside encoding or
+# initialization, or the kernel grants the pages lazily and kills the
+# process later. The margin below a machine's memory is for what the
+# estimate cannot count before the data is read: the splits' frames.
+_TRAINING_BYTES_CAP = 2 << 30
+
+
+def _check_training_bytes(net: NetworkSpec, config: TrainConfig) -> None:
+    """Raise ConfigError if training net under config needs more than
+    `_TRAINING_BYTES_CAP` bytes.
+
+    The estimate walks `layer_shapes`: float64 parameters three times over
+    (weights, gradients, momentum), plus, per timestep and sample of a
+    minibatch, the uint8 input frame and the recorded trace (each spiking
+    layer's float64 input and potentials and its boolean spikes).
+    """
+    window = net.input_window
+    shapes = layer_shapes(net.layers, window)
+    inputs = [(net.layers[0].in_channels, window, window)] + shapes[:-1]
+    params = sum(layer.weight_count + layer.out_channels
+                 for layer in net.layers if layer.spiking)
+    per_frame = math.prod(inputs[0]) + sum(
+        8 * math.prod(x) + 9 * math.prod(y)
+        for layer, x, y in zip(net.layers, inputs, shapes) if layer.spiking)
+    need = 3 * 8 * params + config.batch_size * config.timesteps * per_frame
+    if need > _TRAINING_BYTES_CAP:
+        raise ConfigError(
+            f"training at W={window}, T={config.timesteps}, batch "
+            f"{config.batch_size} needs about {need / 2**30:,.1f} GiB (parameters "
+            f"with gradients and momentum, a minibatch's frames and recorded "
+            f"trace), above the {_TRAINING_BYTES_CAP >> 30} GiB cap")
 
 
 def train(
@@ -402,8 +437,9 @@ def evaluate(
     so memory stays flat as W and T grow. The chunks share one size (the
     last may be smaller), so no call pays the engine's per-call cost for
     a small remainder. All samples must share one timestep count. When
-    quant is given the weights must already be quantized (this only
-    validates grid alignment; it never quantizes).
+    quant is given the weights must be ptq's at quant.bits: their
+    WeightSet checked its record and grid when it was made, so this only
+    compares the width (`grid_aligned`); it never quantizes.
 
     Raises:
         ShapeMismatch: if the samples do not share one timestep count.

@@ -801,6 +801,27 @@ BAD_INPUTS = {
         TRAIN,
         "data block synthetic: sensor 20000x20000: sides must be in [1, 16384]",
     ),
+    # 46.6 GiB of frames per sample; refused before the data is generated
+    "train timesteps past the memory cap": (
+        {"train.json": '{"epochs": 1, "seed": 0, "timesteps": 10000000, "window": 50, '
+                       '"data": {"synthetic": {"per_class": 2}}}'},
+        TRAIN,
+        "training at W=50, T=10000000, batch 20 needs about 13,621.5 GiB",
+    ),
+    # fc1 alone is 559504 x 1119008 float64 weights, 4.56 TiB
+    "train window 3000 past the memory cap": (
+        {"train.json": '{"epochs": 1, "seed": 0, "window": 3000, "strict": false, '
+                       '"data": {"synthetic": {"per_class": 2, "sensor": 3000}}}'},
+        TRAIN,
+        "GiB (parameters with gradients and momentum, a minibatch's frames and "
+        "recorded trace), above the 2 GiB cap",
+    ),
+    "live grid timesteps past the memory cap": (
+        {"grid.json": '{"bits": [10], "timesteps": [5, 10000000], "windows": [50]}',
+         "train.json": LIVE_TRAIN},
+        LIVE_DSE,
+        "training at W=50, T=10000000",
+    ),
     "train synthetic negative noise_events": (
         {"train.json": '{"epochs": 1, "seed": 0, "data": {"synthetic": '
                        '{"per_class": 2, "noise_events": -1}}}'},
@@ -822,6 +843,17 @@ def test_malformed_json_input_is_domain_error(name, tmp_path, capsys):
     assert err.startswith("error:")
     assert message in err
     assert "Traceback" not in err
+
+
+def test_baseline_config_is_under_the_memory_cap(tmp_path, capsys):
+    """W=100, T=20, criterion 8's baseline, trains through the CLI."""
+    (tmp_path / "train.json").write_text(json.dumps({
+        "epochs": 1, "seed": 0, "window": 100, "timesteps": 20,
+        "data": {"synthetic": {"per_class": 2, "sensor": 128}},
+    }))
+    argv = ["train", "--config", str(tmp_path / "train.json"), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert "trained 1 epochs" in capsys.readouterr().out
 
 
 BAD_ARGUMENTS = {

@@ -1,5 +1,6 @@
 """Network construction, layer arithmetic, LIF dynamics, checkpoints."""
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -17,8 +18,10 @@ from spikedse.errors import CheckpointError, ShapeMismatch, UnsupportedWindow
 from spikedse.events import SpikeFrames
 from spikedse.network import (
     LayerSpec,
+    LayerWeights,
     LifParams,
     NetworkSpec,
+    WeightSet,
     forward,
     lif_scan,
     relaxed_spike,
@@ -687,8 +690,9 @@ class TestForward:
                 if not interior or abs(base[0] - base[1]) < 2:
                     continue
                 for gamma in (0.5, 2.0):
-                    scaled_w = weights.copy()
-                    scaled_w.layers[6].weight = scaled_w.layers[6].weight * gamma
+                    fc2 = weights.layers[6]
+                    scaled_w = WeightSet(weights.layers[:6] + (
+                        LayerWeights(fc2.weight * gamma, fc2.bias),))
                     counts = forward(net, scaled_w, frames).counts
                     if (
                         np.all(counts > 0)
@@ -763,6 +767,12 @@ class TestEngineEquivalence:
         assert np.array_equal(batched, single)
 
 
+def thawed(weights):
+    """Writable copies of a WeightSet's layers."""
+    return [None if lw is None else LayerWeights(lw.weight.copy(), lw.bias.copy())
+            for lw in weights.layers]
+
+
 def sparse_quantized_net(window, bits):
     """A ptq net whose layers all fire on ATIS-geometry recordings while
     only 9-17 % of conv2's input pixels are non-zero (conv1's: about half)."""
@@ -830,12 +840,16 @@ class TestEventDrivenConv:
     def test_inexact_layers_stay_dense(self, monkeypatch, recordings, case):
         net, weights = sparse_quantized_net(50, 10)
         kwargs = {}
-        if case == "off grid":  # the quant record stays, the array moves
-            weights.layers[3].weight[0, 0, 0, 0] += 2.0**-40
+        if case == "off grid":  # the record refuses the moved array: none is kept
+            layers = thawed(weights)
+            layers[3].weight[0, 0, 0, 0] += 2.0**-40
+            with pytest.raises(ValueError, match="layer 3 weight lies off"):
+                WeightSet(layers, quant=weights.quant)
+            weights = WeightSet(layers)
         elif case == "relaxed":
             kwargs["spike_mode"] = "relaxed"
         else:
-            weights.quant = None
+            weights = dataclasses.replace(weights, quant=None)
         frames = [f for f, _ in sd.encode_dataset(recordings, 50, 10)]
         result, dense, event_layers = self.run(
             monkeypatch, net, weights, frames, **kwargs)
@@ -866,6 +880,85 @@ class TestEventDrivenConv:
         lw = network.LayerWeights(np.full((2, 32, 3, 3), 0.5), np.zeros(2))
         assert network._exact_map(lw, frac_bits, (2, 1)) is exact
         assert network._exact_map(lw, frac_bits, None) is False
+
+
+def _weighted(record, value):
+    """A record's frac_bits with value at every weighted layer."""
+    return [None if f is None else value for f in record["frac_bits"]]
+
+
+# id: a quant record a WeightSet refuses, made from the valid record r
+BAD_RECORDS = {
+    "not-a-dict": lambda r: [r["bits"], r["frac_bits"]],
+    "no-bits": lambda r: {**r, "bits": None},
+    "bits-33": lambda r: {**r, "bits": 33},
+    "bits-string": lambda r: {**r, "bits": str(r["bits"])},
+    "no-frac-bits": lambda r: {"bits": r["bits"]},
+    "frac-bits-none": lambda r: {**r, "frac_bits": None},
+    "all-none": lambda r: {**r, "frac_bits": [None] * len(r["frac_bits"])},
+    "strings": lambda r: {**r, "frac_bits": _weighted(r, "a")},
+    # the reference nets start with a pool: a short list must not skip the weights
+    "one-entry": lambda r: {**r, "frac_bits": [3]},
+    "entry-at-a-pool": lambda r: {**r, "frac_bits": [3] * len(r["frac_bits"])},
+    # every value lies on the 2^-bits grid, but a B-bit grid has at most B - 1
+    "frac-bits-too-large": lambda r: {**r, "frac_bits": _weighted(r, r["bits"])},
+    # the arrays need the last fraction bit ptq gave them
+    "coarser-grid": lambda r: {
+        **r, "frac_bits": [None if f is None else f - 1 for f in r["frac_bits"]]},
+}
+
+
+class TestWeightSetRecord:
+    """A WeightSet checks its quant record once, when it is made."""
+
+    @pytest.fixture(scope="class")
+    def quantized(self):
+        net = sd.build_network(50)  # its first layer is a pool
+        return sd.ptq(active_weights(net, 1, 2.0), sd.QuantConfig(bits=10))
+
+    @pytest.mark.parametrize("edit", list(BAD_RECORDS))
+    def test_malformed_record_is_refused(self, quantized, edit):
+        record = BAD_RECORDS[edit](quantized.quant)
+        with pytest.raises(ValueError, match="quant|lies off"):
+            WeightSet(thawed(quantized), quant=record)
+
+
+class TestGoldenCounts:
+    """What the committed infer_atis fixture net does at 10 bits on its
+    seeded 40-recording test split, as its JSON records it. Every partial
+    sum on this path is exact (`_exact_map`), so the numbers hold on any
+    BLAS and CPU, and a kernel or representation change that moves one
+    spike fails here. Reads the fixture files and changes none."""
+
+    FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixture"
+    SPIKING = {1: "conv1", 3: "conv2", 5: "fc1", 6: "fc2"}
+
+    def test_fixture_net_reproduces_its_record(self):
+        meta = json.loads((self.FIXTURE / "infer_atis_w50_t10.json").read_text())
+        blob = (self.FIXTURE / meta["checkpoint"]).read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == meta["sha256"]
+        net, weights, _ = sd.load_checkpoint(self.FIXTURE / meta["checkpoint"])
+        config = sd.QuantConfig(bits=10)
+        q = sd.ptq(weights, config)
+        _, test = sd.make_synthetic_dataset(
+            60, 90337, sensor_width=304, sensor_height=240)
+        data = sd.encode_dataset(test, 50, 10)
+        assert len(data) == meta["test_recordings"] == 40
+
+        accuracy = sd.evaluate(net, q, data, quant=config)
+        assert accuracy == meta["quantized_test_accuracy"] == 0.975
+        trace = simulate(net, q, [f for f, _ in data], record=True).trace
+        spikes = [float(trace[i].spikes.sum()) for i in self.SPIKING]
+        assert spikes == [11186, 4624, 90, 19]
+        for i, name in self.SPIKING.items():
+            record = meta["layers"][name]
+            inputs = trace[i].inputs
+            assert np.count_nonzero(inputs) / inputs.size == record["input_density"]
+            assert trace[i].spikes.sum() == record["spikes"]
+        # conv1 reads uint8 frames through a 4x4 pool, conv2 spikes through a 2x2 one
+        frac_bits = q.quant["frac_bits"]
+        assert network._exact_map(q.layers[1], frac_bits[1], (4, 255))
+        assert network._exact_map(q.layers[3], frac_bits[3], (2, 1))
 
 
 class TestDecode:
@@ -926,6 +1019,19 @@ class TestCheckpoint:
         assert header["quant"]["bits"] == 10
         assert header["quant"]["rounding"] == "TR"
         assert loaded.quant["frac_bits"] == q.quant["frac_bits"]
+
+    def test_32_bit_quantized_round_trip(self, tmp_path):
+        # float32 payloads round codes of 2^24 or more, and the rounded
+        # values stay on the 2^-frac_bits grid, so the record still holds
+        net = sd.build_network(50)
+        q = sd.ptq(sd.init_weights(net, seed=1), sd.QuantConfig(bits=32))
+        path = sd.save_checkpoint(tmp_path / "q.ckpt", net, q, precision="32b-TR")
+        _, loaded, _ = sd.load_checkpoint(path)
+        assert loaded.quant == q.quant
+        assert sd.quantize.grid_aligned(loaded, sd.QuantConfig(bits=32))
+        pairs = list(zip(q.param_arrays(), loaded.param_arrays()))
+        assert any(not np.array_equal(a, b) for a, b in pairs)
+        assert all(np.array_equal(a.astype(np.float32), b) for a, b in pairs)
 
 
 @functools.cache
@@ -1015,6 +1121,21 @@ class TestCheckpointErrors:
         header["tensors"][0]["shape"] = [2, 2, 9, 1]  # same size, wrong shape
         with pytest.raises(CheckpointError, match="do not match"):
             self.load(tmp_path, self.with_header(header))
+
+    @pytest.mark.parametrize("edit", list(BAD_RECORDS))
+    def test_malformed_quant_block(self, tmp_path, edit):
+        header = self.header()
+        header["quant"] = BAD_RECORDS[edit](header["quant"])
+        with pytest.raises(CheckpointError, match="bad.ckpt: (quant|layer)"):
+            self.load(tmp_path, self.with_header(header))
+
+    @pytest.mark.parametrize("value", [0.3, np.inf, np.nan])
+    def test_off_grid_payload(self, tmp_path, value):
+        blob = bytearray(toy_checkpoint())
+        start = blob.index(b"\n") + 1  # the first conv weight, on the 2^-7 grid
+        blob[start : start + 4] = np.float32(value).tobytes()
+        with pytest.raises(CheckpointError, match="layer 0 weight lies off its 2\\^-7 grid"):
+            self.load(tmp_path, bytes(blob))
 
     @pytest.mark.parametrize("delta", [-4, -1, 1, 4])
     def test_payload_size(self, tmp_path, delta):

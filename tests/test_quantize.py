@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spikedse as sd
+from spikedse.network import LayerWeights, WeightSet
 from spikedse.quantize import (
     FixedPointFormat,
     QuantConfig,
@@ -201,34 +202,33 @@ class TestPtq:
         # at 24 bits the largest weight scales to ~2^22, where a relative
         # tolerance of 1e-5 would let a 0.3-step offset through
         _, weights = trained_like
-        config = QuantConfig(bits=24)
-        q = ptq(weights, config)
-        assert grid_aligned(q, config)
-        w = q.layers[-1].weight
+        q = ptq(weights, QuantConfig(bits=24))
+        layers = [None if lw is None else LayerWeights(lw.weight.copy(), lw.bias.copy())
+                  for lw in q.layers]
+        w = layers[-1].weight
         w.flat[np.argmax(np.abs(w))] += 0.3 * 2.0 ** -q.quant["frac_bits"][-1]
-        assert not grid_aligned(q, config)
+        with pytest.raises(ValueError, match="layer 6 weight lies off its 2\\^-"):
+            WeightSet(layers, quant=q.quant)
 
-    @pytest.mark.parametrize("quant", [
-        None,
-        {"bits": 10},
-        {"bits": 10, "frac_bits": None},
-        {"bits": 10, "frac_bits": [None] * 7},
-        {"bits": 10, "frac_bits": ["a"] * 7},
-        # the first layer is a pool: a short list must not skip the weights
-        {"bits": 10, "frac_bits": [3]},
-        # every weight lies on the 2^-10 grid, but a 10-bit grid has at most 9
-        {"bits": 10, "frac_bits": [10] * 7},
-    ], ids=["none", "no-frac-bits", "frac-bits-none", "all-none", "strings",
-            "one-entry", "frac-bits-too-large"])
-    def test_grid_check_needs_matching_record(self, trained_like, quant):
-        """A quant block only ptq would write counts: one from a hand-edited
-        checkpoint gives False, never an exception or an unchecked True."""
+    def test_alignment_is_ptq_at_the_declared_width(self, trained_like):
         _, weights = trained_like
         q = ptq(weights, QuantConfig(bits=10))
         assert grid_aligned(q, QuantConfig(bits=10))
         assert not grid_aligned(q, QuantConfig(bits=4))
-        q.quant = quant
-        assert not grid_aligned(q, QuantConfig(bits=10))
+        assert not grid_aligned(weights, QuantConfig(bits=10))
+        assert not grid_aligned(dataclasses.replace(q, quant=None), QuantConfig(bits=10))
+
+    def test_arrays_are_read_only(self, trained_like):
+        _, weights = trained_like
+        q = ptq(weights, QuantConfig(bits=10))
+        assert isinstance(q.layers, tuple)
+        assert not any(a.flags.writeable for a in q.param_arrays())
+        with pytest.raises(ValueError, match="read-only"):
+            q.layers[1].weight[0, 0, 0, 0] += 2.0**-40
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q.quant = None
+        # the unquantized input keeps writable arrays
+        assert all(a.flags.writeable for a in weights.param_arrays())
 
     def test_sr_deterministic_per_seed(self, trained_like):
         _, weights = trained_like
