@@ -30,6 +30,7 @@ from .errors import ConfigError, SpikeDseError
 from .events import (
     WINDOW_MODES,
     EventSample,
+    SpikeFrames,
     bin_to_frames,
     crop_to_window,
     encode_dataset,
@@ -159,18 +160,31 @@ def _load_splits(data_cfg: dict | None, workers: int) -> tuple[list, list, str]:
     return (*_synthetic(syn, "data block synthetic"), mode)
 
 
+def _check_memory(runs: list[tuple], n_train: int = 0, n_test: int = 0) -> None:
+    """Raise ConfigError if a (net, config) training run goes above the
+    memory cap beside the encoded splits kept with it: n_test recordings
+    at every run's (T, W), as live dse keeps each test encoding, and
+    n_train at the run's own. Without counts only the training is counted."""
+    packed = [SpikeFrames.packed_bytes(c.timesteps, c.window) for _, c in runs]
+    held_tests = n_test * sum(packed)
+    for (net, config), size in zip(runs, packed):
+        _check_training_bytes(net, config, held_bytes=held_tests + n_train * size)
+
+
 def cmd_train(args) -> int:
     raw = _read_config(args.config)
     config = TrainConfig.from_dict(raw)
     net = build_network(config.window, strict=_strict(raw))
-    _check_training_bytes(net, config)
+    _check_memory([(net, config)])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train_samples, test_samples, mode = _load_splits(raw.get("data"), args.workers)
+    _check_memory([(net, config)], len(train_samples), len(test_samples))
     train_data, test_data = (
         encode_dataset(split, config.window, config.timesteps, window_mode=mode)
         for split in (train_samples, test_samples)
     )
+    del train_samples, test_samples  # the packed frames are all train needs
     weights, log = train(
         net,
         train_data,
@@ -210,6 +224,7 @@ def cmd_eval(args) -> int:
     data = encode_dataset(
         test_samples, spec.input_window, timesteps, window_mode=args.window_mode
     )
+    del test_samples
     accuracy = evaluate(spec, weights, data)
     print(json.dumps({"accuracy": accuracy, "samples": len(data)}))
     return 0
@@ -243,9 +258,10 @@ def cmd_dse(args) -> int:
             for w in grid.windows
             for t in grid.timesteps
         }
-        for (_, w), config in configs.items():
-            _check_training_bytes(nets[w], config)
+        runs = [(nets[w], config) for (_, w), config in configs.items()]
+        _check_memory(runs)
         train_samples, test_samples, mode = _load_splits(raw.get("data"), args.workers)
+        _check_memory(runs, len(train_samples), len(test_samples))
         # The window search depends only on W, and T only changes the
         # binning: crop each sample once per W, then bin the crops per T.
         cropped = {

@@ -14,7 +14,8 @@ uint8 p, 9 bytes per event. Two on-disk formats are supported:
 
 Binning produces binary spike frames of shape (T, 2, W, W): channel 0
 carries negative-polarity spikes, channel 1 positive ones. Accumulation is
-a logical OR, never a count, so every element stays in {0, 1}.
+a logical OR, never a count, so every element stays in {0, 1}, and the
+frames are stored one bit per element (see SpikeFrames).
 
 All functions here are pure with respect to their inputs and safe to call
 from multiple threads.
@@ -156,18 +157,57 @@ class AttentionWindow:
             object.__setattr__(self, name, operator.index(getattr(self, name)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SpikeFrames:
-    """Binary spike tensor of shape (timesteps, 2, window, window)."""
+    """Binary spike tensor of shape (timesteps, 2, window, window), stored
+    bit-packed.
 
-    data: np.ndarray
+    `bits` is the `np.packbits` of the C-order tensor read as one flat bit
+    stream: ceil(T * 2 * W**2 / 8) bytes (`packed_bytes`), one eighth of
+    the dense uint8 tensor, so a whole encoded split stays small. `data`
+    unpacks a fresh, read-only uint8 copy of the tensor on every read, so
+    a write to it raises instead of being lost. Both `bits` and the object
+    are immutable.
+
+    Raises:
+        ValueError: if data does not have shape (timesteps, 2, window,
+        window) or holds a value other than 0 and 1 (any dtype).
+    """
+
+    bits: np.ndarray
     timesteps: int
     window: int
 
-    def __post_init__(self):
-        expected = (self.timesteps, 2, self.window, self.window)
-        if self.data.shape != expected:
-            raise ValueError(f"frame tensor {self.data.shape} != {expected}")
+    def __init__(self, data, timesteps: int, window: int):
+        data = np.asarray(data)
+        expected = (timesteps, 2, window, window)
+        if data.shape != expected:
+            raise ValueError(f"frame tensor {data.shape} != {expected}")
+        if data.dtype.kind in "bu":  # no negatives: one max() pass (bin_to_frames' uint8)
+            binary = data.size == 0 or data.max() <= 1
+        else:
+            binary = bool(np.all((data == 0) | (data == 1)))
+        if not binary:
+            raise ValueError("spike frames hold a value other than 0 and 1")
+        # packbits reads any non-zero integer as 1; other dtypes go through bool
+        bits = np.packbits(data if data.dtype.kind in "biu" else data != 0)
+        bits.flags.writeable = False
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "timesteps", timesteps)
+        object.__setattr__(self, "window", window)
+
+    @staticmethod
+    def packed_bytes(timesteps: int, window: int) -> int:
+        """Bytes of `bits` for one recording's frames at (T, W)."""
+        return -(-timesteps * 2 * window * window // 8)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The unpacked (T, 2, W, W) uint8 tensor, as a read-only copy."""
+        T, w = self.timesteps, self.window
+        out = np.unpackbits(self.bits, count=T * 2 * w * w).reshape(T, 2, w, w)
+        out.flags.writeable = False
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +504,9 @@ def bin_to_frames(sample: EventSample, timesteps: int) -> SpikeFrames:
     element is 1 iff at least one event of that polarity hits that pixel in
     that bin. Samples shorter than the duration simply leave the trailing
     bins empty.
+
+    The events are scattered into a dense uint8 tensor, which lives only
+    for this call: the returned SpikeFrames keeps it bit-packed.
     """
     if timesteps < 1:
         raise ValueError("timesteps must be >= 1")

@@ -299,29 +299,38 @@ def _sgd_step(
     for lw, g, v in zip(weights.layers, grads.layers, velocity.layers):
         if lw is None:
             continue
-        v.weight = momentum * v.weight - lr * g.weight
-        v.bias = momentum * v.bias - lr * g.bias
-        lw.weight = lw.weight + v.weight
-        lw.bias = lw.bias + v.bias
+        # in place, in the order of v = momentum * v - lr * g; w = w + v,
+        # so the values are the same bit for bit
+        for v_arr, g_arr, w_arr in ((v.weight, g.weight, lw.weight),
+                                    (v.bias, g.bias, lw.bias)):
+            v_arr *= momentum
+            v_arr -= lr * g_arr
+            w_arr += v_arr
 
 
 # The CLI's `train` and live `dse` refuse a (T, W) whose training
-# `_check_training_bytes` puts above this many bytes, before any data is
-# generated or loaded. Past it NumPy fails deep inside encoding or
-# initialization, or the kernel grants the pages lazily and kills the
-# process later. The margin below a machine's memory is for what the
-# estimate cannot count before the data is read: the splits' frames.
+# `_check_training_bytes` puts above this many bytes: once before any data
+# is generated or loaded, and again, with the encoded splits' packed
+# frames, once the recordings are counted but before they are encoded.
+# Past it NumPy fails deep inside encoding or initialization, or the kernel
+# grants the pages lazily and kills the process later. The margin below a
+# machine's memory is for what the estimate does not count: the raw
+# recordings while they are encoded.
 _TRAINING_BYTES_CAP = 2 << 30
 
 
-def _check_training_bytes(net: NetworkSpec, config: TrainConfig) -> None:
-    """Raise ConfigError if training net under config needs more than
-    `_TRAINING_BYTES_CAP` bytes.
+def _check_training_bytes(
+    net: NetworkSpec, config: TrainConfig, *, held_bytes: int = 0
+) -> None:
+    """Raise ConfigError if training net under config, beside held_bytes
+    of encoded frames, needs more than `_TRAINING_BYTES_CAP` bytes.
 
     The estimate walks `layer_shapes`: float64 parameters three times over
     (weights, gradients, momentum), plus, per timestep and sample of a
     minibatch, the uint8 input frame and the recorded trace (each spiking
-    layer's float64 input and potentials and its boolean spikes).
+    layer's float64 input and potentials and its boolean spikes). Callers
+    pass the splits' packed frames as held_bytes (`SpikeFrames.packed_bytes`
+    per recording).
     """
     window = net.input_window
     shapes = layer_shapes(net.layers, window)
@@ -331,13 +340,15 @@ def _check_training_bytes(net: NetworkSpec, config: TrainConfig) -> None:
     per_frame = math.prod(inputs[0]) + sum(
         8 * math.prod(x) + 9 * math.prod(y)
         for layer, x, y in zip(net.layers, inputs, shapes) if layer.spiking)
-    need = 3 * 8 * params + config.batch_size * config.timesteps * per_frame
+    need = 3 * 8 * params + config.batch_size * config.timesteps * per_frame + held_bytes
     if need > _TRAINING_BYTES_CAP:
+        held = (f", and {held_bytes / 2**30:,.1f} GiB of encoded splits' packed "
+                f"frames" if held_bytes else "")
         raise ConfigError(
             f"training at W={window}, T={config.timesteps}, batch "
             f"{config.batch_size} needs about {need / 2**30:,.1f} GiB (parameters "
             f"with gradients and momentum, a minibatch's frames and recorded "
-            f"trace), above the {_TRAINING_BYTES_CAP >> 30} GiB cap")
+            f"trace{held}), above the {_TRAINING_BYTES_CAP >> 30} GiB cap")
 
 
 def train(

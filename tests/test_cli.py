@@ -9,6 +9,7 @@ import pytest
 import spikedse as sd
 from spikedse import cli
 from spikedse.cli import main
+from spikedse.errors import ConfigError
 
 
 @pytest.fixture()
@@ -854,6 +855,56 @@ def test_baseline_config_is_under_the_memory_cap(tmp_path, capsys):
     argv = ["train", "--config", str(tmp_path / "train.json"), "--out", str(tmp_path / "out")]
     assert main(argv) == 0
     assert "trained 1 epochs" in capsys.readouterr().out
+
+
+def test_recording_counts_count_toward_the_memory_cap():
+    """Split sizes alone decide it: no data is generated or loaded."""
+    net100, net50 = sd.build_network(100), sd.build_network(50)
+    run = (net100, sd.TrainConfig(epochs=1, seed=0, timesteps=20, window=100))
+    cli._check_memory([run])
+    cli._check_memory([run], 15_422, 8_607)  # NCARS at W=100, T=20: 1.1 GiB of frames
+    with pytest.raises(ConfigError, match="training at W=100, T=20, batch 20 "
+                                          "needs about 2.1 GiB"):
+        cli._check_memory([run], 33_400, 8_607)
+    # live dse keeps the test split at every (T, W) besides one train split
+    grid = [(net100 if w == 100 else net50,
+             sd.TrainConfig(epochs=1, seed=0, timesteps=t, window=w))
+            for t in (20, 5) for w in (100, 50)]
+    cli._check_memory(grid, 15_422, 8_607)
+    with pytest.raises(ConfigError, match=r"GiB of encoded splits' packed "
+                                          r"frames\), above the 2 GiB cap"):
+        cli._check_memory(grid, 15_422, 20_000)
+
+
+@pytest.mark.parametrize("argv,grid,held", [
+    (TRAIN, None, [(10, 0), (10, (2 + 2) * 6_250)]),
+    # live dse: the 2 test recordings at T=5 and T=10, plus 2 train at the
+    # run's own T
+    (LIVE_DSE, '{"bits": [10], "timesteps": [5, 10], "windows": [50]}',
+     [(5, 0), (10, 0), (5, 2 * (3_125 + 6_250) + 2 * 3_125),
+      (10, 2 * (3_125 + 6_250) + 2 * 6_250)]),
+])
+def test_split_frames_are_checked_before_encoding(argv, grid, held, tmp_path,
+                                                  monkeypatch, capsys):
+    """Once 2 train and 2 test recordings are loaded, the estimate holds
+    their packed frames, and a refusal comes before any crop or encoding."""
+    checks, encoded = [], []
+
+    def check(net, config, *, held_bytes=0):
+        checks.append((config.timesteps, held_bytes))
+        if held_bytes and config.timesteps == 10:
+            raise ConfigError("refused")
+
+    monkeypatch.setattr(cli, "_check_training_bytes", check)
+    monkeypatch.setattr(cli, "crop_to_window", lambda *a, **k: encoded.append(a))
+    monkeypatch.setattr(cli, "encode_dataset", lambda *a, **k: encoded.append(a))
+    (tmp_path / "train.json").write_text(LIVE_TRAIN)
+    if grid:
+        (tmp_path / "grid.json").write_text(grid)
+    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 1
+    assert "error: refused" in capsys.readouterr().err
+    assert checks == held
+    assert encoded == []
 
 
 BAD_ARGUMENTS = {

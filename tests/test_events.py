@@ -549,6 +549,66 @@ class TestBinning:
         assert set(np.unique(frames.data)) <= {0, 1}
 
 
+class TestPackedFrames:
+    """SpikeFrames stores one bit per element and unpacks on read."""
+
+    # T=1, W=3 is 18 bits and W=1 is 2T bits: neither fills its last byte
+    @pytest.mark.parametrize("timesteps,window", [
+        (1, 1), (3, 1), (1, 3), (2, 5), (5, 7), (10, 50), (4, 2),
+    ])
+    @pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+    def test_round_trip(self, timesteps, window, density):
+        rng = np.random.default_rng(timesteps * 100 + window)
+        shape = (timesteps, 2, window, window)
+        data = (rng.random(shape) < density).astype(np.uint8)
+        frames = sd.SpikeFrames(data, timesteps, window)
+        assert frames.data.dtype == np.uint8
+        assert frames.data.shape == shape
+        assert np.array_equal(frames.data, data)
+        assert frames.bits.nbytes == -(-timesteps * 2 * window * window // 8)
+        assert frames.bits.nbytes == sd.SpikeFrames.packed_bytes(timesteps, window)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64, np.float64, np.uint16])
+    def test_any_binary_dtype_unpacks_to_uint8(self, dtype):
+        data = (np.arange(2 * 2 * 3 * 3).reshape(2, 2, 3, 3) % 3 == 0).astype(dtype)
+        frames = sd.SpikeFrames(data=data, timesteps=2, window=3)
+        assert frames.data.dtype == np.uint8
+        assert np.array_equal(frames.data, data.astype(np.uint8))
+
+    @pytest.mark.parametrize("value,dtype", [
+        (2, np.uint8), (0.5, np.float64), (-1, np.int64), (np.nan, np.float64),
+        (255, np.uint8),
+    ])
+    def test_refuses_a_value_other_than_0_and_1(self, value, dtype):
+        data = np.zeros((2, 2, 3, 3), dtype)
+        data[1, 0, 2, 1] = value
+        with pytest.raises(ValueError, match="other than 0 and 1"):
+            sd.SpikeFrames(data, 2, 3)
+
+    def test_refuses_a_wrong_shape(self):
+        with pytest.raises(ValueError, match="frame tensor"):
+            sd.SpikeFrames(np.zeros((2, 2, 3, 4), np.uint8), 2, 3)
+
+    def test_data_and_bits_are_read_only(self):
+        frames = sd.bin_to_frames(make_sample([(0, 3, 4, 1)], 8, 8), 2)
+        with pytest.raises(ValueError):
+            frames.data[0, 1, 4, 3] = 0
+        with pytest.raises(ValueError):
+            frames.bits[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            frames.bits = np.zeros_like(frames.bits)
+        assert frames.data[0, 1, 4, 3] == 1
+
+    def test_encode_dataset_returns_packed_frames(self):
+        samples = [sd.generate_synthetic(c, seed=7) for c in (0, 1)]
+        for frames, _ in sd.encode_dataset(samples, 50, 10):
+            # 50,000 dense bytes would mean the dense tensor came back
+            assert frames.bits.nbytes == 6_250 == -(-10 * 2 * 50 * 50 // 8)
+            assert frames.bits.dtype == np.uint8
+            assert [f.name for f in dataclasses.fields(frames)] == [
+                "bits", "timesteps", "window"]
+
+
 class TestEncodePipeline:
     def test_per_sample_mode_uses_densest_window(self):
         sample = sd.generate_synthetic(1, seed=3)

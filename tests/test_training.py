@@ -401,6 +401,30 @@ class TestTrain:
         for before, after in zip(losses, losses[1:]):
             assert after <= before + 1e-6
 
+    def test_sgd_step_in_place_matches_out_of_place_formula(self):
+        net = sd.build_network(50)
+        weights = sd.init_weights(net, seed=2)
+        velocity = weights.zeros_like()
+        arrays = [id(a) for a in weights.param_arrays() + velocity.param_arrays()]
+        ref_w = [a.copy() for a in weights.param_arrays()]
+        ref_v = [a.copy() for a in velocity.param_arrays()]
+        rng = np.random.default_rng(9)
+        for lr, momentum in ((0.1, 0.9), (0.1, 0.9), (0.01, 0.9), (0.3, 0.0), (0.1, 0.5)):
+            grads = network.WeightSet([
+                None if lw is None else network.LayerWeights(
+                    rng.normal(size=lw.weight.shape), rng.normal(size=lw.bias.shape))
+                for lw in weights.layers
+            ])
+            _sgd_step(weights, grads, velocity, lr, momentum)
+            for k, g in enumerate(grads.param_arrays()):
+                ref_v[k] = momentum * ref_v[k] - lr * g
+                ref_w[k] = ref_w[k] + ref_v[k]
+            for got, want in zip(weights.param_arrays() + velocity.param_arrays(),
+                                 ref_w + ref_v):
+                assert got.tobytes() == want.tobytes()  # bit for bit
+        # updated in place: no array was replaced
+        assert [id(a) for a in weights.param_arrays() + velocity.param_arrays()] == arrays
+
     def test_one_backward_per_minibatch(self, small_data, monkeypatch):
         net = sd.build_network(50)
         config = TrainConfig(epochs=2, batch_size=8, seed=4, timesteps=5, window=50)
