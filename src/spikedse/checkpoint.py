@@ -5,8 +5,9 @@ raw little-endian float32 tensor payloads concatenated in layer order
 (weight then bias per parameterized layer). The header records the network
 spec, a precision tag, the training seed and the tensor shapes, plus the
 quantization block {bits, rounding, frac_bits} when the weights came out
-of the quantizer. Writing is fully deterministic so identical inputs give
-byte-identical files. The loader checks the header's tensor list against
+of the quantizer; the tag is that block's `QuantConfig.tag`, or "fp32".
+Writing is fully deterministic so identical inputs give byte-identical
+files. The loader checks the header's tensor list against
 the spec and the payload size against those tensors, builds the WeightSet
 (which checks the quantization block against the payload), and raises
 CheckpointError for any file it cannot read back whole.
@@ -23,6 +24,7 @@ import numpy as np
 
 from .errors import CheckpointError, ShapeMismatch
 from .network import LayerSpec, LayerWeights, LifParams, NetworkSpec, WeightSet
+from .quantize import QuantConfig
 
 FORMAT_NAME = "spikedse-checkpoint-v1"
 
@@ -41,7 +43,6 @@ def save_checkpoint(
     weights: WeightSet,
     *,
     seed: int | None = None,
-    precision: str = "fp32",
 ) -> Path:
     """Write spec + weights; returns the path written.
 
@@ -60,13 +61,14 @@ def save_checkpoint(
                                 f"the spec needs {shape}")
         tensors.append({"layer": i, "name": name, "shape": shape})
         payload += np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    quant = weights.quant
     header = {
         "format": FORMAT_NAME,
         "spec": asdict(spec),
-        "precision": precision,
+        "precision": QuantConfig(quant["bits"], quant["rounding"]).tag if quant else "fp32",
         "seed": seed,
         "tensors": tensors,
-        "quant": weights.quant,
+        "quant": quant,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:

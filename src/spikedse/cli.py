@@ -46,7 +46,6 @@ from .training import (
     _check_training_bytes,
     evaluate,
     train,
-    write_training_log,
 )
 
 
@@ -190,10 +189,10 @@ def cmd_train(args) -> int:
         train_data,
         config,
         test_data=test_data,
+        log_path=out / "training_log.csv",
         checkpoint_dir=out if config.checkpoint_every else None,
     )
     save_checkpoint(out / "weights.ckpt", net, weights, seed=config.seed)
-    write_training_log(log, out / "training_log.csv")
     _write_run_json(out, "train", {**raw, "out": str(out), "workers": args.workers})
     final = log[-1].test_acc if log else float("nan")
     print(f"trained {config.epochs} epochs; final test accuracy {final:.4f}")
@@ -205,13 +204,7 @@ def cmd_quantize(args) -> int:
     config = QuantConfig(bits=args.bits, rounding=args.rounding, seed=args.seed)
     quantized = ptq(weights, config)
     out = Path(args.out)
-    save_checkpoint(
-        out,
-        spec,
-        quantized,
-        seed=header.get("seed"),
-        precision=config.tag,
-    )
+    save_checkpoint(out, spec, quantized, seed=header.get("seed"))
     _write_run_json(out.parent, "quantize", _flags(args))
     print(f"quantized to {args.bits}-bit ({args.rounding}) -> {out}")
     return 0
@@ -219,7 +212,13 @@ def cmd_quantize(args) -> int:
 
 def cmd_eval(args) -> int:
     spec, weights, _ = load_checkpoint(args.checkpoint)
+    # at a T that nears the cap evaluate runs one sample at a time, and its
+    # forward pass holds less than a one-sample training step's trace
+    run = (spec, TrainConfig(epochs=0, seed=0, batch_size=1, timesteps=args.timesteps,
+                             window=spec.input_window))
+    _check_memory([run])
     test_samples = load_dataset(args.data, args.split, workers=args.workers)
+    _check_memory([run], n_test=len(test_samples))
     timesteps = args.timesteps
     data = encode_dataset(
         test_samples, spec.input_window, timesteps, window_mode=args.window_mode

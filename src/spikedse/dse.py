@@ -20,7 +20,7 @@ import csv
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from itertools import product
 from operator import attrgetter
@@ -103,6 +103,10 @@ class Constraints:
     def from_json(cls, text: str) -> "Constraints":
         with ConfigError.guard("constraints"):
             raw = dict(json.loads(text))
+            known = {f.name for f in fields(cls)} | {"max_memory_mb"}
+            if raw.keys() - known:  # a misspelt key would select as if unconstrained
+                raise ValueError(f"unknown keys {sorted(raw.keys() - known)}, "
+                                 f"expected some of {sorted(known)}")
             memory_bits = raw.get("max_memory_bits")
             if memory_bits is None and "max_memory_mb" in raw:
                 megabits = raw["max_memory_mb"]

@@ -27,10 +27,10 @@ arrays); a forward pass is a pure function of (weights, frames, params).
 A conv has two kernels: a dense im2col GEMM, and an event-driven one that
 reads only the non-zero input pixels and scatters them through the k x k
 taps. `simulate` picks the event-driven one per conv layer and batch when
-its result is provably the dense one's (hard spikes, an input and ptq
-weights on 2^-n grids whose sums fit the float64 mantissa, see
-`_exact_map`; a WeightSet checks its record and grid once, when it is
-made) and the input is sparse enough for it to pay
+its result is provably the dense one's (hard spikes, and ptq weights whose
+sums fit the float64 mantissa at their record's width, see `_exact_convs`;
+a WeightSet checks its record, grid and width once, when it is made) and
+the input is sparse enough for it to pay
 (`_active_pixels`). Otherwise the dense kernel runs, and when at most half
 of the (timestep, sample) input frames hold a non-zero value it runs over
 those frames only; the silent ones get the bias map, bit for bit what the
@@ -183,12 +183,14 @@ class WeightSet:
     """Real-valued parameters aligned with NetworkSpec.layers (None = pool).
 
     quant is None or ptq's record (bits, rounding, per-layer frac_bits,
-    saturated), checked once, here: bits in [2, 32], one frac_bits entry
-    per layer, None exactly at pools and in [0, bits - 1] elsewhere, and
-    every weight and bias on its layer's 2^-frac_bits grid, else
-    ValueError. Those arrays are then read-only, and a layer's arrays are
-    replaced only by building a new WeightSet, so the record holds for the
-    object's life and `simulate` trusts it.
+    saturated), checked once, here: bits in [2, 32], rounding TR, RN or
+    SR, one frac_bits entry per layer, None exactly at pools and in
+    [0, bits - 1] elsewhere, and every weight and bias on its layer's
+    2^-frac_bits grid with codes |w * 2^frac_bits| <= 2^(bits - 1) (float32
+    rounds ptq's 32-bit code 2^31 - 1 up), else ValueError. Those arrays
+    are then read-only, and a layer's arrays are replaced only by building
+    a new WeightSet, so the record holds for the object's life and
+    `simulate` and `save_checkpoint` trust it.
     """
 
     layers: tuple[LayerWeights | None, ...]
@@ -200,9 +202,11 @@ class WeightSet:
             return
         if not isinstance(self.quant, dict):
             raise ValueError(f"quant record must be a dict, got {self.quant!r}")
-        bits, frac_bits = self.quant.get("bits"), self.quant.get("frac_bits")
+        bits, rounding, frac_bits = map(self.quant.get, ("bits", "rounding", "frac_bits"))
         if not (isinstance(bits, numbers.Integral) and 2 <= bits <= 32):
             raise ValueError(f"quant bits must be an integer in [2, 32], got {bits!r}")
+        if rounding not in ("TR", "RN", "SR"):
+            raise ValueError(f"quant rounding must be TR, RN or SR, got {rounding!r}")
         if not (isinstance(frac_bits, list) and len(frac_bits) == len(self.layers)):
             raise ValueError(f"quant frac_bits needs {len(self.layers)} entries, "
                              f"got {frac_bits!r}")
@@ -217,6 +221,8 @@ class WeightSet:
                 codes = arr * 2.0**frac  # scaling by a power of two is exact
                 if not (np.isfinite(codes).all() and np.array_equal(codes, np.round(codes))):
                     raise ValueError(f"layer {i} {name} lies off its 2^-{frac} grid")
+                if np.abs(codes).max(initial=0) > 2.0 ** (bits - 1):
+                    raise ValueError(f"layer {i} {name} codes pass the quant width {bits}")
         for arr in self.param_arrays():
             arr.flags.writeable = False
 
@@ -310,8 +316,8 @@ _BATCH_BYTES = 8 << 20
 # GEMM up to that limit.
 _SCATTER_COST = 96
 # Largest value of the activation dtypes that hold exact integers (binary
-# frames, hard spikes): `_pool` sums them in integers, `simulate` tracks
-# their grid.
+# frames, hard spikes): `_pool` sums them in integers, `_exact_convs`
+# bounds the frames by it.
 _DTYPE_MAX = {np.dtype(bool): 1, np.dtype(np.uint8): 255}
 
 
@@ -605,23 +611,29 @@ def _weight_grad_events(
     return d_taps.reshape(kernel * kernel * c, o)
 
 
-def _exact_map(lw: LayerWeights, frac_bits: int, grid: tuple[int, int] | None) -> bool:
-    """True if every partial sum of a layer's synaptic map is exact in float64.
+def _exact_convs(net: NetworkSpec, bits: int) -> set[int]:
+    """Indices of the convs whose synaptic map is exact in float64 for any
+    weights a `bits`-wide quant record admits; reads only the layer specs.
 
-    frac_bits is the layer's entry in its WeightSet's checked quant record,
-    so the weight and bias arrays are on the 2^-frac_bits grid; grid is
-    (g, m) when the input is on the 2^-g grid with |x| <= m. Then every
-    product and partial sum is an integer multiple of 2^-(frac_bits + g),
-    and all of them are exact in any order while the largest possible
-    |sum|, bias included, stays below 2^53 (scaled by a power of two, the
-    bound is exact too).
+    With codes |w * 2^f| <= 2^(bits - 1) (a WeightSet's check) and input on
+    the 2^-g grid with |x| <= m, every product and partial sum, bias
+    included, is a multiple of 2^-(f + g) of at most (fan_in * m + 1) *
+    2^(bits - 1 + g) units: exact in any order below 2^53. (g, m) starts at
+    uint8 frames' (0, 255), a power-of-two pool adds log2 of its area to g,
+    any other loses the grid, and hard spikes are (0, 1).
     """
-    if grid is None:
-        return False
-    g, x_max = grid
-    scale = 2.0 ** (frac_bits + g)
-    w_sum = np.abs(lw.weight).reshape(len(lw.weight), -1).sum(axis=1)
-    return float((w_sum * (x_max * scale) + np.abs(lw.bias) * scale).max()) < 2.0**53
+    exact = set()
+    g, m = 0, _DTYPE_MAX[np.dtype(np.uint8)]
+    for i, layer in enumerate(net.layers):
+        area = layer.kernel**2
+        if layer.kind == "avg_pool":
+            g = None if g is None or area & (area - 1) else g + area.bit_length() - 1
+            continue
+        if layer.kind == "conv" and g is not None:
+            if (layer.in_channels * area * m + 1) << (bits - 1 + g) < 1 << 53:
+                exact.add(i)
+        g, m = 0, 1
+    return exact
 
 
 # ---------------------------------------------------------------------------
@@ -732,24 +744,15 @@ def simulate(
     trace: list[LayerTrace | None] | None = [None] * len(net.layers) if record else None
     hard = spike_mode == "hard"
     quant = weights.quant
-    # (g, m) while x is on the 2^-g grid with |x| <= m: integer frames, hard
-    # spikes, and their averages over power-of-two pools
-    grid = (0, _DTYPE_MAX[x.dtype]) if x.dtype in _DTYPE_MAX else None
+    exact = _exact_convs(net, quant["bits"]) if hard and quant is not None else set()
 
     for i, layer in enumerate(net.layers):
         if layer.kind == "avg_pool":
             x = _pool(x, layer.kernel)
-            area = layer.kernel**2
-            if grid is not None and area & (area - 1) == 0:  # a power of two
-                grid = (grid[0] + area.bit_length() - 1, grid[1])
-            else:
-                grid = None
             continue
         lw = weights.layers[i]
         if layer.kind == "conv":
-            exact = hard and quant is not None and _exact_map(
-                lw, quant["frac_bits"][i], grid)
-            v = _conv(x, lw.weight, lw.bias, layer.padding, layer.stride, exact=exact)
+            v = _conv(x, lw.weight, lw.bias, layer.padding, layer.stride, exact=i in exact)
         else:
             if x.ndim == 4:  # the weights flatten (C, H, W)
                 x = x.transpose(0, 3, 1, 2)
@@ -772,7 +775,6 @@ def simulate(
                 spikes=spikes,
             )
         x = spikes.reshape((n,) + spikes.shape[2:])
-        grid = (0, 1) if hard else None
     counts = x.reshape(T, B, -1).sum(axis=0, dtype=float)
     return ForwardResult(counts=counts, trace=trace)
 

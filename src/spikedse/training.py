@@ -342,11 +342,13 @@ def _check_training_bytes(
         for layer, x, y in zip(net.layers, inputs, shapes) if layer.spiking)
     need = 3 * 8 * params + config.batch_size * config.timesteps * per_frame + held_bytes
     if need > _TRAINING_BYTES_CAP:
-        held = (f", and {held_bytes / 2**30:,.1f} GiB of encoded splits' packed "
-                f"frames" if held_bytes else "")
+        def gib(size):  # rounded up, so a refused need never reads as the cap
+            return f"{-(-size * 10 // 2**30) / 10:,.1f} GiB"
+        held = (f", and {gib(held_bytes)} of encoded splits' packed frames"
+                if held_bytes else "")
         raise ConfigError(
             f"training at W={window}, T={config.timesteps}, batch "
-            f"{config.batch_size} needs about {need / 2**30:,.1f} GiB (parameters "
+            f"{config.batch_size} needs about {gib(need)} (parameters "
             f"with gradients and momentum, a minibatch's frames and recorded "
             f"trace{held}), above the {_TRAINING_BYTES_CAP >> 30} GiB cap")
 
@@ -364,22 +366,18 @@ def train(
     """Minibatch SGD with momentum; deterministic for a fixed seed.
 
     Returns the trained weights and the per-epoch accuracy/loss log, also
-    written as "epoch,train_acc,test_acc,loss" CSV when log_path is given.
-    train_acc is the running accuracy over the epoch's minibatches: each
-    minibatch is decoded from the forward pass of its gradient step, with
-    the weights it saw before that step. Logs written before this counting
-    held train_acc of the end-of-epoch weights over the whole training
-    split, so the two are not comparable. test_acc is one `evaluate` of the
-    end-of-epoch weights over test_data (NaN without it); loss is the mean
-    minibatch loss. workers is accepted for compatibility and does not
-    change anything: each minibatch runs as one batched simulation.
+    written as "epoch,train_acc,test_acc,loss" CSV when log_path is given
+    (only the header line at 0 epochs). train_acc is the running accuracy
+    over the epoch's minibatches: each minibatch is decoded from the
+    forward pass of its gradient step, with the weights it saw before that
+    step. test_acc is one `evaluate` of the end-of-epoch weights over
+    test_data (NaN without it); loss is the mean minibatch loss. workers
+    is accepted for compatibility and does not change anything: each
+    minibatch runs as one batched simulation.
     """
     if not data:
         raise EmptyDataset("training split is empty")
     weights = init_weights(net, config.seed)
-    if config.epochs == 0:
-        return weights, []
-
     velocity = weights.zeros_like()
     rng = np.random.default_rng(config.seed)
     log: list[EpochStats] = []

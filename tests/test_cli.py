@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -539,6 +540,14 @@ LIVE_DSE = [
 ]
 
 # name: (files to write under tmp, argv, expected part of the message)
+def _checkpoint_bytes(window: int) -> bytes:
+    """A seed-0 checkpoint file of the reference net at window."""
+    with tempfile.TemporaryDirectory() as tmp:
+        net = sd.build_network(window)
+        path = sd.save_checkpoint(Path(tmp) / "w.ckpt", net, sd.init_weights(net, 0))
+        return path.read_bytes()
+
+
 BAD_INPUTS = {
     "grid missing timesteps": (
         {"grid.json": '{"bits": [32], "windows": [50]}'},
@@ -807,7 +816,7 @@ BAD_INPUTS = {
         {"train.json": '{"epochs": 1, "seed": 0, "timesteps": 10000000, "window": 50, '
                        '"data": {"synthetic": {"per_class": 2}}}'},
         TRAIN,
-        "training at W=50, T=10000000, batch 20 needs about 13,621.5 GiB",
+        "training at W=50, T=10000000, batch 20 needs about 13,621.6 GiB",
     ),
     # fc1 alone is 559504 x 1119008 float64 weights, 4.56 TiB
     "train window 3000 past the memory cap": (
@@ -822,6 +831,17 @@ BAD_INPUTS = {
          "train.json": LIVE_TRAIN},
         LIVE_DSE,
         "training at W=50, T=10000000",
+    ),
+    # evaluation frames are estimated before the split is read: no data here
+    "eval timesteps past the memory cap": (
+        {"w.ckpt": _checkpoint_bytes(50)},
+        ["eval", "--checkpoint", "{tmp}/w.ckpt", "--data", "{tmp}/no-data",
+         "--timesteps", "10000000"],
+        "training at W=50, T=10000000, batch 1 needs about",
+    ),
+    "misspelt constraint key": (
+        {}, ["dse", "--constraints", '{"max_memroy_mb": 8}', "--out", "{tmp}/out"],
+        "constraints: unknown keys ['max_memroy_mb']",
     ),
     "train synthetic negative noise_events": (
         {"train.json": '{"epochs": 1, "seed": 0, "data": {"synthetic": '
@@ -838,7 +858,10 @@ def test_malformed_json_input_is_domain_error(name, tmp_path, capsys):
     for rel, text in files.items():
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text.replace("{tmp}", str(tmp_path)))
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text.replace("{tmp}", str(tmp_path)))
     assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
@@ -866,6 +889,10 @@ def test_recording_counts_count_toward_the_memory_cap():
     with pytest.raises(ConfigError, match="training at W=100, T=20, batch 20 "
                                           "needs about 2.1 GiB"):
         cli._check_memory([run], 33_400, 8_607)
+    # just over the cap: the figure rounds up, so it never reads as the cap
+    with pytest.raises(ConfigError, match=r"needs about 2\.1 GiB .* and 2\.0 GiB of "
+                                          r"encoded splits' packed frames\), above the 2 GiB"):
+        cli._check_memory([run], 41_000)
     # live dse keeps the test split at every (T, W) besides one train split
     grid = [(net100 if w == 100 else net50,
              sd.TrainConfig(epochs=1, seed=0, timesteps=t, window=w))

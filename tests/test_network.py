@@ -873,13 +873,27 @@ class TestEventDrivenConv:
         assert result.trace[0].spikes.any()
         self.assert_equal(result, dense)
 
-    @pytest.mark.parametrize("frac_bits,exact", [(40, True), (44, False)])
-    def test_exactness_bound(self, frac_bits, exact):
-        # codes of 2^(f-1) over 288 taps, times |x| <= 4 codes on the 2^-2
-        # grid: 2^(f+9.17), below 2^53 at f=40 and above it at f=44
-        lw = network.LayerWeights(np.full((2, 32, 3, 3), 0.5), np.zeros(2))
-        assert network._exact_map(lw, frac_bits, (2, 1)) is exact
-        assert network._exact_map(lw, frac_bits, None) is False
+    @pytest.mark.parametrize("pool,bits,exact", [(4, 31, {1}), (4, 32, set()), (3, 2, set())],
+                             ids=["k4-pool-31-bits", "k4-pool-32-bits", "k3-pool-2-bits"])
+    def test_exactness_bound(self, pool, bits, exact):
+        # a 128-channel 3x3 conv on k4-pooled frames, |x| <= 255 on the 2^-4
+        # grid: (1152 * 255 + 1) * 2^(bits - 1 + 4) is below 2^53 at 31 bits
+        # and above it at 32; a k3 pool's averages lie on no 2^-g grid
+        net = NetworkSpec(
+            layers=(
+                LayerSpec("avg_pool", 128, 128, kernel=pool, stride=pool),
+                LayerSpec("conv", 128, 4, kernel=3, padding=1),
+                LayerSpec("fully_connected", 4 * 2 * 2, 2),
+            ),
+            input_window=2 * pool,
+        )
+        assert network._exact_convs(net, bits) == exact
+
+    @pytest.mark.parametrize("window", [50, 100])
+    def test_reference_convs_are_exact_at_every_width(self, window):
+        net = sd.build_network(window)
+        for bits in range(2, 33):
+            assert network._exact_convs(net, bits) == {1, 3}
 
 
 def _weighted(record, value):
@@ -905,6 +919,12 @@ BAD_RECORDS = {
     # the arrays need the last fraction bit ptq gave them
     "coarser-grid": lambda r: {
         **r, "frac_bits": [None if f is None else f - 1 for f in r["frac_bits"]]},
+    # one bit finer where bits allows it: valid frac_bits on whose grid the
+    # values still lie, but the fixtures' larger fc2 codes then pass 2^(bits - 1)
+    "codes-wider-than-bits": lambda r: {**r, "frac_bits": [
+        f if f in (None, r["bits"] - 1) else f + 1 for f in r["frac_bits"]]},
+    "rounding-unknown": lambda r: {**r, "rounding": "RZ"},
+    "no-rounding": lambda r: {k: v for k, v in r.items() if k != "rounding"},
 }
 
 
@@ -914,7 +934,9 @@ class TestWeightSetRecord:
     @pytest.fixture(scope="class")
     def quantized(self):
         net = sd.build_network(50)  # its first layer is a pool
-        return sd.ptq(active_weights(net, 1, 2.0), sd.QuantConfig(bits=10))
+        weights = active_weights(net, 1, 2.0)
+        weights.layers[6].weight *= 8.0  # fc2 above 1: frac_bits 8, not 9
+        return sd.ptq(weights, sd.QuantConfig(bits=10))
 
     @pytest.mark.parametrize("edit", list(BAD_RECORDS))
     def test_malformed_record_is_refused(self, quantized, edit):
@@ -922,11 +944,29 @@ class TestWeightSetRecord:
         with pytest.raises(ValueError, match="quant|lies off"):
             WeightSet(thawed(quantized), quant=record)
 
+    def test_codes_wider_than_bits_are_refused(self, tmp_path):
+        # weights up to 2000 at 12 bits: frac_bits 0, valid at 4 bits too
+        weights = sd.init_weights(toy_spec(), seed=3)
+        for w in weights.param_arrays()[::2]:
+            w *= 2000.0 / np.abs(w).max()
+        q = sd.ptq(weights, sd.QuantConfig(bits=12))
+        assert q.quant["frac_bits"] == [0, None, 0, 0]
+        assert np.abs(q.layers[0].weight).max() >= 1999
+        narrow = {**q.quant, "bits": 4}
+        with pytest.raises(ValueError, match="layer 0 weight codes pass the quant width 4"):
+            WeightSet(thawed(q), quant=narrow)
+        blob = sd.save_checkpoint(tmp_path / "q.ckpt", toy_spec(), q).read_bytes()
+        newline = blob.index(b"\n")
+        header = {**json.loads(blob[:newline]), "quant": narrow}
+        (tmp_path / "q.ckpt").write_bytes(json.dumps(header).encode() + blob[newline:])
+        with pytest.raises(CheckpointError, match="q.ckpt: layer 0 weight codes pass"):
+            sd.load_checkpoint(tmp_path / "q.ckpt")
+
 
 class TestGoldenCounts:
     """What the committed infer_atis fixture net does at 10 bits on its
     seeded 40-recording test split, as its JSON records it. Every partial
-    sum on this path is exact (`_exact_map`), so the numbers hold on any
+    sum on this path is exact (`_exact_convs`), so the numbers hold on any
     BLAS and CPU, and a kernel or representation change that moves one
     spike fails here. Reads the fixture files and changes none."""
 
@@ -956,9 +996,7 @@ class TestGoldenCounts:
             assert np.count_nonzero(inputs) / inputs.size == record["input_density"]
             assert trace[i].spikes.sum() == record["spikes"]
         # conv1 reads uint8 frames through a 4x4 pool, conv2 spikes through a 2x2 one
-        frac_bits = q.quant["frac_bits"]
-        assert network._exact_map(q.layers[1], frac_bits[1], (4, 255))
-        assert network._exact_map(q.layers[3], frac_bits[3], (2, 1))
+        assert network._exact_convs(net, config.bits) == {1, 3}
 
 
 class TestDecode:
@@ -983,6 +1021,7 @@ class TestCheckpoint:
         spec2, weights2, header = sd.load_checkpoint(path)
         assert spec2 == net
         assert header["seed"] == 13
+        assert header["precision"] == "fp32"
         for a, b in zip(weights.param_arrays(), weights2.param_arrays()):
             assert np.allclose(a, b, atol=1e-6)  # float32 payload
 
@@ -1014,8 +1053,9 @@ class TestCheckpoint:
         weights = sd.init_weights(net, seed=1)
         q = sd.ptq(weights, sd.QuantConfig(bits=10))
         path = tmp_path / "q.ckpt"
-        sd.save_checkpoint(path, net, q, precision="10b-TR")
+        sd.save_checkpoint(path, net, q)
         _, loaded, header = sd.load_checkpoint(path)
+        assert header["precision"] == "10b-TR"  # derived from the record
         assert header["quant"]["bits"] == 10
         assert header["quant"]["rounding"] == "TR"
         assert loaded.quant["frac_bits"] == q.quant["frac_bits"]
@@ -1025,7 +1065,7 @@ class TestCheckpoint:
         # values stay on the 2^-frac_bits grid, so the record still holds
         net = sd.build_network(50)
         q = sd.ptq(sd.init_weights(net, seed=1), sd.QuantConfig(bits=32))
-        path = sd.save_checkpoint(tmp_path / "q.ckpt", net, q, precision="32b-TR")
+        path = sd.save_checkpoint(tmp_path / "q.ckpt", net, q)
         _, loaded, _ = sd.load_checkpoint(path)
         assert loaded.quant == q.quant
         assert sd.quantize.grid_aligned(loaded, sd.QuantConfig(bits=32))
@@ -1033,14 +1073,30 @@ class TestCheckpoint:
         assert any(not np.array_equal(a, b) for a, b in pairs)
         assert all(np.array_equal(a.astype(np.float32), b) for a, b in pairs)
 
+    def test_32_bit_code_rounded_up_to_the_width_loads(self, tmp_path):
+        # ptq's largest 32-bit code, 2^31 - 1, is 2^31 in the float32 payload:
+        # 2^(bits - 1), which the record's width still admits
+        weights = sd.init_weights(toy_spec(), seed=3)
+        weights.layers[0].weight[0, 0, 0, 0] = 0.9999999999
+        q = sd.ptq(weights, sd.QuantConfig(bits=32))
+        assert q.quant["frac_bits"][0] == 31
+        assert q.layers[0].weight[0, 0, 0, 0] * 2.0**31 == 2**31 - 1
+        path = sd.save_checkpoint(tmp_path / "q.ckpt", toy_spec(), q)
+        _, loaded, header = sd.load_checkpoint(path)
+        assert header["precision"] == "32b-TR"
+        assert loaded.quant == q.quant
+        assert loaded.layers[0].weight[0, 0, 0, 0] * 2.0**31 == 2**31
+
 
 @functools.cache
 def toy_checkpoint() -> bytes:
     """Bytes of a small quantized checkpoint; header and payload are similar in size."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "toy.ckpt"
-        weights = sd.ptq(sd.init_weights(toy_spec(), seed=3), sd.QuantConfig(bits=8))
-        sd.save_checkpoint(path, toy_spec(), weights, seed=3, precision="8b-TR")
+        weights = sd.init_weights(toy_spec(), seed=3)
+        weights.layers[3].weight *= 4.0  # fc2 above 1: frac_bits 6, not 7
+        weights = sd.ptq(weights, sd.QuantConfig(bits=8))
+        sd.save_checkpoint(path, toy_spec(), weights, seed=3)
         return path.read_bytes()
 
 

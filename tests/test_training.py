@@ -347,12 +347,13 @@ def small_data():
 
 
 class TestTrain:
-    def test_zero_epochs_returns_initial(self, small_data):
+    def test_zero_epochs_returns_initial(self, small_data, tmp_path):
         net = sd.build_network(50)
         config = TrainConfig(epochs=0, seed=3, timesteps=5, window=50)
-        weights, log = train(net, small_data[0], config)
+        weights, log = train(net, small_data[0], config, log_path=tmp_path / "log.csv")
         reference = sd.init_weights(net, seed=3)
         assert log == []
+        assert (tmp_path / "log.csv").read_text() == "epoch,train_acc,test_acc,loss\n"
         for a, b in zip(weights.param_arrays(), reference.param_arrays()):
             assert np.array_equal(a, b)
 
