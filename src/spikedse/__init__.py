@@ -34,10 +34,12 @@ from .dse import (
 from .events import (
     AttentionWindow,
     EventSample,
+    Recordings,
     SpikeFrames,
     bin_to_frames,
     crop,
     crop_to_window,
+    dataset_split,
     encode_dataset,
     encode_sample,
     find_attention_window,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import closing
 from dataclasses import asdict
 from pathlib import Path
 
@@ -30,13 +31,15 @@ from .errors import ConfigError, SpikeDseError
 from .events import (
     WINDOW_MODES,
     EventSample,
+    Recordings,
     SpikeFrames,
     bin_to_frames,
     crop_to_window,
+    dataset_split,
     encode_dataset,
-    load_dataset,
-    make_synthetic_dataset,
+    generate_synthetic,
     read_event_file,
+    synthetic_seeds,
     write_dataset,
 )
 from .network import build_network
@@ -78,24 +81,32 @@ _SYNTHETIC_DEFAULTS = {"per_class": 150, "seed": 0, "test_fraction": 1.0 / 3.0,
                        "sensor": 64, "duration": 100_000, "noise_events": 1024}
 
 
-def _synthetic(settings: dict, source: str) -> tuple[list, list]:
-    """Synthetic (train, test) splits; a value the generator rejects raises
-    ConfigError naming source."""
+def _synthetic(settings: dict, source: str) -> tuple[Recordings, Recordings]:
+    """Synthetic (train, test) splits that generate each recording when
+    iterated. A setting the generator rejects raises ConfigError naming
+    source: a seed setting here, a recording's at the first recording."""
     s = {**_SYNTHETIC_DEFAULTS, **settings}
+
+    def generate(class_id: int, seed: int) -> EventSample:
+        with ConfigError.guard(source):
+            return generate_synthetic(
+                class_id,
+                seed,
+                sensor_width=s["sensor"],
+                sensor_height=s["sensor"],
+                duration_us=s["duration"],
+                noise_events=s["noise_events"],
+            )
+
     with ConfigError.guard(source):
-        return make_synthetic_dataset(
-            per_class=s["per_class"],
-            seed=s["seed"],
-            test_fraction=s["test_fraction"],
-            sensor_width=s["sensor"],
-            sensor_height=s["sensor"],
-            duration_us=s["duration"],
-            noise_events=s["noise_events"],
-        )
+        train, test = synthetic_seeds(s["per_class"], s["seed"],
+                                      test_fraction=s["test_fraction"])
+    return Recordings(train, generate), Recordings(test, generate)
 
 
 def cmd_dataset_gen(args) -> int:
-    train_split, test_split = _synthetic(vars(args), "dataset gen")
+    # whole lists, so that a rejected setting fails before anything is written
+    train_split, test_split = map(list, _synthetic(vars(args), "dataset gen"))
     out = Path(args.out)
     write_dataset({"train": train_split, "test": test_split}, out)
     _write_run_json(out, "dataset gen", _flags(args))
@@ -136,9 +147,10 @@ def _strict(raw: dict) -> bool:
     return strict
 
 
-def _load_splits(data_cfg: dict | None, workers: int) -> tuple[list, list, str]:
-    """The raw (train, test) samples a config's data block names, and its
-    window_mode."""
+def _load_splits(data_cfg: dict | None, workers: int) -> tuple[Recordings, Recordings, str]:
+    """The (train, test) splits a config's data block names, and its
+    window_mode. Only a manifest is read here; the recordings are read or
+    generated, one at a time, when a split is iterated."""
     if not isinstance(data_cfg, dict) or not {"dir", "synthetic"} & data_cfg.keys():
         raise ConfigError(
             'the config needs a data block with "dir" or "synthetic" (dse: or --data)'
@@ -150,8 +162,8 @@ def _load_splits(data_cfg: dict | None, workers: int) -> tuple[list, list, str]:
         root = data_cfg["dir"]
         if not isinstance(root, str):
             raise ConfigError(f'data block: "dir" must be a string, got {root!r}')
-        train_split = load_dataset(root, "train", workers=workers)
-        test_split = load_dataset(root, "test", workers=workers)
+        train_split = dataset_split(root, "train", workers=workers)
+        test_split = dataset_split(root, "test", workers=workers)
         return train_split, test_split, mode
     syn = data_cfg["synthetic"]
     if not isinstance(syn, dict):
@@ -170,6 +182,13 @@ def _check_memory(runs: list[tuple], n_train: int = 0, n_test: int = 0) -> None:
         _check_training_bytes(net, config, held_bytes=held_tests + n_train * size)
 
 
+def _encoded(split: Recordings, window: int, timesteps: int, mode: str) -> list[tuple]:
+    """encode_dataset of a split read one recording at a time; its
+    read-ahead pool is shut down on every exit path."""
+    with closing(iter(split)) as samples:
+        return encode_dataset(samples, window, timesteps, window_mode=mode)
+
+
 def cmd_train(args) -> int:
     raw = _read_config(args.config)
     config = TrainConfig.from_dict(raw)
@@ -177,13 +196,12 @@ def cmd_train(args) -> int:
     _check_memory([(net, config)])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    train_samples, test_samples, mode = _load_splits(raw.get("data"), args.workers)
-    _check_memory([(net, config)], len(train_samples), len(test_samples))
+    train_split, test_split, mode = _load_splits(raw.get("data"), args.workers)
+    _check_memory([(net, config)], len(train_split), len(test_split))
     train_data, test_data = (
-        encode_dataset(split, config.window, config.timesteps, window_mode=mode)
-        for split in (train_samples, test_samples)
+        _encoded(split, config.window, config.timesteps, mode)
+        for split in (train_split, test_split)
     )
-    del train_samples, test_samples  # the packed frames are all train needs
     weights, log = train(
         net,
         train_data,
@@ -217,13 +235,9 @@ def cmd_eval(args) -> int:
     run = (spec, TrainConfig(epochs=0, seed=0, batch_size=1, timesteps=args.timesteps,
                              window=spec.input_window))
     _check_memory([run])
-    test_samples = load_dataset(args.data, args.split, workers=args.workers)
-    _check_memory([run], n_test=len(test_samples))
-    timesteps = args.timesteps
-    data = encode_dataset(
-        test_samples, spec.input_window, timesteps, window_mode=args.window_mode
-    )
-    del test_samples
+    split = dataset_split(args.data, args.split, workers=args.workers)
+    _check_memory([run], n_test=len(split))
+    data = _encoded(split, spec.input_window, args.timesteps, args.window_mode)
     accuracy = evaluate(spec, weights, data)
     print(json.dumps({"accuracy": accuracy, "samples": len(data)}))
     return 0
@@ -259,18 +273,17 @@ def cmd_dse(args) -> int:
         }
         runs = [(nets[w], config) for (_, w), config in configs.items()]
         _check_memory(runs)
-        train_samples, test_samples, mode = _load_splits(raw.get("data"), args.workers)
-        _check_memory(runs, len(train_samples), len(test_samples))
+        train_split, test_split, mode = _load_splits(raw.get("data"), args.workers)
+        _check_memory(runs, len(train_split), len(test_split))
         # The window search depends only on W, and T only changes the
-        # binning: crop each sample once per W, then bin the crops per T.
-        cropped = {
-            w: [
-                [crop_to_window(s, w, window_mode=mode) for s in split]
-                for split in (train_samples, test_samples)
-            ]
-            for w in grid.windows
-        }
-        del train_samples, test_samples
+        # binning: read each recording once, crop it at every W and drop
+        # it, then bin the crops per T.
+        cropped = {w: ([], []) for w in grid.windows}
+        for i, split in enumerate((train_split, test_split)):
+            with closing(iter(split)) as samples:
+                for sample in samples:
+                    for w in grid.windows:
+                        cropped[w][i].append(crop_to_window(sample, w, window_mode=mode))
         baselines, encoded = {}, {}
         for w in list(cropped):
             train_crops, test_crops = cropped.pop(w)
@@ -359,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spiking-network training, quantization and design-space exploration",
     )
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker thread cap for dataset loading")
+                        help="worker thread cap for dataset loading, which is "
+                             "also the number of files read ahead")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_dataset = sub.add_parser("dataset", help="generate or inspect event datasets")

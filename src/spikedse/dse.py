@@ -33,7 +33,13 @@ from .costs import (
     full_report,
     setting_tag,
 )
-from .errors import ConfigError, EmptyAxis, MissingBaseline, NoFeasiblePoint
+from .errors import (
+    ConfigError,
+    EmptyAxis,
+    MissingBaseline,
+    NoFeasiblePoint,
+    _check_keys,
+)
 from .events import SpikeFrames
 from .network import WeightSet, build_network
 from .quantize import QuantConfig, ptq
@@ -65,7 +71,8 @@ class DseGrid:
     @classmethod
     def from_json(cls, path: str | Path) -> "DseGrid":
         with ConfigError.guard(f"grid {path}"):
-            raw = json.loads(Path(path).read_text())
+            raw = dict(json.loads(Path(path).read_text()))
+            _check_keys(raw, {f.name for f in fields(cls)})
             return cls(
                 bits=tuple(raw["bits"]),
                 timesteps=tuple(raw["timesteps"]),
@@ -103,10 +110,8 @@ class Constraints:
     def from_json(cls, text: str) -> "Constraints":
         with ConfigError.guard("constraints"):
             raw = dict(json.loads(text))
-            known = {f.name for f in fields(cls)} | {"max_memory_mb"}
-            if raw.keys() - known:  # a misspelt key would select as if unconstrained
-                raise ValueError(f"unknown keys {sorted(raw.keys() - known)}, "
-                                 f"expected some of {sorted(known)}")
+            # a misspelt key would select as if unconstrained
+            _check_keys(raw, {f.name for f in fields(cls)} | {"max_memory_mb"})
             memory_bits = raw.get("max_memory_bits")
             if memory_bits is None and "max_memory_mb" in raw:
                 megabits = raw["max_memory_mb"]

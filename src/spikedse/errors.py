@@ -24,6 +24,14 @@ class SpikeDseError(Exception):
             raise cls(f"{source}: {exc}") from exc
 
 
+def _check_keys(raw: dict, known: set[str]) -> None:
+    """Raise ValueError naming the keys of raw outside known: a misspelt key
+    would otherwise be dropped and its setting silently keep its default."""
+    if raw.keys() - known:
+        raise ValueError(f"unknown keys {sorted(raw.keys() - known)}, "
+                         f"expected some of {sorted(known)}")
+
+
 class ConfigError(SpikeDseError):
     """An input file is bad: a JSON config, grid, constraints, constants, table
     or manifest, or a DSE report CSV read back by parse_report."""

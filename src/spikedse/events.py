@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import json
 import operator
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -570,11 +572,62 @@ def encode_dataset(
     *,
     window_mode: str = "per_sample",
 ) -> list[tuple[SpikeFrames, int]]:
-    """Encode samples into (frames, label) pairs ready for the network."""
+    """Encode samples into (frames, label) pairs ready for the network.
+
+    samples may be any iterable, such as a `Recordings` split: each sample
+    is encoded as it arrives, and only the pairs are kept.
+    """
     return [
         (encode_sample(s, window_size, timesteps, window_mode=window_mode), s.label)
         for s in samples
     ]
+
+
+# ---------------------------------------------------------------------------
+# Splits read one recording at a time
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Recordings:
+    """A split whose recordings are made only while it is iterated.
+
+    `len` is the number of entries, known before any recording is made.
+    Each iteration yields `read(*fetch(*entry))` for every entry, in entry
+    order, in the iterating thread; without a `fetch`, `read(*entry)`.
+    `fetch` is the I/O part of making a recording (a file's contents):
+    with workers > 1 it runs in a thread pool, up to `workers` entries
+    ahead, and the pool is shut down when the iteration ends, raises or is
+    closed (`contextlib.closing(iter(split))`), once the fetches in
+    progress finish. A consumer that drops each sample before asking for
+    the next never holds the whole split: at most `workers` fetched
+    contents, the recording being read and the one it still holds.
+    """
+
+    entries: Sequence[tuple]
+    read: Callable[..., EventSample]
+    fetch: Callable[..., tuple] | None = None
+    workers: int = 1
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __iter__(self) -> Iterator[EventSample]:
+        read, fetch = self.read, self.fetch
+        if fetch is None or self.workers <= 1:
+            for entry in self.entries:
+                yield read(*fetch(*entry)) if fetch else read(*entry)
+            return
+        pool = ThreadPoolExecutor(max_workers=self.workers)
+        pending: deque = deque()
+        try:
+            for entry in self.entries:
+                pending.append(pool.submit(fetch, *entry))
+                if len(pending) == self.workers:
+                    yield read(*pending.popleft().result())
+            while pending:
+                yield read(*pending.popleft().result())
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +725,28 @@ def generate_synthetic(
     return EventSample(t, x, y, p, sensor_width, sensor_height, duration_us, class_id)
 
 
+def synthetic_seeds(
+    per_class: int, seed: int, *, test_fraction: float = 1.0 / 3.0
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The (class_id, sample seed) of every train and test recording.
+
+    Per-sample seeds derive from one SeedSequence, so the whole dataset is a
+    pure function of (per_class, seed, test_fraction). Each split lists
+    class 0's recordings, then class 1's; the first round(per_class *
+    test_fraction) of each class go to the test split.
+    """
+    if not 0 <= test_fraction <= 1:  # NaN fails too
+        raise ValueError(f"test_fraction must be in [0, 1], got {test_fraction}")
+    sample_seeds = np.random.SeedSequence(seed).generate_state(2 * per_class)
+    n_test = int(round(per_class * test_fraction))
+    train, test = [], []
+    for class_id in (0, 1):
+        for j in range(per_class):
+            entry = (class_id, int(sample_seeds[class_id * per_class + j]))
+            (test if j < n_test else train).append(entry)
+    return train, test
+
+
 def make_synthetic_dataset(
     per_class: int,
     seed: int,
@@ -679,24 +754,14 @@ def make_synthetic_dataset(
     test_fraction: float = 1.0 / 3.0,
     **gen_kwargs,
 ) -> tuple[list[EventSample], list[EventSample]]:
-    """Build matched train/test splits of synthetic samples of both classes.
-
-    Per-sample seeds derive from one SeedSequence, so the whole dataset is a
-    pure function of (per_class, seed, test_fraction).
-    """
-    if not 0 <= test_fraction <= 1:  # NaN fails too
-        raise ValueError(f"test_fraction must be in [0, 1], got {test_fraction}")
-    sample_seeds = np.random.SeedSequence(seed).generate_state(2 * per_class)
-    n_test = int(round(per_class * test_fraction))
-    train, test = [], []
-    i = 0
-    for class_id in (0, 1):
-        for j in range(per_class):
-            sample = generate_synthetic(
-                class_id, int(sample_seeds[i]), **gen_kwargs
-            )
-            (test if j < n_test else train).append(sample)
-            i += 1
+    """Build matched train/test splits of synthetic samples of both classes:
+    `generate_synthetic` of each `synthetic_seeds` entry, read through
+    `Recordings` as a streaming split would be."""
+    generate = partial(generate_synthetic, **gen_kwargs)
+    train, test = (
+        list(Recordings(entries, generate))
+        for entries in synthetic_seeds(per_class, seed, test_fraction=test_fraction)
+    )
     return train, test
 
 
@@ -709,35 +774,51 @@ MANIFEST_NAME = "manifest.json"
 
 def read_event_file(path: str | Path) -> EventSample:
     """Parse one event file: CSV if its suffix is .csv (any case), else DAT."""
-    path = Path(path)
-    if path.suffix.lower() == ".csv":
-        return parse_csv(path.read_text())
-    return parse_dat(path.read_bytes())
+    return _parse_contents(_file_contents(Path(path)))
 
 
-def _load_event_file(path: Path, label: int) -> EventSample:
-    # parse failures inside a dataset directory surface as UnreadableFile
+def _file_contents(path: Path) -> str | bytes:
+    """A CSV file's text, any other file's bytes. Calls nothing else of
+    this package, so a pool thread can run it for a dataset split."""
+    return path.read_text() if path.suffix.lower() == ".csv" else path.read_bytes()
+
+
+def _parse_contents(data: str | bytes) -> EventSample:
+    return parse_csv(data) if isinstance(data, str) else parse_dat(data)
+
+
+# a dataset directory's file failures surface as UnreadableFile: reading
+# it in `_fetch_event_file`, in a pool thread, and parsing it in
+# `_load_event_file`, in the thread that iterates the split
+
+def _fetch_event_file(path: Path, label: int) -> tuple[Path, int, str | bytes]:
     try:
-        sample = read_event_file(path)
+        return path, label, _file_contents(path)
     except OSError as exc:
         raise UnreadableFile(f"cannot read {path}: {exc}") from exc
+
+
+def _load_event_file(path: Path, label: int, data: str | bytes) -> EventSample:
+    try:
+        sample = _parse_contents(data)
     except SpikeDseError as exc:
         raise UnreadableFile(f"cannot parse {path}: {exc}") from exc
     return replace(sample, label=label)
 
 
-def load_dataset(
-    path: str | Path, split: str, *, workers: int = 1
-) -> list[EventSample]:
-    """Load one split of a manifest-described dataset directory.
+def dataset_split(path: str | Path, split: str, *, workers: int = 1) -> Recordings:
+    """One split of a manifest-described dataset directory, read lazily.
 
-    The manifest is a JSON array of {"file": ..., "label": ..., "split": ...}
-    entries; returned samples follow manifest order regardless of how many
-    worker threads read the files.
+    The manifest, a JSON array of {"file": ..., "label": ..., "split": ...}
+    entries, is read and checked now, so the split's size is known before
+    any event file is read. Its (file, label) entries, in manifest order,
+    are the returned split's entries; iterating it parses the files, with
+    up to `workers` threads reading their contents ahead.
 
     Raises:
         MissingManifest, ConfigError (malformed manifest, a label other
-        than 0 or 1), UnreadableFile.
+        than 0 or 1); while iterating, UnreadableFile at the first file
+        that cannot be read or parsed.
     """
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
@@ -752,10 +833,24 @@ def load_dataset(
         for file, label in wanted:
             if label not in (0, 1):  # the network has one output per class
                 raise ValueError(f"{file.name}: label {label} is not 0 or 1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda entry: _load_event_file(*entry), wanted))
-    return [_load_event_file(*entry) for entry in wanted]
+    return Recordings(wanted, _load_event_file, _fetch_event_file, workers)
+
+
+def load_dataset(
+    path: str | Path, split: str, *, workers: int = 1
+) -> list[EventSample]:
+    """Load one whole split of a manifest-described dataset directory.
+
+    The list of one iteration of `dataset_split`: the samples follow
+    manifest order regardless of how many worker threads read the files.
+    A caller that only encodes each sample can iterate `dataset_split`
+    instead, and hold a few recordings at a time instead of the split.
+
+    Raises:
+        MissingManifest, ConfigError (malformed manifest, a label other
+        than 0 or 1), UnreadableFile.
+    """
+    return list(dataset_split(path, split, workers=workers))
 
 
 def write_dataset(

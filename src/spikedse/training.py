@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .errors import ConfigError, EmptyDataset, ShapeMismatch
+from .errors import ConfigError, EmptyDataset, ShapeMismatch, _check_keys
 from .events import SpikeFrames
 from .network import (
     LayerSpec,
@@ -114,11 +114,13 @@ class TrainConfig:
         """Build from a JSON training config.
 
         "epochs" and "seed" are required; other fields keep their defaults
-        when absent, and keys that are not fields (e.g. "data") are ignored.
-        A missing required key or an invalid value raises ConfigError.
+        when absent. Besides the fields, a config file may carry the keys
+        the CLI reads ("data", "strict"), which are ignored here. A missing
+        required key, any other key or an invalid value raises ConfigError.
         """
         optional = {f.name for f in fields(cls)} - {"epochs", "seed"}
         with ConfigError.guard("train config"):
+            _check_keys(raw, {f.name for f in fields(cls)} | {"data", "strict"})
             return cls(
                 epochs=raw["epochs"],
                 seed=raw["seed"],
@@ -311,11 +313,12 @@ def _sgd_step(
 # The CLI's `train` and live `dse` refuse a (T, W) whose training
 # `_check_training_bytes` puts above this many bytes: once before any data
 # is generated or loaded, and again, with the encoded splits' packed
-# frames, once the recordings are counted but before they are encoded.
+# frames, once the recordings are counted but before any is read.
 # Past it NumPy fails deep inside encoding or initialization, or the kernel
 # grants the pages lazily and kills the process later. The margin below a
 # machine's memory is for what the estimate does not count: the raw
-# recordings while they are encoded.
+# recordings being encoded, which the CLI reads one at a time: at most
+# `--workers` files read ahead and two parsed recordings, not a split.
 _TRAINING_BYTES_CAP = 2 << 30
 
 

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import tempfile
+import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -485,14 +487,14 @@ class TestDseCommand:
             "dataset", "gen", "--per-class", "6", "--seed", "4", "--sensor", "112",
             "--out", str(data),
         ]) == 0
-        loads = []
-        real_load = cli.load_dataset
+        parsed = []
+        real_parse = sd.events.parse_dat
 
-        def counting_load(path, split, **kwargs):
-            loads.append(split)
-            return real_load(path, split, **kwargs)
+        def counting_parse(data):
+            parsed.append(bytes(data))
+            return real_parse(data)
 
-        monkeypatch.setattr(cli, "load_dataset", counting_load)
+        monkeypatch.setattr(sd.events, "parse_dat", counting_parse)
         grid = {"bits": [32, 10], "timesteps": [6, 3], "windows": [100, 50]}
         grid_path = tmp_path / "grid.json"
         grid_path.write_text(json.dumps(grid))
@@ -505,9 +507,11 @@ class TestDseCommand:
             "--train-config", str(config_path), "--out", str(tmp_path / "cli"),
         ]) == 0
         capsys.readouterr()
-        assert sorted(loads) == ["test", "train"]
+        # every recording is parsed exactly once, for both windows
+        manifest = json.loads((data / "manifest.json").read_text())
+        assert sorted(parsed) == sorted((data / e["file"]).read_bytes() for e in manifest)
 
-        train_s, test_s = (real_load(data, split) for split in ("train", "test"))
+        train_s, test_s = (sd.load_dataset(data, split) for split in ("train", "test"))
         baselines, encoded = {}, {}
         for w in grid["windows"]:
             for t in grid["timesteps"]:
@@ -843,6 +847,18 @@ BAD_INPUTS = {
         {}, ["dse", "--constraints", '{"max_memroy_mb": 8}', "--out", "{tmp}/out"],
         "constraints: unknown keys ['max_memroy_mb']",
     ),
+    "train config misspelt key": (
+        {"train.json": '{"epochs": 1, "seed": 0, "batchsize": 4, '
+                       '"data": {"synthetic": {"per_class": 2}}}'},
+        TRAIN,
+        "train config: unknown keys ['batchsize']",
+    ),
+    "grid unknown key": (
+        {"grid.json": '{"bits": [10], "timesteps": [5], "windows": [50], '
+                      '"window": [100]}'},
+        ["dse", "--grid", "{tmp}/grid.json", "--out", "{tmp}/out"],
+        "unknown keys ['window']",
+    ),
     "train synthetic negative noise_events": (
         {"train.json": '{"epochs": 1, "seed": 0, "data": {"synthetic": '
                        '{"per_class": 2, "noise_events": -1}}}'},
@@ -878,6 +894,74 @@ def test_baseline_config_is_under_the_memory_cap(tmp_path, capsys):
     argv = ["train", "--config", str(tmp_path / "train.json"), "--out", str(tmp_path / "out")]
     assert main(argv) == 0
     assert "trained 1 epochs" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_raw_recordings_alive_stay_bounded(workers, tmp_path, monkeypatch, capsys):
+    """train, eval and live dse read a split one recording at a time: the
+    raw recordings alive at once do not grow with the split's 12."""
+    data = tmp_path / "data"
+    assert main(["dataset", "gen", "--per-class", "9", "--seed", "3", "--sensor", "64",
+                 "--out", str(data)]) == 0
+    lock = threading.Lock()
+    count = {"read": 0, "alive": 0, "peak": 0}
+    real_load = sd.events._load_event_file
+
+    def release():
+        with lock:
+            count["alive"] -= 1
+
+    def counting_load(*args):
+        sample = real_load(*args)
+        weakref.finalize(sample, release)
+        with lock:
+            count["read"] += 1
+            count["alive"] += 1
+            count["peak"] = max(count["peak"], count["alive"])
+        return sample
+
+    monkeypatch.setattr(sd.events, "_load_event_file", counting_load)
+    (tmp_path / "train.json").write_text(json.dumps(
+        {"epochs": 1, "seed": 0, "batch_size": 4, "timesteps": 3,
+         "data": {"dir": str(data)}}))
+    (tmp_path / "grid.json").write_text(
+        '{"bits": [32], "timesteps": [3], "windows": [50]}')
+    commands = {
+        "train": (["train", "--config", f"{tmp_path}/train.json",
+                   "--out", f"{tmp_path}/out"], 12 + 6),
+        "eval": (["eval", "--checkpoint", f"{tmp_path}/out/weights.ckpt",
+                  "--data", str(data), "--split", "train", "--timesteps", "3"], 12),
+        "dse": (["dse", "--accuracy-source", "live", "--grid", f"{tmp_path}/grid.json",
+                 "--train-config", f"{tmp_path}/train.json", "--out", f"{tmp_path}/dse"],
+                12 + 6),
+    }
+    for name, (argv, reads) in commands.items():
+        count.update(read=0, peak=count["alive"])
+        assert main(["--workers", str(workers)] + argv) == 0, name
+        assert count["read"] == reads, name
+        assert count["peak"] <= workers + 1, (name, count)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_bad_recording_fails_where_it_is_read(workers, tmp_path, capsys):
+    """A file that does not parse ends train with exit 1 when its turn
+    comes, and the read-ahead pool is gone when main returns."""
+    data = tmp_path / "data"
+    assert main(["dataset", "gen", "--per-class", "6", "--seed", "3", "--sensor", "64",
+                 "--out", str(data)]) == 0
+    manifest = json.loads((data / "manifest.json").read_text())
+    bad = [e["file"] for e in manifest if e["split"] == "train"][5]
+    (data / bad).write_bytes(b"\x01\x02\x03")
+    (tmp_path / "train.json").write_text(json.dumps(
+        {"epochs": 1, "seed": 0, "data": {"dir": str(data)}}))
+    before = set(threading.enumerate())
+    assert main(["--workers", str(workers), "train", "--config", f"{tmp_path}/train.json",
+                 "--out", f"{tmp_path}/out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse {data / bad}")
+    assert "Traceback" not in err
+    assert set(threading.enumerate()) <= before
 
 
 def test_recording_counts_count_toward_the_memory_cap():

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -970,6 +971,59 @@ class TestDatasetDirectory:
         assert [s.label for s in seq] == [p.label for p in par]
         for a, b in zip(seq, par):
             assert_same_events(a, b)
+        for workers in (1, 2, 4):  # the lazy reader, one sample at a time
+            split = sd.dataset_split(tmp_path, "train", workers=workers)
+            assert len(split) == len(seq)
+            lazy = iter(split)
+            for a in seq:
+                b = next(lazy)
+                assert b.label == a.label
+                assert_same_events(a, b)
+            assert next(lazy, None) is None
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_read_ahead_stays_within_workers(self, workers):
+        """Recordings yields in entry order, and never has more than
+        `workers` entries fetched and not yet read."""
+        lock = threading.Lock()
+        fetched, ahead = [], []
+
+        def fetch(i):
+            with lock:
+                fetched.append(i)
+            return (i,)
+
+        def read(i):
+            with lock:
+                ahead.append(len(fetched) - i)
+            return i
+
+        split = sd.Recordings([(i,) for i in range(20)], read, fetch, workers)
+        assert list(split) == list(range(20))
+        assert sorted(fetched) == list(range(20))
+        assert 1 <= max(ahead) <= workers
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_lazy_reader_fails_at_the_bad_file_and_stops_its_threads(
+        self, tmp_path, workers
+    ):
+        train, _ = self.make_dataset(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        bad = [e["file"] for e in manifest if e["split"] == "train"][2]
+        (tmp_path / bad).write_bytes(b"\x01\x02\x03")
+        before = set(threading.enumerate())
+        split = sd.dataset_split(tmp_path, "train", workers=workers)  # reads no file
+        samples = iter(split)
+        for expected in train[:2]:
+            assert_same_events(next(samples), expected)
+        with pytest.raises(UnreadableFile, match=f"cannot parse .*{bad}"):
+            next(samples)
+        assert set(threading.enumerate()) <= before
+        # a reader closed part-way shuts its pool down too
+        samples = iter(split)
+        next(samples)
+        samples.close()
+        assert set(threading.enumerate()) <= before
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(MissingManifest):
