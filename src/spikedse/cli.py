@@ -4,7 +4,9 @@ Subcommands: dataset (gen | inspect), train, quantize, eval, dse,
 complexity. Every run that writes artifacts also writes a run.json, so
 any output directory can be reproduced from that file alone: train echoes
 its config file plus out and workers, every other command all of its
-parsed flags. Exit codes: 0 success, 1 domain error, 2 usage error.
+parsed flags. The global --workers is accepted for compatibility and
+changes nothing: dataset files are read one at a time in the calling
+thread. Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import closing
 from dataclasses import asdict
 from pathlib import Path
 
@@ -147,7 +148,7 @@ def _strict(raw: dict) -> bool:
     return strict
 
 
-def _load_splits(data_cfg: dict | None, workers: int) -> tuple[Recordings, Recordings, str]:
+def _load_splits(data_cfg: dict | None) -> tuple[Recordings, Recordings, str]:
     """The (train, test) splits a config's data block names, and its
     window_mode. Only a manifest is read here; the recordings are read or
     generated, one at a time, when a split is iterated."""
@@ -162,9 +163,7 @@ def _load_splits(data_cfg: dict | None, workers: int) -> tuple[Recordings, Recor
         root = data_cfg["dir"]
         if not isinstance(root, str):
             raise ConfigError(f'data block: "dir" must be a string, got {root!r}')
-        train_split = dataset_split(root, "train", workers=workers)
-        test_split = dataset_split(root, "test", workers=workers)
-        return train_split, test_split, mode
+        return dataset_split(root, "train"), dataset_split(root, "test"), mode
     syn = data_cfg["synthetic"]
     if not isinstance(syn, dict):
         raise ConfigError(f'data block: "synthetic" must be an object, got {syn!r}')
@@ -182,13 +181,6 @@ def _check_memory(runs: list[tuple], n_train: int = 0, n_test: int = 0) -> None:
         _check_training_bytes(net, config, held_bytes=held_tests + n_train * size)
 
 
-def _encoded(split: Recordings, window: int, timesteps: int, mode: str) -> list[tuple]:
-    """encode_dataset of a split read one recording at a time; its
-    read-ahead pool is shut down on every exit path."""
-    with closing(iter(split)) as samples:
-        return encode_dataset(samples, window, timesteps, window_mode=mode)
-
-
 def cmd_train(args) -> int:
     raw = _read_config(args.config)
     config = TrainConfig.from_dict(raw)
@@ -196,10 +188,10 @@ def cmd_train(args) -> int:
     _check_memory([(net, config)])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    train_split, test_split, mode = _load_splits(raw.get("data"), args.workers)
+    train_split, test_split, mode = _load_splits(raw.get("data"))
     _check_memory([(net, config)], len(train_split), len(test_split))
     train_data, test_data = (
-        _encoded(split, config.window, config.timesteps, mode)
+        encode_dataset(split, config.window, config.timesteps, window_mode=mode)
         for split in (train_split, test_split)
     )
     weights, log = train(
@@ -235,9 +227,10 @@ def cmd_eval(args) -> int:
     run = (spec, TrainConfig(epochs=0, seed=0, batch_size=1, timesteps=args.timesteps,
                              window=spec.input_window))
     _check_memory([run])
-    split = dataset_split(args.data, args.split, workers=args.workers)
+    split = dataset_split(args.data, args.split)
     _check_memory([run], n_test=len(split))
-    data = _encoded(split, spec.input_window, args.timesteps, args.window_mode)
+    data = encode_dataset(split, spec.input_window, args.timesteps,
+                          window_mode=args.window_mode)
     accuracy = evaluate(spec, weights, data)
     print(json.dumps({"accuracy": accuracy, "samples": len(data)}))
     return 0
@@ -273,17 +266,16 @@ def cmd_dse(args) -> int:
         }
         runs = [(nets[w], config) for (_, w), config in configs.items()]
         _check_memory(runs)
-        train_split, test_split, mode = _load_splits(raw.get("data"), args.workers)
+        train_split, test_split, mode = _load_splits(raw.get("data"))
         _check_memory(runs, len(train_split), len(test_split))
         # The window search depends only on W, and T only changes the
         # binning: read each recording once, crop it at every W and drop
         # it, then bin the crops per T.
         cropped = {w: ([], []) for w in grid.windows}
         for i, split in enumerate((train_split, test_split)):
-            with closing(iter(split)) as samples:
-                for sample in samples:
-                    for w in grid.windows:
-                        cropped[w][i].append(crop_to_window(sample, w, window_mode=mode))
+            for sample in split:
+                for w in grid.windows:
+                    cropped[w][i].append(crop_to_window(sample, w, window_mode=mode))
         baselines, encoded = {}, {}
         for w in list(cropped):
             train_crops, test_crops = cropped.pop(w)
@@ -372,8 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spiking-network training, quantization and design-space exploration",
     )
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker thread cap for dataset loading, which is "
-                             "also the number of files read ahead")
+                        help="accepted and echoed into run.json; changes nothing")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_dataset = sub.add_parser("dataset", help="generate or inspect event datasets")

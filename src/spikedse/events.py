@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import json
 import operator
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -592,42 +590,21 @@ class Recordings:
     """A split whose recordings are made only while it is iterated.
 
     `len` is the number of entries, known before any recording is made.
-    Each iteration yields `read(*fetch(*entry))` for every entry, in entry
-    order, in the iterating thread; without a `fetch`, `read(*entry)`.
-    `fetch` is the I/O part of making a recording (a file's contents):
-    with workers > 1 it runs in a thread pool, up to `workers` entries
-    ahead, and the pool is shut down when the iteration ends, raises or is
-    closed (`contextlib.closing(iter(split))`), once the fetches in
-    progress finish. A consumer that drops each sample before asking for
-    the next never holds the whole split: at most `workers` fetched
-    contents, the recording being read and the one it still holds.
+    Each iteration yields `read(*entry)` for every entry, in entry order.
+    A consumer that drops each sample before asking for the next never
+    holds the whole split: at most the recording being read and the one
+    it still holds.
     """
 
     entries: Sequence[tuple]
     read: Callable[..., EventSample]
-    fetch: Callable[..., tuple] | None = None
-    workers: int = 1
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __iter__(self) -> Iterator[EventSample]:
-        read, fetch = self.read, self.fetch
-        if fetch is None or self.workers <= 1:
-            for entry in self.entries:
-                yield read(*fetch(*entry)) if fetch else read(*entry)
-            return
-        pool = ThreadPoolExecutor(max_workers=self.workers)
-        pending: deque = deque()
-        try:
-            for entry in self.entries:
-                pending.append(pool.submit(fetch, *entry))
-                if len(pending) == self.workers:
-                    yield read(*pending.popleft().result())
-            while pending:
-                yield read(*pending.popleft().result())
-        finally:
-            pool.shutdown(cancel_futures=True)
+        for entry in self.entries:
+            yield self.read(*entry)
 
 
 # ---------------------------------------------------------------------------
@@ -773,47 +750,46 @@ MANIFEST_NAME = "manifest.json"
 
 
 def read_event_file(path: str | Path) -> EventSample:
-    """Parse one event file: CSV if its suffix is .csv (any case), else DAT."""
-    return _parse_contents(_file_contents(Path(path)))
+    """Parse one event file: CSV if its suffix is .csv (any case), else DAT.
 
+    A CSV file is decoded as UTF-8.
 
-def _file_contents(path: Path) -> str | bytes:
-    """A CSV file's text, any other file's bytes. Calls nothing else of
-    this package, so a pool thread can run it for a dataset split."""
-    return path.read_text() if path.suffix.lower() == ".csv" else path.read_bytes()
-
-
-def _parse_contents(data: str | bytes) -> EventSample:
-    return parse_csv(data) if isinstance(data, str) else parse_dat(data)
-
-
-# a dataset directory's file failures surface as UnreadableFile: reading
-# it in `_fetch_event_file`, in a pool thread, and parsing it in
-# `_load_event_file`, in the thread that iterates the split
-
-def _fetch_event_file(path: Path, label: int) -> tuple[Path, int, str | bytes]:
+    Raises:
+        BadRow: a CSV file that is not UTF-8, with the 1-based line of its
+        first bad byte; any error of `parse_csv` or `parse_dat`.
+    """
+    path = Path(path)
+    data = path.read_bytes()
+    if path.suffix.lower() != ".csv":
+        return parse_dat(data)
     try:
-        return path, label, _file_contents(path)
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # parse_csv's line numbers: the lines of the text before the byte
+        line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise BadRow(line, f"byte {data[exc.start]:#04x} is not UTF-8") from None
+    return parse_csv(text)
+
+
+def _load_event_file(path: Path, label: int) -> EventSample:
+    """A dataset directory's recording; its failures surface as UnreadableFile."""
+    try:
+        sample = read_event_file(path)
     except OSError as exc:
         raise UnreadableFile(f"cannot read {path}: {exc}") from exc
-
-
-def _load_event_file(path: Path, label: int, data: str | bytes) -> EventSample:
-    try:
-        sample = _parse_contents(data)
     except SpikeDseError as exc:
         raise UnreadableFile(f"cannot parse {path}: {exc}") from exc
     return replace(sample, label=label)
 
 
-def dataset_split(path: str | Path, split: str, *, workers: int = 1) -> Recordings:
+def dataset_split(path: str | Path, split: str) -> Recordings:
     """One split of a manifest-described dataset directory, read lazily.
 
     The manifest, a JSON array of {"file": ..., "label": ..., "split": ...}
     entries, is read and checked now, so the split's size is known before
     any event file is read. Its (file, label) entries, in manifest order,
-    are the returned split's entries; iterating it parses the files, with
-    up to `workers` threads reading their contents ahead.
+    are the returned split's entries; iterating it reads and parses the
+    files, one at a time.
 
     Raises:
         MissingManifest, ConfigError (malformed manifest, a label other
@@ -833,24 +809,21 @@ def dataset_split(path: str | Path, split: str, *, workers: int = 1) -> Recordin
         for file, label in wanted:
             if label not in (0, 1):  # the network has one output per class
                 raise ValueError(f"{file.name}: label {label} is not 0 or 1")
-    return Recordings(wanted, _load_event_file, _fetch_event_file, workers)
+    return Recordings(wanted, _load_event_file)
 
 
-def load_dataset(
-    path: str | Path, split: str, *, workers: int = 1
-) -> list[EventSample]:
+def load_dataset(path: str | Path, split: str) -> list[EventSample]:
     """Load one whole split of a manifest-described dataset directory.
 
-    The list of one iteration of `dataset_split`: the samples follow
-    manifest order regardless of how many worker threads read the files.
-    A caller that only encodes each sample can iterate `dataset_split`
-    instead, and hold a few recordings at a time instead of the split.
+    The list of one iteration of `dataset_split`, in manifest order. A
+    caller that only encodes each sample can iterate `dataset_split`
+    instead, and hold two recordings at a time instead of the split.
 
     Raises:
         MissingManifest, ConfigError (malformed manifest, a label other
         than 0 or 1), UnreadableFile.
     """
-    return list(dataset_split(path, split, workers=workers))
+    return list(dataset_split(path, split))
 
 
 def write_dataset(

@@ -317,8 +317,9 @@ def _sgd_step(
 # Past it NumPy fails deep inside encoding or initialization, or the kernel
 # grants the pages lazily and kills the process later. The margin below a
 # machine's memory is for what the estimate does not count: the raw
-# recordings being encoded, which the CLI reads one at a time: at most
-# `--workers` files read ahead and two parsed recordings, not a split.
+# recordings being encoded, which the CLI reads one at a time (two parsed
+# recordings, not a split), and live dse's crops of each recording at
+# every W, which it keeps until training.
 _TRAINING_BYTES_CAP = 2 << 30
 
 

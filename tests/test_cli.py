@@ -165,7 +165,7 @@ class TestDataset:
         ]) == 0
         capsys.readouterr()
         generated = [sd.load_dataset(out, split) for split in ("train", "test")]
-        *from_block, mode = cli._load_splits({"synthetic": settings}, workers=1)
+        *from_block, mode = cli._load_splits({"synthetic": settings})
         assert mode == "per_sample"
         for written, built in zip(generated, from_block):
             assert len(written) == len(built) > 0
@@ -859,6 +859,17 @@ BAD_INPUTS = {
         ["dse", "--grid", "{tmp}/grid.json", "--out", "{tmp}/out"],
         "unknown keys ['window']",
     ),
+    "inspect csv not utf-8": (
+        {"a.csv": b"t_us,x,y,p\n10,1,2,\xff\n"}, ["dataset", "inspect", "{tmp}/a.csv"],
+        "error: line 2: byte 0xff is not UTF-8",
+    ),
+    "train dir csv not utf-8": (
+        {"data/a.csv": b"t_us,x,y,p\n10,1,2,\xff\n",
+         "data/manifest.json": '[{"file": "a.csv", "label": 0, "split": "train"}]',
+         "train.json": MANIFEST_TRAIN},
+        TRAIN,
+        "error: cannot parse {tmp}/data/a.csv: line 2: byte 0xff is not UTF-8",
+    ),
     "train synthetic negative noise_events": (
         {"train.json": '{"epochs": 1, "seed": 0, "data": {"synthetic": '
                        '{"per_class": 2, "noise_events": -1}}}'},
@@ -881,7 +892,7 @@ def test_malformed_json_input_is_domain_error(name, tmp_path, capsys):
     assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert message in err
+    assert message.replace("{tmp}", str(tmp_path)) in err
     assert "Traceback" not in err
 
 
@@ -896,37 +907,18 @@ def test_baseline_config_is_under_the_memory_cap(tmp_path, capsys):
     assert "trained 1 epochs" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_raw_recordings_alive_stay_bounded(workers, tmp_path, monkeypatch, capsys):
-    """train, eval and live dse read a split one recording at a time: the
-    raw recordings alive at once do not grow with the split's 12."""
+def _split_commands(tmp_path) -> dict:
+    """name: (argv, recordings read) of train, eval and live dse, in that
+    order, over a generated directory of 12 train and 6 test recordings."""
     data = tmp_path / "data"
     assert main(["dataset", "gen", "--per-class", "9", "--seed", "3", "--sensor", "64",
                  "--out", str(data)]) == 0
-    lock = threading.Lock()
-    count = {"read": 0, "alive": 0, "peak": 0}
-    real_load = sd.events._load_event_file
-
-    def release():
-        with lock:
-            count["alive"] -= 1
-
-    def counting_load(*args):
-        sample = real_load(*args)
-        weakref.finalize(sample, release)
-        with lock:
-            count["read"] += 1
-            count["alive"] += 1
-            count["peak"] = max(count["peak"], count["alive"])
-        return sample
-
-    monkeypatch.setattr(sd.events, "_load_event_file", counting_load)
     (tmp_path / "train.json").write_text(json.dumps(
         {"epochs": 1, "seed": 0, "batch_size": 4, "timesteps": 3,
          "data": {"dir": str(data)}}))
     (tmp_path / "grid.json").write_text(
         '{"bits": [32], "timesteps": [3], "windows": [50]}')
-    commands = {
+    return {
         "train": (["train", "--config", f"{tmp_path}/train.json",
                    "--out", f"{tmp_path}/out"], 12 + 6),
         "eval": (["eval", "--checkpoint", f"{tmp_path}/out/weights.ckpt",
@@ -935,18 +927,57 @@ def test_raw_recordings_alive_stay_bounded(workers, tmp_path, monkeypatch, capsy
                  "--train-config", f"{tmp_path}/train.json", "--out", f"{tmp_path}/dse"],
                 12 + 6),
     }
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_raw_recordings_alive_stay_bounded(workers, tmp_path, monkeypatch, capsys):
+    """train, eval and live dse read a split one recording at a time: the
+    raw recordings alive at once do not grow with the split's 12."""
+    commands = _split_commands(tmp_path)
+    count = {"read": 0, "alive": 0, "peak": 0}
+    real_load = sd.events._load_event_file
+
+    def release():
+        count["alive"] -= 1
+
+    def counting_load(*args):
+        sample = real_load(*args)
+        weakref.finalize(sample, release)
+        count["read"] += 1
+        count["alive"] += 1
+        count["peak"] = max(count["peak"], count["alive"])
+        return sample
+
+    monkeypatch.setattr(sd.events, "_load_event_file", counting_load)
     for name, (argv, reads) in commands.items():
         count.update(read=0, peak=count["alive"])
         assert main(["--workers", str(workers)] + argv) == 0, name
         assert count["read"] == reads, name
-        assert count["peak"] <= workers + 1, (name, count)
+        assert count["peak"] <= 2, (name, count)
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_bad_recording_fails_where_it_is_read(workers, tmp_path, capsys):
+def test_dataset_commands_start_no_thread(tmp_path, monkeypatch, capsys):
+    """train, eval and live dse read their files in the calling thread,
+    whatever --workers says."""
+    commands = _split_commands(tmp_path)
+    started = []
+    real_start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    for name, (argv, _) in commands.items():
+        assert main(["--workers", "2"] + argv) == 0, name
+        assert started == [], name
+    capsys.readouterr()
+
+
+def test_bad_recording_fails_where_it_is_read(tmp_path, capsys):
     """A file that does not parse ends train with exit 1 when its turn
-    comes, and the read-ahead pool is gone when main returns."""
+    comes, and no thread is left when main returns."""
     data = tmp_path / "data"
     assert main(["dataset", "gen", "--per-class", "6", "--seed", "3", "--sensor", "64",
                  "--out", str(data)]) == 0
@@ -956,7 +987,7 @@ def test_bad_recording_fails_where_it_is_read(workers, tmp_path, capsys):
     (tmp_path / "train.json").write_text(json.dumps(
         {"epochs": 1, "seed": 0, "data": {"dir": str(data)}}))
     before = set(threading.enumerate())
-    assert main(["--workers", str(workers), "train", "--config", f"{tmp_path}/train.json",
+    assert main(["train", "--config", f"{tmp_path}/train.json",
                  "--out", f"{tmp_path}/out"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot parse {data / bad}")

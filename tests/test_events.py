@@ -340,8 +340,7 @@ class TestColumnContract:
             "generate_synthetic": synthetic,
             "crop": sd.crop(synthetic, AttentionWindow(3, 4, 20)),
             "replace": dataclasses.replace(synthetic, label=0),
-            "load_dataset workers=1": sd.load_dataset(tmp_path, "train", workers=1)[1],
-            "load_dataset workers=2": sd.load_dataset(tmp_path, "train", workers=2)[1],
+            "load_dataset": sd.load_dataset(tmp_path, "train")[1],
         }
 
     def test_every_producer_gives_nine_bytes_per_event(self, tmp_path):
@@ -964,62 +963,32 @@ class TestDatasetDirectory:
             assert_same_events(a, b)
             assert a.label == b.label
 
-    def test_parallel_loading_preserves_order(self, tmp_path):
+    def test_lazy_split_matches_load_dataset(self, tmp_path):
         self.make_dataset(tmp_path)
-        seq = sd.load_dataset(tmp_path, "train", workers=1)
-        par = sd.load_dataset(tmp_path, "train", workers=4)
-        assert [s.label for s in seq] == [p.label for p in par]
-        for a, b in zip(seq, par):
+        whole = sd.load_dataset(tmp_path, "train")
+        split = sd.dataset_split(tmp_path, "train")
+        assert len(split) == len(whole)
+        lazy = iter(split)
+        for a in whole:
+            b = next(lazy)
+            assert b.label == a.label
             assert_same_events(a, b)
-        for workers in (1, 2, 4):  # the lazy reader, one sample at a time
-            split = sd.dataset_split(tmp_path, "train", workers=workers)
-            assert len(split) == len(seq)
-            lazy = iter(split)
-            for a in seq:
-                b = next(lazy)
-                assert b.label == a.label
-                assert_same_events(a, b)
-            assert next(lazy, None) is None
+        assert next(lazy, None) is None
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_read_ahead_stays_within_workers(self, workers):
-        """Recordings yields in entry order, and never has more than
-        `workers` entries fetched and not yet read."""
-        lock = threading.Lock()
-        fetched, ahead = [], []
-
-        def fetch(i):
-            with lock:
-                fetched.append(i)
-            return (i,)
-
-        def read(i):
-            with lock:
-                ahead.append(len(fetched) - i)
-            return i
-
-        split = sd.Recordings([(i,) for i in range(20)], read, fetch, workers)
-        assert list(split) == list(range(20))
-        assert sorted(fetched) == list(range(20))
-        assert 1 <= max(ahead) <= workers
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_lazy_reader_fails_at_the_bad_file_and_stops_its_threads(
-        self, tmp_path, workers
-    ):
+    def test_lazy_reader_fails_at_the_bad_file_and_stops_its_threads(self, tmp_path):
         train, _ = self.make_dataset(tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         bad = [e["file"] for e in manifest if e["split"] == "train"][2]
         (tmp_path / bad).write_bytes(b"\x01\x02\x03")
         before = set(threading.enumerate())
-        split = sd.dataset_split(tmp_path, "train", workers=workers)  # reads no file
+        split = sd.dataset_split(tmp_path, "train")  # reads no file
         samples = iter(split)
         for expected in train[:2]:
             assert_same_events(next(samples), expected)
         with pytest.raises(UnreadableFile, match=f"cannot parse .*{bad}"):
             next(samples)
         assert set(threading.enumerate()) <= before
-        # a reader closed part-way shuts its pool down too
+        # a reader closed part-way leaves no thread either
         samples = iter(split)
         next(samples)
         samples.close()
@@ -1035,6 +1004,19 @@ class TestDatasetDirectory:
         )
         with pytest.raises(UnreadableFile):
             sd.load_dataset(tmp_path, "train")
+
+    @pytest.mark.parametrize("data,line", [
+        (b"t_us,x,y,p\n10,1,2,\xff\n", 2),
+        (b"\xfft_us,x,y,p\n", 1),
+        (b"10,1,2,1\r\n20,3,4,0\r\n30,5,6,\xe2\x82\n", 3),  # a cut 3-byte sequence
+        (b"10,1,2,1\n\n20,3,4,0\n30,5,6,1\xc3", 4),
+    ])
+    def test_csv_file_that_is_not_utf8_is_a_bad_row(self, tmp_path, data, line):
+        path = tmp_path / "a.CSV"
+        path.write_bytes(data)
+        with pytest.raises(BadRow, match="is not UTF-8") as info:
+            sd.read_event_file(path)
+        assert info.value.line == line
 
     def test_unparseable_file(self, tmp_path):
         (tmp_path / "bad.dat").write_bytes(b"\x01\x02\x03")  # truncated record
