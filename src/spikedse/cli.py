@@ -170,15 +170,22 @@ def _load_splits(data_cfg: dict | None) -> tuple[Recordings, Recordings, str]:
     return (*_synthetic(syn, "data block synthetic"), mode)
 
 
-def _check_memory(runs: list[tuple], n_train: int = 0, n_test: int = 0) -> None:
+def _check_memory(
+    runs: list[tuple], n_train: int = 0, n_test: int = 0, crop_bytes: int = 0
+) -> int:
     """Raise ConfigError if a (net, config) training run goes above the
     memory cap beside the encoded splits kept with it: n_test recordings
     at every run's (T, W), as live dse keeps each test encoding, and
-    n_train at the run's own. Without counts only the training is counted."""
+    n_train at the run's own, plus crop_bytes of kept crops. Without
+    counts only the training is counted. Returns the smallest number of
+    bytes any run leaves under the cap."""
     packed = [SpikeFrames.packed_bytes(c.timesteps, c.window) for _, c in runs]
     held_tests = n_test * sum(packed)
-    for (net, config), size in zip(runs, packed):
-        _check_training_bytes(net, config, held_bytes=held_tests + n_train * size)
+    return min(
+        _check_training_bytes(net, config, held_bytes=held_tests + n_train * size,
+                              crop_bytes=crop_bytes)
+        for (net, config), size in zip(runs, packed)
+    )
 
 
 def cmd_train(args) -> int:
@@ -267,15 +274,22 @@ def cmd_dse(args) -> int:
         runs = [(nets[w], config) for (_, w), config in configs.items()]
         _check_memory(runs)
         train_split, test_split, mode = _load_splits(raw.get("data"))
-        _check_memory(runs, len(train_split), len(test_split))
+        counts = len(train_split), len(test_split)
+        room = _check_memory(runs, *counts)
         # The window search depends only on W, and T only changes the
         # binning: read each recording once, crop it at every W and drop
-        # it, then bin the crops per T.
+        # it, then bin the crops per T. The crops are kept until training,
+        # so they count toward the cap as they are made.
         cropped = {w: ([], []) for w in grid.windows}
+        crop_bytes = 0
         for i, split in enumerate((train_split, test_split)):
             for sample in split:
                 for w in grid.windows:
-                    cropped[w][i].append(crop_to_window(sample, w, window_mode=mode))
+                    crop = crop_to_window(sample, w, window_mode=mode)
+                    crop_bytes += sum(col.nbytes for col in (crop.t, crop.x, crop.y, crop.p))
+                    if crop_bytes > room:
+                        _check_memory(runs, *counts, crop_bytes)
+                    cropped[w][i].append(crop)
         baselines, encoded = {}, {}
         for w in list(cropped):
             train_crops, test_crops = cropped.pop(w)

