@@ -45,12 +45,7 @@ from .events import (
 )
 from .network import build_network
 from .quantize import QuantConfig, ptq
-from .training import (
-    TrainConfig,
-    _check_training_bytes,
-    evaluate,
-    train,
-)
+from .training import TrainConfig, _training_bytes, evaluate, train
 
 
 def _flags(args: argparse.Namespace) -> dict:
@@ -170,33 +165,53 @@ def _load_splits(data_cfg: dict | None) -> tuple[Recordings, Recordings, str]:
     return (*_synthetic(syn, "data block synthetic"), mode)
 
 
+# `train`, `eval` and live `dse` refuse a run whose `_check_memory` estimate
+# passes this many bytes, once the splits are counted and before any
+# recording is read. Past it NumPy fails deep inside encoding or
+# initialization, or the kernel grants the pages lazily and kills the
+# process later. The margin below a machine's memory is for what the
+# estimate does not count: the raw recordings being encoded, which are read
+# one at a time (two parsed recordings, not a split).
+_MEMORY_CAP = 2 << 30
+
+
 def _check_memory(
     runs: list[tuple], n_train: int = 0, n_test: int = 0, crop_bytes: int = 0
 ) -> int:
-    """Raise ConfigError if a (net, config) training run goes above the
-    memory cap beside the encoded splits kept with it: n_test recordings
-    at every run's (T, W), as live dse keeps each test encoding, and
-    n_train at the run's own, plus crop_bytes of kept crops. Without
-    counts only the training is counted. Returns the smallest number of
-    bytes any run leaves under the cap."""
-    packed = [SpikeFrames.packed_bytes(c.timesteps, c.window) for _, c in runs]
-    held_tests = n_test * sum(packed)
-    return min(
-        _check_training_bytes(net, config, held_bytes=held_tests + n_train * size,
-                              crop_bytes=crop_bytes)
-        for (net, config), size in zip(runs, packed)
-    )
+    """Raise ConfigError if a (net, timesteps, batch_size) run's training
+    step (`_training_bytes`) passes `_MEMORY_CAP` beside what is kept with
+    it: the packed frames of n_test recordings at every run's (T, W), as
+    live dse keeps each test encoding, and of n_train at the run's own,
+    plus crop_bytes of kept crops (9 bytes per event). The refusal names
+    the run that needs the most; else returns the bytes it leaves under
+    the cap."""
+    packed = [SpikeFrames.packed_bytes(t, net.input_window) for net, t, _ in runs]
+    needs = [(_training_bytes(*run), n_test * sum(packed) + n_train * size, run)
+             for run, size in zip(runs, packed)]
+    step, held, (net, timesteps, batch_size) = max(needs, key=lambda n: n[0] + n[1])
+    need = step + held + crop_bytes
+    if need > _MEMORY_CAP:
+        def gib(size):  # rounded up, so a refused need never reads as the cap
+            return f"{-(-size * 10 // 2**30) / 10:,.1f} GiB"
+        kept = f", and {gib(held)} of encoded splits' packed frames" if held else ""
+        if crop_bytes:
+            kept += f", and {gib(crop_bytes)} of cropped recordings"
+        raise ConfigError(
+            f"training at W={net.input_window}, T={timesteps}, batch {batch_size} "
+            f"needs about {gib(need)} (parameters with gradients and momentum, a "
+            f"minibatch's frames and recorded trace{kept}), above the "
+            f"{_MEMORY_CAP >> 30} GiB cap")
+    return _MEMORY_CAP - need
 
 
 def cmd_train(args) -> int:
     raw = _read_config(args.config)
     config = TrainConfig.from_dict(raw)
     net = build_network(config.window, strict=_strict(raw))
-    _check_memory([(net, config)])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     train_split, test_split, mode = _load_splits(raw.get("data"))
-    _check_memory([(net, config)], len(train_split), len(test_split))
+    _check_memory([(net, config.timesteps, config.batch_size)],
+                  len(train_split), len(test_split))
+    out = Path(args.out)
     train_data, test_data = (
         encode_dataset(split, config.window, config.timesteps, window_mode=mode)
         for split in (train_split, test_split)
@@ -229,13 +244,10 @@ def cmd_quantize(args) -> int:
 
 def cmd_eval(args) -> int:
     spec, weights, _ = load_checkpoint(args.checkpoint)
+    split = dataset_split(args.data, args.split)
     # at a T that nears the cap evaluate runs one sample at a time, and its
     # forward pass holds less than a one-sample training step's trace
-    run = (spec, TrainConfig(epochs=0, seed=0, batch_size=1, timesteps=args.timesteps,
-                             window=spec.input_window))
-    _check_memory([run])
-    split = dataset_split(args.data, args.split)
-    _check_memory([run], n_test=len(split))
+    _check_memory([(spec, args.timesteps, 1)], n_test=len(split))
     data = encode_dataset(split, spec.input_window, args.timesteps,
                           window_mode=args.window_mode)
     accuracy = evaluate(spec, weights, data)
@@ -263,7 +275,8 @@ def cmd_dse(args) -> int:
         if args.data:  # the directory overrides the data block's, other keys stay
             data = raw.get("data", {})
             raw["data"] = {**data, "dir": args.data} if isinstance(data, dict) else data
-        # Check the config, every window and its memory before loading or cropping.
+        # Check the config and every window, then the memory once the splits
+        # are counted, all before any recording is read.
         strict = _strict(raw)
         nets = {w: build_network(w, strict=strict) for w in grid.windows}
         configs = {
@@ -271,8 +284,7 @@ def cmd_dse(args) -> int:
             for w in grid.windows
             for t in grid.timesteps
         }
-        runs = [(nets[w], config) for (_, w), config in configs.items()]
-        _check_memory(runs)
+        runs = [(nets[w], t, config.batch_size) for (t, w), config in configs.items()]
         train_split, test_split, mode = _load_splits(raw.get("data"))
         counts = len(train_split), len(test_split)
         room = _check_memory(runs, *counts)
@@ -310,7 +322,7 @@ def cmd_dse(args) -> int:
                 "memory_bits": chosen.cost.memory_bits,
             }
         except NoFeasiblePoint:
-            selection = None
+            pass
         (out / "selection.json").write_text(
             json.dumps({"constraints": json.loads(args.constraints), "selected": selection},
                        indent=1, sort_keys=True) + "\n"

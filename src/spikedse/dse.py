@@ -112,8 +112,10 @@ class Constraints:
             raw = dict(json.loads(text))
             # a misspelt key would select as if unconstrained
             _check_keys(raw, {f.name for f in fields(cls)} | {"max_memory_mb"})
+            if {"max_memory_bits", "max_memory_mb"} <= raw.keys():
+                raise ValueError("set max_memory_bits or max_memory_mb, not both")
             memory_bits = raw.get("max_memory_bits")
-            if memory_bits is None and "max_memory_mb" in raw:
+            if "max_memory_mb" in raw:
                 megabits = raw["max_memory_mb"]
                 if not isinstance(megabits, numbers.Real):
                     raise TypeError(f"max_memory_mb must be a number, got {megabits!r}")

@@ -710,10 +710,14 @@ def synthetic_seeds(
     Per-sample seeds derive from one SeedSequence, so the whole dataset is a
     pure function of (per_class, seed, test_fraction). Each split lists
     class 0's recordings, then class 1's; the first round(per_class *
-    test_fraction) of each class go to the test split.
+    test_fraction) of each class go to the test split. Above 2**20
+    recordings per class (NCARS has 24,029 in all) it raises ValueError
+    before building the lists, which hold about 100 bytes per recording.
     """
     if not 0 <= test_fraction <= 1:  # NaN fails too
         raise ValueError(f"test_fraction must be in [0, 1], got {test_fraction}")
+    if per_class > 1 << 20:
+        raise ValueError(f"per_class must be <= 2**20, got {per_class}")
     sample_seeds = np.random.SeedSequence(seed).generate_state(2 * per_class)
     n_test = int(round(per_class * test_fraction))
     train, test = [], []

@@ -82,9 +82,9 @@ class LifParams:
 
     def __post_init__(self):
         if self.v_threshold <= 0:
-            raise ValueError("v_threshold must be positive")
+            raise ValueError(f"v_threshold must be positive, got {self.v_threshold!r}")
         if not 0 <= self.leak < 1:
-            raise ValueError("leak must be in [0, 1)")
+            raise ValueError(f"leak must be in [0, 1), got {self.leak!r}")
         if self.reset_mode not in ("zero", "subtract"):
             raise ValueError(f"unknown reset_mode {self.reset_mode!r}")
 
@@ -434,9 +434,10 @@ def _conv(
     the N input frames have a non-zero value, the all-zero frames get the
     bias map and the GEMM reads the live frames only. BLAS computes each
     output row from its own input row, so the values stay the dense ones
-    (`_conv_dense` never makes a one-row product). OpenBLAS keeps that
-    for O = 32, the reference nets' count, at every row count; for some
-    other O (1-3 or 9-11, say) its edge kernels sum in an order that
+    (`_conv_dense` never makes a one-row product). OpenBLAS's SkylakeX
+    and Sandybridge kernels keep that for O = 32, the reference nets'
+    count, at every row count; for some other O (1-3 or 9-11, say), and
+    on its Haswell and Zen kernels even at O = 32, a row's sum order
     depends on the row count, so there the values can move by rounding.
     exact=True says the caller proved every partial sum exact in float64
     (see `simulate`); then a stride-1 conv whose input is sparse enough
@@ -618,8 +619,9 @@ def _conv_input_grad(
     stride 1 and padding k - 1 - p, with the weight flipped in space and
     its channel axes swapped. Its output is exactly in_shape (N, H, W, C),
     and `_conv_dense` makes it as one GEMM per row block with C output
-    columns: 32 on the reference conv2, where OpenBLAS gives a row the
-    same value at every row count (see `_conv`).
+    columns: 32 on the reference conv2, where OpenBLAS's SkylakeX and
+    Sandybridge kernels give a row the same value at every row count (see
+    `_conv`).
     """
     n, h, w, c = in_shape
     o, _, kernel, _ = weight.shape

@@ -310,32 +310,13 @@ def _sgd_step(
             w_arr += v_arr
 
 
-# The CLI's `train` and live `dse` refuse a (T, W) whose training
-# `_check_training_bytes` puts above this many bytes: once before any data
-# is generated or loaded, and again, with the encoded splits' packed
-# frames, once the recordings are counted but before any is read.
-# Live dse checks it a third time while it crops, with the crops it keeps
-# until training (9 bytes per event). Past it NumPy fails deep inside
-# encoding or initialization, or the kernel grants the pages lazily and
-# kills the process later. The margin below a machine's memory is for
-# what the estimate does not count: the raw recordings being encoded,
-# which the CLI reads one at a time (two parsed recordings, not a split).
-_TRAINING_BYTES_CAP = 2 << 30
-
-
-def _check_training_bytes(
-    net: NetworkSpec, config: TrainConfig, *, held_bytes: int = 0, crop_bytes: int = 0
-) -> int:
-    """Raise ConfigError if training net under config, beside held_bytes
-    of encoded frames and crop_bytes of cropped recordings, needs more
-    than `_TRAINING_BYTES_CAP` bytes; else return the bytes left under it.
+def _training_bytes(net: NetworkSpec, timesteps: int, batch_size: int) -> int:
+    """Bytes a training step of net holds at timesteps and batch_size.
 
     The estimate walks `layer_shapes`: float64 parameters three times over
     (weights, gradients, momentum), plus, per timestep and sample of a
     minibatch, the uint8 input frame and the recorded trace (each spiking
-    layer's float64 input and potentials and its boolean spikes). Callers
-    pass the splits' packed frames as held_bytes (`SpikeFrames.packed_bytes`
-    per recording).
+    layer's float64 input and potentials and its boolean spikes).
     """
     window = net.input_window
     shapes = layer_shapes(net.layers, window)
@@ -345,21 +326,7 @@ def _check_training_bytes(
     per_frame = math.prod(inputs[0]) + sum(
         8 * math.prod(x) + 9 * math.prod(y)
         for layer, x, y in zip(net.layers, inputs, shapes) if layer.spiking)
-    need = (3 * 8 * params + config.batch_size * config.timesteps * per_frame
-            + held_bytes + crop_bytes)
-    if need > _TRAINING_BYTES_CAP:
-        def gib(size):  # rounded up, so a refused need never reads as the cap
-            return f"{-(-size * 10 // 2**30) / 10:,.1f} GiB"
-        held = (f", and {gib(held_bytes)} of encoded splits' packed frames"
-                if held_bytes else "")
-        if crop_bytes:
-            held += f", and {gib(crop_bytes)} of cropped recordings"
-        raise ConfigError(
-            f"training at W={window}, T={config.timesteps}, batch "
-            f"{config.batch_size} needs about {gib(need)} (parameters "
-            f"with gradients and momentum, a minibatch's frames and recorded "
-            f"trace{held}), above the {_TRAINING_BYTES_CAP >> 30} GiB cap")
-    return _TRAINING_BYTES_CAP - need
+    return 3 * 8 * params + batch_size * timesteps * per_frame
 
 
 def train(

@@ -4,13 +4,14 @@ import dataclasses
 import json
 import tempfile
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
 import pytest
 
 import spikedse as sd
-from spikedse import cli, training
+from spikedse import cli
 from spikedse.cli import main
 from spikedse.errors import ConfigError
 
@@ -305,6 +306,15 @@ class TestDseCommand:
         selection = json.loads((o1 / "selection.json").read_text())
         assert selection["selected"]["tag"] == "10b_5t_50w"
 
+    def test_no_feasible_point_selects_null(self, tmp_path, capsys):
+        out = tmp_path / "dse"
+        constraints = '{"max_memory_mb": 1, "min_accuracy": 0.99}'
+        assert main(["dse", "--constraints", constraints, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert not any(line.startswith("selected") for line in printed)
+        selection = json.loads((out / "selection.json").read_text())
+        assert selection == {"constraints": json.loads(constraints), "selected": None}
+
     def test_custom_grid(self, tmp_path, capsys):
         grid_path = tmp_path / "grid.json"
         grid_path.write_text(json.dumps({
@@ -544,10 +554,15 @@ LIVE_DSE = [
 ]
 
 # name: (files to write under tmp, argv, expected part of the message)
-def _checkpoint_bytes(window: int) -> bytes:
-    """A seed-0 checkpoint file of the reference net at window."""
+def _checkpoint_bytes(window: int, conv2_in_channels: int | None = None) -> bytes:
+    """A seed-0 checkpoint file of the reference net at window, its second
+    conv reading conv2_in_channels channels when given."""
+    net = sd.build_network(window)
+    if conv2_in_channels is not None:
+        layers = list(net.layers)
+        layers[3] = dataclasses.replace(layers[3], in_channels=conv2_in_channels)
+        net = dataclasses.replace(net, layers=tuple(layers))
     with tempfile.TemporaryDirectory() as tmp:
-        net = sd.build_network(window)
         path = sd.save_checkpoint(Path(tmp) / "w.ckpt", net, sd.init_weights(net, 0))
         return path.read_bytes()
 
@@ -815,12 +830,15 @@ BAD_INPUTS = {
         TRAIN,
         "data block synthetic: sensor 20000x20000: sides must be in [1, 16384]",
     ),
-    # 46.6 GiB of frames per sample; refused before the data is generated
+    # 46.6 GiB of frames per sample, and 5.8 GiB of packed frames for
+    # each of the four recordings; refused before any is generated
     "train timesteps past the memory cap": (
         {"train.json": '{"epochs": 1, "seed": 0, "timesteps": 10000000, "window": 50, '
                        '"data": {"synthetic": {"per_class": 2}}}'},
         TRAIN,
-        "training at W=50, T=10000000, batch 20 needs about 13,621.6 GiB",
+        "training at W=50, T=10000000, batch 20 needs about 13,644.9 GiB (parameters "
+        "with gradients and momentum, a minibatch's frames and recorded trace, and "
+        "23.3 GiB of encoded splits' packed frames)",
     ),
     # fc1 alone is 559504 x 1119008 float64 weights, 4.56 TiB
     "train window 3000 past the memory cap": (
@@ -828,7 +846,8 @@ BAD_INPUTS = {
                        '"data": {"synthetic": {"per_class": 2, "sensor": 3000}}}'},
         TRAIN,
         "GiB (parameters with gradients and momentum, a minibatch's frames and "
-        "recorded trace), above the 2 GiB cap",
+        "recorded trace, and 0.1 GiB of encoded splits' packed frames), above the "
+        "2 GiB cap",
     ),
     "live grid timesteps past the memory cap": (
         {"grid.json": '{"bits": [10], "timesteps": [5, 10000000], "windows": [50]}',
@@ -836,12 +855,40 @@ BAD_INPUTS = {
         LIVE_DSE,
         "training at W=50, T=10000000",
     ),
-    # evaluation frames are estimated before the split is read: no data here
+    # evaluation frames are estimated before the split is read: the
+    # manifest names a recording that is not there
     "eval timesteps past the memory cap": (
-        {"w.ckpt": _checkpoint_bytes(50)},
-        ["eval", "--checkpoint", "{tmp}/w.ckpt", "--data", "{tmp}/no-data",
+        {"w.ckpt": _checkpoint_bytes(50),
+         "data/manifest.json": '[{"file": "a.dat", "label": 0, "split": "test"}]'},
+        ["eval", "--checkpoint", "{tmp}/w.ckpt", "--data", "{tmp}/data",
          "--timesteps", "10000000"],
         "training at W=50, T=10000000, batch 1 needs about",
+    ),
+    "both memory constraints": (
+        {}, ["dse", "--constraints", '{"max_memory_mb": 1, "max_memory_bits": 8000000}',
+             "--out", "{tmp}/out"],
+        "constraints: set max_memory_bits or max_memory_mb, not both",
+    ),
+    # the seed lists alone would take about 20 GB
+    "gen per_class past 2**20": (
+        {}, ["dataset", "gen", "--per-class", "100000000", "--seed", "1",
+             "--out", "{tmp}/data"],
+        "dataset gen: per_class must be <= 2**20, got 100000000",
+    ),
+    "train synthetic per_class past 2**20": (
+        {"train.json": '{"epochs": 1, "seed": 0, '
+                       '"data": {"synthetic": {"per_class": 100000000}}}'},
+        TRAIN,
+        "data block synthetic: per_class must be <= 2**20, got 100000000",
+    ),
+    # such a checkpoint loads; the first forward pass finds conv1's 32 channels
+    "eval conv2 reading fewer channels than conv1 writes": (
+        {"w.ckpt": _checkpoint_bytes(50, conv2_in_channels=16),
+         "data/a.dat": sd.write_dat(sd.generate_synthetic(0, 1, sensor_width=64,
+                                                          sensor_height=64)),
+         "data/manifest.json": '[{"file": "a.dat", "label": 0, "split": "test"}]'},
+        ["eval", "--checkpoint", "{tmp}/w.ckpt", "--data", "{tmp}/data", "--timesteps", "2"],
+        "error: conv expects 16 input channels, got 32",
     ),
     "misspelt constraint key": (
         {}, ["dse", "--constraints", '{"max_memroy_mb": 8}', "--out", "{tmp}/out"],
@@ -998,7 +1045,7 @@ def test_bad_recording_fails_where_it_is_read(tmp_path, capsys):
 def test_recording_counts_count_toward_the_memory_cap():
     """Split sizes alone decide it: no data is generated or loaded."""
     net100, net50 = sd.build_network(100), sd.build_network(50)
-    run = (net100, sd.TrainConfig(epochs=1, seed=0, timesteps=20, window=100))
+    run = (net100, 20, 20)
     cli._check_memory([run])
     cli._check_memory([run], 15_422, 8_607)  # NCARS at W=100, T=20: 1.1 GiB of frames
     with pytest.raises(ConfigError, match="training at W=100, T=20, batch 20 "
@@ -1009,9 +1056,7 @@ def test_recording_counts_count_toward_the_memory_cap():
                                           r"encoded splits' packed frames\), above the 2 GiB"):
         cli._check_memory([run], 41_000)
     # live dse keeps the test split at every (T, W) besides one train split
-    grid = [(net100 if w == 100 else net50,
-             sd.TrainConfig(epochs=1, seed=0, timesteps=t, window=w))
-            for t in (20, 5) for w in (100, 50)]
+    grid = [(net100 if w == 100 else net50, t, 20) for t in (20, 5) for w in (100, 50)]
     cli._check_memory(grid, 15_422, 8_607)
     with pytest.raises(ConfigError, match=r"GiB of encoded splits' packed "
                                           r"frames\), above the 2 GiB cap"):
@@ -1019,35 +1064,36 @@ def test_recording_counts_count_toward_the_memory_cap():
 
 
 @pytest.mark.parametrize("argv,grid,held", [
-    (TRAIN, None, [(10, 0), (10, (2 + 2) * 6_250)]),
+    (TRAIN, None, (2 + 2) * 6_250),
     # live dse: the 2 test recordings at T=5 and T=10, plus 2 train at the
-    # run's own T
+    # largest run's own T=10
     (LIVE_DSE, '{"bits": [10], "timesteps": [5, 10], "windows": [50]}',
-     [(5, 0), (10, 0), (5, 2 * (3_125 + 6_250) + 2 * 3_125),
-      (10, 2 * (3_125 + 6_250) + 2 * 6_250)]),
+     2 * (3_125 + 6_250) + 2 * 6_250),
 ])
 def test_split_frames_are_checked_before_encoding(argv, grid, held, tmp_path,
                                                   monkeypatch, capsys):
-    """Once 2 train and 2 test recordings are loaded, the estimate holds
-    their packed frames, and a refusal comes before any crop or encoding."""
-    checks, encoded = [], []
+    """Once 2 train and 2 test recordings are counted, the estimate holds
+    their packed frames, and a refusal comes before any crop or encoding:
+    with training steps that cost nothing, a cap one byte below the frames
+    refuses, and a cap at them lets the run reach encoding."""
 
-    def check(net, config, *, held_bytes=0, crop_bytes=0):
-        checks.append((config.timesteps, held_bytes + crop_bytes))
-        if held_bytes and config.timesteps == 10:
-            raise ConfigError("refused")
-        return 1 << 40
+    def encoding(*args, **kwargs):
+        raise ConfigError("encoding")
 
-    monkeypatch.setattr(cli, "_check_training_bytes", check)
-    monkeypatch.setattr(cli, "crop_to_window", lambda *a, **k: encoded.append(a))
-    monkeypatch.setattr(cli, "encode_dataset", lambda *a, **k: encoded.append(a))
+    monkeypatch.setattr(cli, "_training_bytes", lambda net, timesteps, batch_size: 0)
+    monkeypatch.setattr(cli, "crop_to_window", encoding)
+    monkeypatch.setattr(cli, "encode_dataset", encoding)
     (tmp_path / "train.json").write_text(LIVE_TRAIN)
     if grid:
         (tmp_path / "grid.json").write_text(grid)
-    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 1
-    assert "error: refused" in capsys.readouterr().err
-    assert checks == held
-    assert encoded == []
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    monkeypatch.setattr(cli, "_MEMORY_CAP", held - 1)
+    assert main(argv) == 1
+    assert "error: training at W=50, T=10, batch 20 needs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # a refused run leaves no --out
+    monkeypatch.setattr(cli, "_MEMORY_CAP", held)
+    assert main(argv) == 1
+    assert "error: encoding" in capsys.readouterr().err
 
 
 def test_live_dse_counts_its_crops_toward_the_memory_cap(tmp_path, monkeypatch, capsys):
@@ -1057,16 +1103,14 @@ def test_live_dse_counts_its_crops_toward_the_memory_cap(tmp_path, monkeypatch, 
     raw = {"epochs": 1, "seed": 0, "data": {"synthetic": {"per_class": 2, "sensor": 128}}}
     train_split, test_split, mode = cli._load_splits(raw["data"])
     windows = (50, 100)
-    runs = [(sd.build_network(w),
-             sd.TrainConfig.from_dict({**raw, "timesteps": 5, "window": w}))
-            for w in windows]
+    runs = [(sd.build_network(w), 5, 20) for w in windows]
     counts = len(train_split), len(test_split)
-    need = training._TRAINING_BYTES_CAP - cli._check_memory(runs, *counts)
+    need = cli._MEMORY_CAP - cli._check_memory(runs, *counts)
     crops = sum(9 * sd.crop_to_window(sample, w, window_mode=mode).n_events
                 for split in (train_split, test_split) for sample in split
                 for w in windows)
     assert crops > 0
-    monkeypatch.setattr(training, "_TRAINING_BYTES_CAP", need + crops // 2)
+    monkeypatch.setattr(cli, "_MEMORY_CAP", need + crops // 2)
     cli._check_memory(runs, *counts)  # the crop-free estimate fits
 
     def no_training(*args, **kwargs):
@@ -1080,6 +1124,72 @@ def test_live_dse_counts_its_crops_toward_the_memory_cap(tmp_path, monkeypatch, 
     err = capsys.readouterr().err
     assert err.startswith("error: training at W=")
     assert "GiB of cropped recordings), above the" in err
+
+
+# traced peak growth over estimated growth measured 1.01 for train, 1.02 for
+# eval and 0.77 for live dse (x86-64, NumPy with OpenBLAS)
+ORACLE_TOLERANCE = 1.25
+
+
+def test_memory_estimate_tracks_the_traced_peak(tmp_path, monkeypatch, capsys):
+    """Between 40 and 160 recordings, the peak that tracemalloc sees (NumPy
+    traces its buffers there) grows by at most ORACLE_TOLERANCE times what
+    the memory gate's estimate grows by: the bytes `_check_memory` finds
+    in use, plus, for live dse, the crops it keeps and counts as it makes
+    them. Fixed overheads cancel in the difference. With 0 epochs and
+    evaluate chunks that are full at both sizes, nothing but what the
+    estimate counts grows with the split."""
+    found, crops = [], []
+    check_memory, crop_to_window = cli._check_memory, cli.crop_to_window
+
+    def spy_check(*args, **kwargs):
+        found.append(check_memory(*args, **kwargs))
+        return found[-1]
+
+    def spy_crop(*args, **kwargs):
+        crop = crop_to_window(*args, **kwargs)
+        crops.append(sum(col.nbytes for col in (crop.t, crop.x, crop.y, crop.p)))
+        return crop
+
+    monkeypatch.setattr(cli, "_check_memory", spy_check)
+    monkeypatch.setattr(cli, "crop_to_window", spy_crop)
+    (tmp_path / "grid.json").write_text(
+        '{"bits": [10], "timesteps": [10, 5], "windows": [50, 100]}')
+    growth = {}
+    for per_class in (20, 80):
+        data, out = tmp_path / f"data{per_class}", tmp_path / f"out{per_class}"
+        assert main(["dataset", "gen", "--per-class", str(per_class), "--seed", "0",
+                     "--sensor", "128", "--out", str(data)]) == 0
+        config = tmp_path / f"train{per_class}.json"
+        config.write_text(json.dumps({"epochs": 0, "seed": 0, "window": 100,
+                                      "timesteps": 20, "batch_size": 4,
+                                      "data": {"dir": str(data)}}))
+        commands = {
+            "train": ["train", "--config", str(config), "--out", str(out)],
+            "eval": ["eval", "--checkpoint", str(out / "weights.ckpt"),
+                     "--data", str(data), "--timesteps", "20"],
+            "dse": ["dse", "--accuracy-source", "live", "--grid", f"{tmp_path}/grid.json",
+                    "--train-config", str(config), "--out", str(out / "dse")],
+        }
+        for name, argv in commands.items():
+            found.clear()
+            crops.clear()
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0, name
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(found) == 1, name
+            assert (name == "dse") == (sum(crops) > 0)
+            estimate = cli._MEMORY_CAP - found[0] + sum(crops)
+            peak_growth, estimate_growth = growth.get(name, (0, 0))
+            growth[name] = (peak - peak_growth, estimate - estimate_growth)
+    capsys.readouterr()
+    for name, (peak_growth, estimate_growth) in growth.items():
+        assert estimate_growth > 0, name
+        assert peak_growth <= ORACLE_TOLERANCE * estimate_growth, (
+            name, peak_growth / estimate_growth)
 
 
 BAD_ARGUMENTS = {

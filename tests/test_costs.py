@@ -92,6 +92,10 @@ class TestCountOps:
         got = [(p.kind, p.synaptic_ops, p.neuron_ops) for p in ops.per_layer]
         assert got == self.PINNED[(window, strict)]
 
+    def test_no_timesteps_is_refused(self, nets):
+        with pytest.raises(ValueError, match="timesteps must be >= 1"):
+            count_ops(nets[50], 0)
+
     def test_neuron_ops_cover_spiking_layers_only(self, nets):
         ops = count_ops(nets[50], 1)
         expected = 32 * 12 * 12 + 32 * 6 * 6 + 144 + 2

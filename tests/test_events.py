@@ -157,6 +157,10 @@ class TestParseDat:
         with pytest.raises(MalformedHeader):
             sd.parse_dat(b"% width abc\n" + pack_record(0, 0, 0, 0))
 
+    def test_non_ascii_header_line_is_malformed(self):
+        with pytest.raises(MalformedHeader, match="non-ASCII header line at byte 11"):
+            sd.parse_dat(b"% width 32\n% h\xe9ight 32\n" + pack_record(0, 0, 0, 0))
+
     @pytest.mark.parametrize("line", [
         b"% width -3\n", b"% width 0\n", b"% width 16385\n", b"% height 0\n",
         b"% height 16385\n", b"% duration 0\n", b"% duration -1\n",
@@ -314,6 +318,17 @@ class TestParseCsv:
         sample = sd.parse_csv("t_us,x,y,p\n1000,5,7,1\n")
         assert sample.n_events == 1
 
+    @pytest.mark.parametrize("text,error,line,message", [
+        ("10,1,x,0", BadRow, 1, "non-integer field in '10,1,x,0'"),
+        ("10,1,1,0\n100000,1,1,0\n", BadRow, 2, "timestamp 100000 outside"),
+        ("10,1,1,0\n-1,1,1,0\n", BadRow, 2, "timestamp -1 outside"),
+        ("20,1,1,0\n10,1,1,0\n", UnsortedEvents, None, "not sorted by timestamp"),
+    ])
+    def test_bad_rows_are_refused(self, text, error, line, message):
+        with pytest.raises(error, match=message) as err:
+            sd.parse_csv(text)
+        assert getattr(err.value, "line", None) == line
+
     def test_out_of_bounds_is_bad_row(self):
         with pytest.raises(BadRow):
             sd.parse_csv("10,500,0,1")  # x >= the ATIS sensor's 304 columns
@@ -373,6 +388,10 @@ class TestColumnContract:
             cols[column] = values
             with pytest.raises(ValueError, match=f"event column {column} "):
                 sd.EventSample(**cols, sensor_width=8, sensor_height=8)
+
+    def test_columns_of_different_lengths_are_refused(self):
+        with pytest.raises(ValueError, match="event columns differ in length"):
+            sd.EventSample([0, 1], [0, 1], [0], [0, 1], 8, 8)
 
     def test_sensor_side_beyond_the_columns_is_refused(self):
         # a window ending past 2**16 would let a uint16 crop keep wrapped pixels
@@ -472,6 +491,14 @@ class TestCrop:
         assert_same_events(out, make_sample([(1, 1, 1, 1)]))
         assert sd.bin_to_frames(out, 2).data.sum() == 1
 
+    @pytest.mark.parametrize("window", [
+        AttentionWindow(-1, 0, 8), AttentionWindow(0, -1, 8),
+        AttentionWindow(25, 0, 8), AttentionWindow(0, 25, 8), AttentionWindow(0, 0, 33),
+    ])
+    def test_window_outside_the_sensor(self, window):
+        with pytest.raises(WindowTooLarge, match="exceeds 32x32 sensor"):
+            sd.crop(make_sample([(10, 5, 6, 1)], 32, 32), window)
+
     def test_full_sensor_window_is_identity(self):
         sample = sd.generate_synthetic(0, seed=5, sensor_width=32, sensor_height=32)
         out = sd.crop(sample, AttentionWindow(0, 0, 32))
@@ -494,6 +521,14 @@ class TestCrop:
 
 
 class TestBinning:
+    @pytest.mark.parametrize("width,height,timesteps,message", [
+        (16, 16, 0, "timesteps must be >= 1"),
+        (16, 8, 5, "binning expects a square sample, got 16x8"),
+    ])
+    def test_refused_before_binning(self, width, height, timesteps, message):
+        with pytest.raises(ValueError, match=message):
+            sd.bin_to_frames(make_sample([(10, 1, 1, 1)], width, height), timesteps)
+
     def test_no_events_gives_zeros(self):
         frames = sd.bin_to_frames(make_sample([], 16, 16), 5)
         assert frames.data.shape == (5, 2, 16, 16)
@@ -713,6 +748,19 @@ class TestSynthetic:
         for class_id in (0, 1):
             with pytest.raises(ValueError, match=message):
                 sd.generate_synthetic(class_id, seed=1, **kwargs)
+
+    @pytest.mark.parametrize("class_id", [-1, 2])
+    def test_class_other_than_0_or_1_rejected(self, class_id):
+        with pytest.raises(ValueError, match=f"class_id must be 0 or 1, got {class_id}"):
+            sd.generate_synthetic(class_id, seed=1)
+
+    def test_split_past_2_20_per_class_rejected_before_its_seeds(self, monkeypatch):
+        def no_seeds(seed):
+            raise AssertionError("synthetic_seeds reached its SeedSequence")
+
+        monkeypatch.setattr(sd.events.np.random, "SeedSequence", no_seeds)
+        with pytest.raises(ValueError, match=r"per_class must be <= 2\*\*20, got 1048577"):
+            sd.make_synthetic_dataset(2**20 + 1, seed=0)
 
     def test_largest_side_accepted(self):
         sample = sd.generate_synthetic(0, seed=2, sensor_width=2**14, sensor_height=1,

@@ -572,8 +572,10 @@ class TestSparseTrainingConvs:
 class TestOneRowBlocks:
     """A frame of a 1x1-output conv gets the same value wherever it sits in
     the batch: `_conv_dense` makes no one-row (GEMV) product. The weights
-    have the reference nets' 32 output channels; for some other counts
-    OpenBLAS's edge kernels sum in a row-count-dependent order anyway."""
+    have the reference nets' 32 output channels, at which OpenBLAS's
+    SkylakeX and Sandybridge kernels sum a row alike at every row count;
+    its Haswell and Zen kernels, and other counts on any kernel, sum in
+    a row-count-dependent order anyway, so there this can fail."""
 
     @staticmethod
     def case(n):
@@ -1238,6 +1240,10 @@ class TestDecode:
     def test_all_zero_counts(self):
         assert sd.decode(np.array([0, 0]), 10)[0] == 0
 
+    def test_no_timesteps_is_refused(self):
+        with pytest.raises(ValueError, match="timesteps must be >= 1"):
+            sd.decode(np.array([0, 0]), 0)
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -1383,7 +1389,8 @@ class TestCheckpointErrors:
 
     @pytest.mark.parametrize("layer,key,value", [
         (0, "kind", "conw"), (2, "in_channels", 1.5), (1, "kernel", 0),
-        (None, "reset_mode", "zerp"),
+        (None, "reset_mode", "zerp"), (None, "v_threshold", -0.5), (None, "leak", 1.0),
+        (0, "stride", -1),
         # fields a pool or an fc layer would ignore
         (1, "stride", 1), (1, "padding", 1), (1, "out_channels", 32),
         (2, "kernel", 3), (3, "padding", 1), (3, "stride", 2),

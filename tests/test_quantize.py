@@ -60,6 +60,22 @@ class TestChooseFormat:
         with pytest.raises(ValueError):
             choose_format(np.array([np.nan]), 8)
 
+    def test_rejects_an_empty_tensor(self):
+        with pytest.raises(ValueError, match="empty tensor"):
+            choose_format(np.array([]), 8)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: FixedPointFormat(1, 0), "total_bits must be in \\[2, 32\\], got 1"),
+    (lambda: FixedPointFormat(33, 0), "total_bits must be in \\[2, 32\\], got 33"),
+    (lambda: FixedPointFormat(8, 8), "frac_bits must be in \\[0, 7\\], got 8"),
+    (lambda: FixedPointFormat(8, -1), "frac_bits must be in \\[0, 7\\], got -1"),
+    (lambda: QuantConfig(bits=8, rounding="RZ"), "unknown rounding scheme 'RZ'"),
+])
+def test_invalid_format_or_config(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
 
 class TestQuantizeValue:
     """Single values through quantize_array."""

@@ -93,6 +93,11 @@ class TestSurrogate:
         params = SurrogateParams(half_width=0.5)
         assert surrogate_derivative(0.9, 0.4, params) == 1.0
 
+    @pytest.mark.parametrize("half_width", [0.0, -0.5])
+    def test_non_positive_half_width_is_refused(self, half_width):
+        with pytest.raises(ValueError, match="half_width must be positive"):
+            SurrogateParams(half_width=half_width)
+
     def test_riemann_integral_is_one(self):
         params = SurrogateParams(half_width=0.5)
         v = np.arange(-2.0, 3.0, 1e-3)
