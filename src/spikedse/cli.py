@@ -176,15 +176,17 @@ _MEMORY_CAP = 2 << 30
 
 
 def _check_memory(
-    runs: list[tuple], n_train: int = 0, n_test: int = 0, crop_bytes: int = 0
+    runs: list[tuple], n_train: int = 0, n_test: int = 0, crop_bytes: int = 0,
+    *, evaluation: bool = False,
 ) -> int:
     """Raise ConfigError if a (net, timesteps, batch_size) run's training
     step (`_training_bytes`) passes `_MEMORY_CAP` beside what is kept with
     it: the packed frames of n_test recordings at every run's (T, W), as
     live dse keeps each test encoding, and of n_train at the run's own,
     plus crop_bytes of kept crops (9 bytes per event). The refusal names
-    the run that needs the most; else returns the bytes it leaves under
-    the cap."""
+    the run that needs the most, as evaluation when `evaluation` says the
+    step is only an upper bound on a forward pass; else returns the bytes
+    it leaves under the cap."""
     packed = [SpikeFrames.packed_bytes(t, net.input_window) for net, t, _ in runs]
     needs = [(_training_bytes(*run), n_test * sum(packed) + n_train * size, run)
              for run, size in zip(runs, packed)]
@@ -196,11 +198,16 @@ def _check_memory(
         kept = f", and {gib(held)} of encoded splits' packed frames" if held else ""
         if crop_bytes:
             kept += f", and {gib(crop_bytes)} of cropped recordings"
-        raise ConfigError(
-            f"training at W={net.input_window}, T={timesteps}, batch {batch_size} "
-            f"needs about {gib(need)} (parameters with gradients and momentum, a "
-            f"minibatch's frames and recorded trace{kept}), above the "
-            f"{_MEMORY_CAP >> 30} GiB cap")
+        if evaluation:
+            what = (f"evaluation at W={net.input_window}, T={timesteps} needs at most "
+                    f"about {gib(need)} (a one-sample training step, as an upper bound: "
+                    f"parameters with gradients and momentum, the sample's frames and "
+                    f"recorded trace{kept})")
+        else:
+            what = (f"training at W={net.input_window}, T={timesteps}, batch {batch_size} "
+                    f"needs about {gib(need)} (parameters with gradients and momentum, a "
+                    f"minibatch's frames and recorded trace{kept})")
+        raise ConfigError(f"{what}, above the {_MEMORY_CAP >> 30} GiB cap")
     return _MEMORY_CAP - need
 
 
@@ -247,7 +254,7 @@ def cmd_eval(args) -> int:
     split = dataset_split(args.data, args.split)
     # at a T that nears the cap evaluate runs one sample at a time, and its
     # forward pass holds less than a one-sample training step's trace
-    _check_memory([(spec, args.timesteps, 1)], n_test=len(split))
+    _check_memory([(spec, args.timesteps, 1)], n_test=len(split), evaluation=True)
     data = encode_dataset(split, spec.input_window, args.timesteps,
                           window_mode=args.window_mode)
     accuracy = evaluate(spec, weights, data)

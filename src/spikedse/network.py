@@ -48,6 +48,13 @@ the bias is added to, or filled into, each output frame as one tiled
 Ho * Wo * O row (`_bias_map`), and `_active_pixels` ORs each pixel's
 non-zero mask as 1- to 8-byte words. The columns and the GEMM call are
 the ones a float copy gives, so every product keeps its bits.
+
+On the exact convs two whole-tensor passes go: the dense kernel folds
+the bias into its GEMM (a column of ones meets a bias row of the weight
+matrix; exact sums are the same in any order, see `_conv_dense`), and one
+`x != 0` mask gives `_conv` both its active pixels and its live frames.
+Pools whose k * k is a power of two multiply by 1 / (k * k) instead of
+dividing (`_per_tap`), which rounds every float64 the same way.
 """
 
 from __future__ import annotations
@@ -347,7 +354,9 @@ def _pool(x: np.ndarray, kernel: int) -> np.ndarray:
     each converts to the float64 a float sum of the taps gives. Other
     inputs (relaxed spikes) sum in float64. The sums keep x's stride
     order, so a channels-last view of channels-first memory is read in
-    memory order. Returns a C-contiguous float64 (N, H2, W2, C) array.
+    memory order. The sums are scaled by 1 / k^2 (`_per_tap`: a multiply
+    when k^2 is a power of two). Returns a C-contiguous float64
+    (N, H2, W2, C) array.
     """
     n, h, w, c = x.shape
     h2, w2 = h // kernel, w // kernel
@@ -360,19 +369,17 @@ def _pool(x: np.ndarray, kernel: int) -> np.ndarray:
     sums = np.zeros_like(rows[:, :, :w2])
     for v in range(kernel):
         sums += rows[:, :, v::kernel]
-    out = np.empty((n, h2, w2, c))
-    np.divide(sums, kernel * kernel, out=out)
-    return out
+    return _per_tap(sums, kernel, np.empty((n, h2, w2, c)))
 
 
 def _pool_backward(grad_out: np.ndarray, kernel: int, in_shape: tuple) -> np.ndarray:
     """Spread (N, H2, W2, C) gradients over the k x k blocks they averaged.
 
     in_shape is the pool's (N, H, W, C) input; rows and columns the pool
-    dropped get no gradient.
+    dropped get no gradient. The spread is grad_out / k^2 (`_per_tap`).
     """
     h2, w2 = grad_out.shape[1:3]
-    spread = grad_out / (kernel * kernel)
+    spread = _per_tap(grad_out, kernel)
     grad_in = np.zeros(in_shape)
     for u in range(kernel):
         for v in range(kernel):
@@ -380,7 +387,20 @@ def _pool_backward(grad_out: np.ndarray, kernel: int, in_shape: tuple) -> np.nda
     return grad_in
 
 
-def _column_blocks(x: np.ndarray, kernel: int, padding: int, stride: int):
+def _per_tap(sums: np.ndarray, kernel: int, out: np.ndarray | None = None) -> np.ndarray:
+    """sums / k^2 in float64. When k^2 is a power of two (both reference
+    pools) it is a multiply by 1 / k^2: x * 2^-n is the correctly rounded
+    x / 2^n for every float64, -0.0, subnormals, +-inf and NaN included,
+    and a multiply costs about half a divide."""
+    area = kernel * kernel
+    if area & (area - 1):
+        return np.divide(sums, area, out=out, dtype=float)
+    return np.multiply(sums, 1 / area, out=out, dtype=float)
+
+
+def _column_blocks(
+    x: np.ndarray, kernel: int, padding: int, stride: int, *, ones: bool = False
+):
     """Yield (lo, hi, cols) over row blocks of (N, H, W, C) input x.
 
     cols is the ((hi - lo) * Ho * Wo, k * k * C) im2col matrix of x[lo:hi]
@@ -389,8 +409,9 @@ def _column_blocks(x: np.ndarray, kernel: int, padding: int, stride: int):
     window rows of k * C values that lie side by side in the padded input,
     so each is copied as one (k * C * 8)-byte item: one inner loop of k
     items per output position, where a float64 copy runs k loops of k * C
-    values (6 on conv1). The buffers are reused: consume a block before
-    drawing the next.
+    values (6 on conv1). ones=True appends one column of ones, the one a
+    folded bias meets (`_conv_dense`); it is written once per buffer. The
+    buffers are reused: consume a block before drawing the next.
     """
     n, h, w, c = x.shape
     ho, wo = (_conv_size(size, kernel, padding, stride) for size in (h, w))
@@ -402,13 +423,17 @@ def _column_blocks(x: np.ndarray, kernel: int, padding: int, stride: int):
     # (block, Ho, Wo, k) view of the window rows the outputs read
     windows = np.ndarray((len(xp), ho, wo, kernel), run, xp,
                          strides=(frame, stride * row, stride * col, row))
-    buf = np.empty(len(xp) * ho * wo * depth)
+    buf = np.empty((len(xp) * ho * wo, depth + ones))
+    buf[:, depth:] = 1.0
+    # the same (block, Ho, Wo, k) items in the column rows
+    line = buf.strides[0]
+    items = np.ndarray(windows.shape, run, buf,
+                       strides=(ho * wo * line, wo * line, line, run.itemsize))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         xp[: hi - lo, padding : padding + h, padding : padding + w] = x[lo:hi]
-        cols = buf[: (hi - lo) * ho * wo * depth]
-        cols.view(run).reshape(hi - lo, ho, wo, kernel)[:] = windows[: hi - lo]
-        yield lo, hi, cols.reshape(-1, depth)
+        items[: hi - lo] = windows[: hi - lo]
+        yield lo, hi, buf[: (hi - lo) * ho * wo]
 
 
 def _weight_matrix(weight: np.ndarray) -> np.ndarray:
@@ -442,49 +467,62 @@ def _conv(
     exact=True says the caller proved every partial sum exact in float64
     (see `simulate`); then a stride-1 conv whose input is sparse enough
     (`_active_pixels`) runs the event-driven `_conv_events` instead, which
-    gives the same values in another summation order.
+    gives the same values in another summation order, and the dense kernel
+    folds the bias into its GEMM. One `x != 0` mask gives both the
+    active pixels and the live frames.
     """
     _, c, kernel, _ = weight.shape
     if x.shape[3] != c:
         raise ShapeMismatch(f"conv expects {c} input channels, got {x.shape[3]}")
+    mask = np.not_equal(x, 0, order="C")
     if exact and stride == 1:
-        pixels = _active_pixels(x)
+        pixels = _active_pixels(mask)
         if pixels is not None:
             return _conv_events(x, weight, bias, padding, pixels)
     n = x.shape[0]
     ho, wo = (_conv_size(size, kernel, padding, stride) for size in x.shape[1:3])
-    live = np.flatnonzero(x.any(axis=(1, 2, 3)))
+    live = np.flatnonzero(mask.reshape(n, -1).any(axis=1))
     if 2 * live.size > n:
-        return _conv_dense(x, weight, bias, padding, stride)
+        return _conv_dense(x, weight, bias, padding, stride, exact=exact)
     out = _bias_map(bias, n, ho, wo)
     if live.size:
-        out[live] = _conv_dense(x[live], weight, bias, padding, stride)
+        out[live] = _conv_dense(x[live], weight, bias, padding, stride, exact=exact)
     return out
 
 
 def _conv_dense(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: int, stride: int
+    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: int, stride: int,
+    *, exact: bool = False,
 ) -> np.ndarray:
     """`_conv` as one im2col GEMM per row block over every input frame.
 
     A block of one row (one frame of a 1 x 1 output map) is computed as
     the first row of a two-row product: numpy sends a one-row product to
     GEMV, which sums in another order than the GEMM of the other blocks.
-    The bias is added to each frame as one tiled (Ho * Wo * O) row.
+    The bias is added to each frame as one tiled (Ho * Wo * O) row. With
+    exact=True (every partial sum exact, see `_conv`) it is folded into
+    the GEMM instead: the columns end in a column of ones and the
+    (k*k*C + 1, O) weight matrix in the bias, so the GEMM writes each
+    potential once. Exact sums have one value in any order, signed zeros
+    included; inexact ones do not, and on OpenBLAS's Haswell and
+    Sandybridge kernels a folded bias moves float results by rounding.
     """
     n = x.shape[0]
     o, _, kernel, _ = weight.shape
     wm = _weight_matrix(weight)
+    if exact:
+        wm = np.vstack([wm, bias])
     ho, wo = (_conv_size(size, kernel, padding, stride) for size in x.shape[1:3])
     out = np.empty((n, ho, wo, o))
-    for lo, hi, cols in _column_blocks(x, kernel, padding, stride):
+    for lo, hi, cols in _column_blocks(x, kernel, padding, stride, ones=exact):
         dest = out[lo:hi].reshape(-1, o)
         if len(cols) == 1:
             dest[:] = (cols[[0, 0]] @ wm)[:1]
         else:
             np.matmul(cols, wm, out=dest)
-    frames = out.reshape(n, ho * wo * o)
-    frames += np.tile(bias, ho * wo)
+    if not exact:
+        frames = out.reshape(n, ho * wo * o)
+        frames += np.tile(bias, ho * wo)
     return out
 
 
@@ -500,17 +538,20 @@ def _active_pixels(x: np.ndarray) -> np.ndarray | None:
     """Flat indices of the (N, H, W) pixels of x with a non-zero channel,
     or None when they are C / (C + _SCATTER_COST) or more of all pixels.
 
-    One count over an `x != 0` mask (NaN counts, -0.0 does not) rejects
-    inputs too dense even with every non-zero value packed into as few
-    pixels as possible, before any per-pixel scan. The scan reads each
-    pixel's C mask bytes as words of the widest unsigned type whose size
-    divides C (four uint64 at C = 32) and ORs them column by column, so
-    every pass runs over all pixels at once.
+    One count over x's C-ordered `x != 0` mask (NaN counts, -0.0 does not;
+    a C-contiguous bool x is its own mask, so a caller holding the mask
+    passes that) rejects inputs too dense even with every non-zero value
+    packed into as few pixels as possible, before any per-pixel scan. The
+    scan reads each pixel's C mask bytes as words of the widest unsigned
+    type whose size divides C (four uint64 at C = 32) and ORs them column
+    by column, so every pass runs over all pixels at once.
     """
     c = x.shape[3]
     n_pixels = x.size // c
     limit = n_pixels * c / (c + _SCATTER_COST)
-    mask = np.not_equal(x, 0, order="C")
+    mask = x
+    if x.dtype != bool or not x.flags.c_contiguous:
+        mask = np.not_equal(x, 0, order="C")
     nonzero = np.count_nonzero(mask)
     if nonzero >= limit * c:
         return None

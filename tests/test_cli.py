@@ -862,7 +862,10 @@ BAD_INPUTS = {
          "data/manifest.json": '[{"file": "a.dat", "label": 0, "split": "test"}]'},
         ["eval", "--checkpoint", "{tmp}/w.ckpt", "--data", "{tmp}/data",
          "--timesteps", "10000000"],
-        "training at W=50, T=10000000, batch 1 needs about",
+        "evaluation at W=50, T=10000000 needs at most about 686.9 GiB (a one-sample "
+        "training step, as an upper bound: parameters with gradients and momentum, the "
+        "sample's frames and recorded trace, and 5.9 GiB of encoded splits' packed "
+        "frames), above the 2 GiB cap",
     ),
     "both memory constraints": (
         {}, ["dse", "--constraints", '{"max_memory_mb": 1, "max_memory_bits": 8000000}',

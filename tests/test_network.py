@@ -284,6 +284,67 @@ class TestPool:
             np.testing.assert_allclose(out, tap_loop_pool(x, kernel), rtol=0, atol=1e-12)
 
 
+def divide_pool(x, kernel):
+    """`_pool`'s sums in its order (exact integers for bool and uint8),
+    then a plain np.divide by k * k."""
+    n, h, w, c = x.shape
+    h2, w2 = h // kernel, w // kernel
+    acc = float if x.dtype == np.float64 else np.int64
+    rows = np.zeros((n, h2, w2 * kernel, c), acc)
+    for u in range(kernel):
+        rows += x[:, u : h2 * kernel : kernel, : w2 * kernel]
+    sums = np.zeros((n, h2, w2, c), acc)
+    for v in range(kernel):
+        sums += rows[:, :, v::kernel]
+    return np.divide(sums, kernel * kernel)
+
+
+def divide_pool_backward(grad_out, kernel, in_shape):
+    """`_pool_backward` with a plain np.divide by k * k."""
+    h2, w2 = grad_out.shape[1:3]
+    grad_in = np.zeros(in_shape)
+    spread = np.divide(grad_out, kernel * kernel)
+    for u in range(kernel):
+        for v in range(kernel):
+            grad_in[:, u : h2 * kernel : kernel, v : w2 * kernel : kernel] = spread
+    return grad_in
+
+
+class TestPoolScaling:
+    """`_pool` and `_pool_backward` scale by 1 / k^2 where k^2 is a power
+    of two and divide by it elsewhere; either way the bytes are a plain
+    divide's, for -0.0, subnormals, +-inf and NaN too."""
+
+    SPECIALS = np.array([-0.0, 5e-324, -5e-324, 2.2e-308, -3e-310, np.inf, -np.inf,
+                         np.nan, 1.0, -0.75, 1e308])
+
+    def inputs(self, dtype, kernel):
+        rng = np.random.default_rng(kernel)
+        shape = (3, 4 * kernel + 1, 3 * kernel, 5)
+        if dtype is float:
+            x = rng.uniform(-1, 1, shape) * 10.0 ** rng.integers(-320, 300, shape)
+            spots = rng.random(shape) < 0.3
+            x[spots] = rng.choice(self.SPECIALS, int(spots.sum()))
+            x[0] = rng.choice(self.SPECIALS[:5], shape[1:])  # zeros and subnormals alone
+            return x
+        if dtype is bool:
+            return rng.random(shape) < 0.4
+        return rng.integers(0, 256, shape, dtype=np.uint8)
+
+    @pytest.mark.parametrize("kernel", [2, 3, 4])
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, float])
+    def test_pool_and_backward_equal_divide(self, dtype, kernel):
+        x = self.inputs(dtype, kernel)
+        _, h, w, _ = x.shape
+        grad = x[:, : h // kernel, : w // kernel]
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 sums
+            assert_same_bytes(network._pool(x, kernel), divide_pool(x, kernel))
+            assert_same_bytes(network._pool_backward(grad, kernel, x.shape),
+                              divide_pool_backward(grad, kernel, x.shape))
+        if kernel == 3 and dtype is float:  # a multiply by 1/9 would show here
+            assert not np.array_equal(x * (1 / 9), x / 9, equal_nan=True)
+
+
 class TestLayerForward:
     """The pool and conv kernels on one channels-last map, and the fc check."""
 
@@ -467,7 +528,8 @@ class TestSparseTrainingConvs:
         rows = []
         kernel = network._conv_dense
         monkeypatch.setattr(network, "_conv_dense",
-                            lambda x, *args: rows.append(len(x)) or kernel(x, *args))
+                            lambda x, *args, **kwargs: rows.append(len(x))
+                            or kernel(x, *args, **kwargs))
         return rows
 
     @classmethod
@@ -685,6 +747,11 @@ def ref_conv(x, weight, bias, padding, stride, *, exact=False):
     return out
 
 
+def on_grid(a, frac):
+    """a rounded to the 2^-frac grid; -0.0 stays -0.0."""
+    return np.round(a * 2.0**frac) / 2.0**frac
+
+
 def assert_same_bytes(actual, expected):
     assert actual.dtype == expected.dtype and actual.shape == expected.shape
     assert actual.tobytes() == expected.tobytes()
@@ -753,8 +820,9 @@ class TestConvOracle:
     def test_conv_with_silent_frames_and_events(self, monkeypatch, c, kernel, padding,
                                                 stride):
         """`_conv` over inputs with all-zero frames (the bias-map fill),
-        and exactly summed (`exact=True`), which at stride 1 runs
-        `_conv_events`; _SCATTER_COST 0 lifts its density limit."""
+        and exactly summed (`exact=True`, on operands rounded to grids
+        `_exact_convs` admits), which at stride 1 runs `_conv_events`;
+        _SCATTER_COST 0 lifts its density limit."""
         monkeypatch.setattr(network, "_SCATTER_COST", 0)
         rng = np.random.default_rng(7 * c + kernel + padding + stride)
         for x, weight, bias in self.cases(monkeypatch, c, kernel, padding, stride):
@@ -762,9 +830,12 @@ class TestConvOracle:
             for silent in (0.0, 0.5, 1.0):
                 xs, _, _ = self.operands(rng, n, h, w, c, 1, kernel, silent)
                 for exact in (False, True):
+                    args = (xs, weight, bias)
+                    if exact:  # x on a k4 pool's 2^-4 grid, 10-bit codes
+                        args = [on_grid(a, f) for a, f in zip(args, (4, 9, 9))]
                     assert_same_bytes(
-                        network._conv(xs, weight, bias, padding, stride, exact=exact),
-                        ref_conv(xs, weight, bias, padding, stride, exact=exact))
+                        network._conv(*args, padding, stride, exact=exact),
+                        ref_conv(*args, padding, stride, exact=exact))
             if stride == 1:
                 pixels = np.flatnonzero(x.reshape(-1, c).any(axis=1))
                 assert_same_bytes(network._conv_events(x, weight, bias, padding, pixels),
@@ -780,6 +851,69 @@ class TestConvOracle:
             x, weight, bias = self.operands(rng, n, h, h, c, o, 3)
             assert_same_bytes(network._conv_dense(x, weight, bias, 1, 1),
                               ref_conv_dense(x, weight, bias, 1, 1))
+
+
+class TestExactConvOracle:
+    """`_conv(exact=True)` on its dense kernel, which folds the bias into
+    the GEMM, against the GEMM-then-add `ref_conv_dense`, byte for byte:
+    ptq weights at every width the engine is tested at, biases and a
+    channel of weights that round to -0.0, k4-pooled frames (conv1) and
+    k2-pooled spikes (conv2), strides 1 and 2, and 1, 2 and 5 frames in row
+    blocks of 2. Exact sums have one value in any order, so this holds on
+    every BLAS kernel; the float path does not fold."""
+
+    BLOCK = 2
+    # (pool, C, input density): conv1 reads pooled binary frames, conv2 pooled spikes
+    INPUTS = [(4, 2, 0.3), (2, 32, 0.1)]
+
+    @staticmethod
+    def quantized(rng, c, bits):
+        """ptq'd (32, C, 3, 3) weights and bias; channel 0's weights and
+        every third bias are tiny negatives that round to -0.0, and
+        channel 1's weights are all negative."""
+        weight = rng.uniform(-1, 1, (32, c, 3, 3))
+        weight[0] = -1e-12
+        weight[1] = -np.abs(weight[1])
+        bias = rng.uniform(-1, 1, 32)
+        bias[::3] = -1e-12
+        q = sd.ptq(WeightSet([LayerWeights(weight, bias)]),
+                   sd.QuantConfig(bits=bits, rounding="RN")).layers[0]
+        for a in (q.weight[0], q.bias[::3]):
+            assert np.all(a == 0) and np.all(np.signbit(a))
+        return q.weight, q.bias
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pool,c,density", INPUTS)
+    @pytest.mark.parametrize("bits", [4, 10, 16, 32])
+    def test_folded_bias_equals_gemm_then_add(self, monkeypatch, bits, pool, c,
+                                              density, stride):
+        spec = NetworkSpec(
+            layers=(LayerSpec("avg_pool", c, c, kernel=pool, stride=pool),
+                    LayerSpec("conv", c, 32, kernel=3, padding=1, stride=stride)),
+            input_window=6 * pool,
+        )
+        assert network._exact_convs(spec, bits) == {1}
+        monkeypatch.setattr(network, "_SCATTER_COST", 10**9)  # no event-driven conv
+        ho = network._conv_size(6, 3, 1, stride)
+        monkeypatch.setattr(network, "_BLOCK_BYTES", self.BLOCK * ho * ho * 9 * c * 8)
+        ones = []  # the ones= flag of every `_column_blocks` call
+        blocks = network._column_blocks
+        monkeypatch.setattr(network, "_column_blocks", lambda *args, **kwargs:
+                            ones.append(kwargs.get("ones", False)) or blocks(*args, **kwargs))
+        rng = np.random.default_rng(bits * 10 + pool + stride)
+        weight, bias = self.quantized(rng, c, bits)
+        for n in (1, 2, 5):
+            raw = rng.random((n, 6 * pool, 6 * pool, c)) < density
+            x = network._pool(raw if pool == 2 else raw.astype(np.uint8), pool)
+            x[:, 0, 0, 0] = 1.0  # every frame live
+            ones.clear()
+            assert_same_bytes(network._conv(x, weight, bias, 1, stride, exact=True),
+                              ref_conv_dense(x, weight, bias, 1, stride))
+            assert ones == [True]
+            ones.clear()
+            assert_same_bytes(network._conv(x, weight, bias, 1, stride),
+                              ref_conv_dense(x, weight, bias, 1, stride))
+            assert ones == [False]
 
 
 class TestActivePixelsOracle:
