@@ -44,7 +44,6 @@ from .events import (
     encode_sample,
     find_attention_window,
     generate_synthetic,
-    load_dataset,
     make_synthetic_dataset,
     parse_csv,
     parse_dat,

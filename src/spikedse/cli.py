@@ -28,7 +28,7 @@ from .dse import (
     run_dse,
     select,
 )
-from .errors import ConfigError, SpikeDseError
+from .errors import ConfigError, SpikeDseError, _check_keys
 from .events import (
     WINDOW_MODES,
     EventSample,
@@ -151,6 +151,10 @@ def _load_splits(data_cfg: dict | None) -> tuple[Recordings, Recordings, str]:
         raise ConfigError(
             'the config needs a data block with "dir" or "synthetic" (dse: or --data)'
         )
+    with ConfigError.guard("data block"):
+        _check_keys(data_cfg, {"dir", "synthetic", "window_mode"})
+    if {"dir", "synthetic"} <= data_cfg.keys():
+        raise ConfigError('data block: set "dir" or "synthetic", not both')
     mode = data_cfg.get("window_mode", "per_sample")
     if mode not in WINDOW_MODES:
         raise ConfigError(f"data block: unknown window_mode {mode!r}")
@@ -162,6 +166,8 @@ def _load_splits(data_cfg: dict | None) -> tuple[Recordings, Recordings, str]:
     syn = data_cfg["synthetic"]
     if not isinstance(syn, dict):
         raise ConfigError(f'data block: "synthetic" must be an object, got {syn!r}')
+    with ConfigError.guard("data block synthetic"):
+        _check_keys(syn, set(_SYNTHETIC_DEFAULTS))
     return (*_synthetic(syn, "data block synthetic"), mode)
 
 
@@ -171,33 +177,26 @@ def _load_splits(data_cfg: dict | None) -> tuple[Recordings, Recordings, str]:
 # initialization, or the kernel grants the pages lazily and kills the
 # process later. The margin below a machine's memory is for what the
 # estimate does not count: the raw recordings being encoded, which are read
-# one at a time (two parsed recordings, not a split).
+# one at a time (two parsed recordings, not a split), and live dse's crops
+# of the one recording being binned.
 _MEMORY_CAP = 2 << 30
 
 
-def _check_memory(
-    runs: list[tuple], n_train: int = 0, n_test: int = 0, crop_bytes: int = 0,
-    *, evaluation: bool = False,
-) -> int:
-    """Raise ConfigError if a (net, timesteps, batch_size) run's training
-    step (`_training_bytes`) passes `_MEMORY_CAP` beside what is kept with
-    it: the packed frames of n_test recordings at every run's (T, W), as
-    live dse keeps each test encoding, and of n_train at the run's own,
-    plus crop_bytes of kept crops (9 bytes per event). The refusal names
-    the run that needs the most, as evaluation when `evaluation` says the
-    step is only an upper bound on a forward pass; else returns the bytes
-    it leaves under the cap."""
-    packed = [SpikeFrames.packed_bytes(t, net.input_window) for net, t, _ in runs]
-    needs = [(_training_bytes(*run), n_test * sum(packed) + n_train * size, run)
-             for run, size in zip(runs, packed)]
-    step, held, (net, timesteps, batch_size) = max(needs, key=lambda n: n[0] + n[1])
-    need = step + held + crop_bytes
+def _check_memory(runs: list[tuple], recordings: int, *, evaluation: bool = False) -> int:
+    """Raise ConfigError if the largest (net, timesteps, batch_size) run's
+    training step (`_training_bytes`) passes `_MEMORY_CAP` beside the
+    packed frames of `recordings` recordings at every run's (T, W), as
+    live dse keeps both splits' encodings until training. The refusal
+    names that run, as evaluation when `evaluation` says the step is only
+    an upper bound on a forward pass; else returns the estimate in bytes."""
+    held = recordings * sum(SpikeFrames.packed_bytes(t, net.input_window)
+                            for net, t, _ in runs)
+    net, timesteps, batch_size = run = max(runs, key=lambda run: _training_bytes(*run))
+    need = _training_bytes(*run) + held
     if need > _MEMORY_CAP:
         def gib(size):  # rounded up, so a refused need never reads as the cap
             return f"{-(-size * 10 // 2**30) / 10:,.1f} GiB"
         kept = f", and {gib(held)} of encoded splits' packed frames" if held else ""
-        if crop_bytes:
-            kept += f", and {gib(crop_bytes)} of cropped recordings"
         if evaluation:
             what = (f"evaluation at W={net.input_window}, T={timesteps} needs at most "
                     f"about {gib(need)} (a one-sample training step, as an upper bound: "
@@ -208,7 +207,7 @@ def _check_memory(
                     f"needs about {gib(need)} (parameters with gradients and momentum, a "
                     f"minibatch's frames and recorded trace{kept})")
         raise ConfigError(f"{what}, above the {_MEMORY_CAP >> 30} GiB cap")
-    return _MEMORY_CAP - need
+    return need
 
 
 def cmd_train(args) -> int:
@@ -217,7 +216,7 @@ def cmd_train(args) -> int:
     net = build_network(config.window, strict=_strict(raw))
     train_split, test_split, mode = _load_splits(raw.get("data"))
     _check_memory([(net, config.timesteps, config.batch_size)],
-                  len(train_split), len(test_split))
+                  len(train_split) + len(test_split))
     out = Path(args.out)
     train_data, test_data = (
         encode_dataset(split, config.window, config.timesteps, window_mode=mode)
@@ -254,7 +253,7 @@ def cmd_eval(args) -> int:
     split = dataset_split(args.data, args.split)
     # at a T that nears the cap evaluate runs one sample at a time, and its
     # forward pass holds less than a one-sample training step's trace
-    _check_memory([(spec, args.timesteps, 1)], n_test=len(split), evaluation=True)
+    _check_memory([(spec, args.timesteps, 1)], len(split), evaluation=True)
     data = encode_dataset(split, spec.input_window, args.timesteps,
                           window_mode=args.window_mode)
     accuracy = evaluate(spec, weights, data)
@@ -279,9 +278,11 @@ def cmd_dse(args) -> int:
         raw = {"epochs": 5, "seed": 0}
         if args.train_config:
             raw = _read_config(args.train_config)
-        if args.data:  # the directory overrides the data block's, other keys stay
-            data = raw.get("data", {})
-            raw["data"] = {**data, "dir": args.data} if isinstance(data, dict) else data
+        data = raw.get("data", {})
+        if args.data and isinstance(data, dict):
+            # the directory replaces the block's source; window_mode stays
+            raw["data"] = {**data, "dir": args.data}
+            raw["data"].pop("synthetic", None)
         # Check the config and every window, then the memory once the splits
         # are counted, all before any recording is read.
         strict = _strict(raw)
@@ -293,29 +294,20 @@ def cmd_dse(args) -> int:
         }
         runs = [(nets[w], t, config.batch_size) for (t, w), config in configs.items()]
         train_split, test_split, mode = _load_splits(raw.get("data"))
-        counts = len(train_split), len(test_split)
-        room = _check_memory(runs, *counts)
+        _check_memory(runs, len(train_split) + len(test_split))
         # The window search depends only on W, and T only changes the
-        # binning: read each recording once, crop it at every W and drop
-        # it, then bin the crops per T. The crops are kept until training,
-        # so they count toward the cap as they are made.
-        cropped = {w: ([], []) for w in grid.windows}
-        crop_bytes = 0
+        # binning: read each recording once, crop it at every W, bin each
+        # crop at every T, and keep only the packed frames until training.
+        frames = {key: ([], []) for key in configs}
         for i, split in enumerate((train_split, test_split)):
             for sample in split:
                 for w in grid.windows:
                     crop = crop_to_window(sample, w, window_mode=mode)
-                    crop_bytes += sum(col.nbytes for col in (crop.t, crop.x, crop.y, crop.p))
-                    if crop_bytes > room:
-                        _check_memory(runs, *counts, crop_bytes)
-                    cropped[w][i].append(crop)
-        baselines, encoded = {}, {}
-        for w in list(cropped):
-            train_crops, test_crops = cropped.pop(w)
-            for t in grid.timesteps:
-                weights, _ = train(nets[w], _binned(train_crops, t), configs[(t, w)])
-                baselines[(t, w)] = weights
-                encoded[(t, w)] = _binned(test_crops, t)
+                    for t in grid.timesteps:
+                        frames[(t, w)][i].append((bin_to_frames(crop, t), crop.label))
+        baselines = {(t, w): train(nets[w], train_data, configs[(t, w)])[0]
+                     for (t, w), (train_data, _) in frames.items()}
+        encoded = {key: test_data for key, (_, test_data) in frames.items()}
         points = run_dse(encoded, baselines, grid, constants, strict=strict)
 
     results_path, pareto_path = emit_report(points, out)
@@ -339,11 +331,6 @@ def cmd_dse(args) -> int:
     if selection:
         print(f"selected {selection['tag']}")
     return 0
-
-
-def _binned(crops: list[EventSample], timesteps: int) -> list[tuple]:
-    """(frames, label) pairs of samples already cropped to their window."""
-    return [(bin_to_frames(s, timesteps), s.label) for s in crops]
 
 
 def cmd_complexity(args) -> int:

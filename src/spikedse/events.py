@@ -796,9 +796,9 @@ def dataset_split(path: str | Path, split: str) -> Recordings:
     files, one at a time.
 
     Raises:
-        MissingManifest, ConfigError (malformed manifest, a label other
-        than 0 or 1); while iterating, UnreadableFile at the first file
-        that cannot be read or parsed.
+        MissingManifest, ConfigError (malformed manifest, a label that is
+        not the JSON integer 0 or 1); while iterating, UnreadableFile at
+        the first file that cannot be read or parsed.
     """
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
@@ -806,28 +806,15 @@ def dataset_split(path: str | Path, split: str) -> Recordings:
         raise MissingManifest(f"no {MANIFEST_NAME} in {root}")
     with ConfigError.guard(f"manifest {manifest_path}"):
         wanted = [
-            (root / e["file"], int(e["label"]))
+            (root / e["file"], e["label"])
             for e in json.loads(manifest_path.read_text())
             if e["split"] == split
         ]
         for file, label in wanted:
-            if label not in (0, 1):  # the network has one output per class
-                raise ValueError(f"{file.name}: label {label} is not 0 or 1")
+            # the network has one output per class; a bool or 0.9 is no class
+            if type(label) is not int or label not in (0, 1):
+                raise ValueError(f"{file.name}: label {json.dumps(label)} is not 0 or 1")
     return Recordings(wanted, _load_event_file)
-
-
-def load_dataset(path: str | Path, split: str) -> list[EventSample]:
-    """Load one whole split of a manifest-described dataset directory.
-
-    The list of one iteration of `dataset_split`, in manifest order. A
-    caller that only encodes each sample can iterate `dataset_split`
-    instead, and hold two recordings at a time instead of the split.
-
-    Raises:
-        MissingManifest, ConfigError (malformed manifest, a label other
-        than 0 or 1), UnreadableFile.
-    """
-    return list(dataset_split(path, split))
 
 
 def write_dataset(

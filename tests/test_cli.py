@@ -165,7 +165,7 @@ class TestDataset:
             for arg in (f"--{key.replace('_', '-')}", str(value))
         ]) == 0
         capsys.readouterr()
-        generated = [sd.load_dataset(out, split) for split in ("train", "test")]
+        generated = [list(sd.dataset_split(out, split)) for split in ("train", "test")]
         *from_block, mode = cli._load_splits({"synthetic": settings})
         assert mode == "per_sample"
         for written, built in zip(generated, from_block):
@@ -434,6 +434,32 @@ class TestDseCommand:
         capsys.readouterr()
         assert modes and set(modes) == {"center"}
 
+    def test_data_flag_replaces_a_synthetic_block(
+        self, dataset_dir, tmp_path, capsys, monkeypatch
+    ):
+        crops = []
+        real_crop = cli.crop_to_window
+
+        def spying_crop(sample, window_size, *, window_mode):
+            crops.append((sample.sensor_width, window_mode))
+            return real_crop(sample, window_size, window_mode=window_mode)
+
+        monkeypatch.setattr(cli, "crop_to_window", spying_crop)
+        (tmp_path / "grid.json").write_text(
+            '{"bits": [32], "timesteps": [5], "windows": [50]}')
+        (tmp_path / "train.json").write_text(json.dumps({
+            "epochs": 1, "seed": 0, "batch_size": 4,
+            "data": {"synthetic": {"per_class": 1, "sensor": 80}, "window_mode": "center"},
+        }))
+        assert main([
+            "dse", "--grid", str(tmp_path / "grid.json"), "--accuracy-source", "live",
+            "--data", str(dataset_dir), "--train-config", str(tmp_path / "train.json"),
+            "--out", str(tmp_path / "dse"),
+        ]) == 0
+        capsys.readouterr()
+        # the directory's 12 recordings of a 64-pixel sensor, in center mode
+        assert crops == [(64, "center")] * 12
+
     def test_live_mode_checks_train_config_before_cropping(
         self, dataset_dir, tmp_path, capsys, monkeypatch
     ):
@@ -521,7 +547,7 @@ class TestDseCommand:
         manifest = json.loads((data / "manifest.json").read_text())
         assert sorted(parsed) == sorted((data / e["file"]).read_bytes() for e in manifest)
 
-        train_s, test_s = (sd.load_dataset(data, split) for split in ("train", "test"))
+        train_s, test_s = (list(sd.dataset_split(data, split)) for split in ("train", "test"))
         baselines, encoded = {}, {}
         for w in grid["windows"]:
             for t in grid["timesteps"]:
@@ -633,6 +659,24 @@ BAD_INPUTS = {
     "gen duration below sensor": (
         {}, GEN + ["--sensor", "64", "--duration", "63"],
         "duration 63 us is shorter than the 64 bar steps",
+    ),
+    "data block misspelt key": (
+        {"train.json": '{"epochs": 0, "seed": 0, "data": {"synthetic": {"per_class": 3, '
+                       '"sensor": 64}, "window_mod": "center"}}'},
+        TRAIN,
+        "data block: unknown keys ['window_mod']",
+    ),
+    "synthetic block misspelt key": (
+        {"train.json": '{"epochs": 0, "seed": 0, "data": {"synthetic": {"per_clas": 3, '
+                       '"sensor": 64}}}'},
+        TRAIN,
+        "data block synthetic: unknown keys ['per_clas']",
+    ),
+    "data block with dir and synthetic": (
+        {"train.json": '{"epochs": 0, "seed": 0, "data": {"dir": "{tmp}/data", '
+                       '"synthetic": {"per_class": 2}}}'},
+        TRAIN,
+        'data block: set "dir" or "synthetic", not both',
     ),
     "manifest entry without split": (
         {"data/manifest.json": '[{"file": "a.dat", "label": 0}]',
@@ -1049,31 +1093,37 @@ def test_recording_counts_count_toward_the_memory_cap():
     """Split sizes alone decide it: no data is generated or loaded."""
     net100, net50 = sd.build_network(100), sd.build_network(50)
     run = (net100, 20, 20)
-    cli._check_memory([run])
-    cli._check_memory([run], 15_422, 8_607)  # NCARS at W=100, T=20: 1.1 GiB of frames
+    cli._check_memory([run], 0)
+    cli._check_memory([run], 15_422 + 8_607)  # NCARS at W=100, T=20: 1.1 GiB
     with pytest.raises(ConfigError, match="training at W=100, T=20, batch 20 "
                                           "needs about 2.1 GiB"):
-        cli._check_memory([run], 33_400, 8_607)
+        cli._check_memory([run], 33_400 + 8_607)
     # just over the cap: the figure rounds up, so it never reads as the cap
     with pytest.raises(ConfigError, match=r"needs about 2\.1 GiB .* and 2\.0 GiB of "
                                           r"encoded splits' packed frames\), above the 2 GiB"):
         cli._check_memory([run], 41_000)
-    # live dse keeps the test split at every (T, W) besides one train split
+    # live dse keeps both splits at every (T, W): NCARS on the T {20, 5} x
+    # W {100, 50} grid holds 1.75 GiB of frames and fits, and the default
+    # grid's 3.5 GiB does not
     grid = [(net100 if w == 100 else net50, t, 20) for t in (20, 5) for w in (100, 50)]
-    cli._check_memory(grid, 15_422, 8_607)
-    with pytest.raises(ConfigError, match=r"GiB of encoded splits' packed "
+    cli._check_memory(grid, 15_422 + 8_607)
+    with pytest.raises(ConfigError, match=r"and 2\.6 GiB of encoded splits' packed "
                                           r"frames\), above the 2 GiB cap"):
-        cli._check_memory(grid, 15_422, 20_000)
+        cli._check_memory(grid, 15_422 + 20_000)
+    default = sd.DseGrid()
+    grid = [(sd.build_network(w), t, 20) for w in default.windows for t in default.timesteps]
+    with pytest.raises(ConfigError, match=r"and 3\.5 GiB of encoded splits' packed"):
+        cli._check_memory(grid, 15_422 + 8_607)
 
 
-@pytest.mark.parametrize("argv,grid,held", [
-    (TRAIN, None, (2 + 2) * 6_250),
-    # live dse: the 2 test recordings at T=5 and T=10, plus 2 train at the
-    # largest run's own T=10
+@pytest.mark.parametrize("argv,grid,held,refused", [
+    (TRAIN, None, (2 + 2) * 6_250, "W=50, T=10"),
+    # live dse: the 4 recordings at T=5 and T=10; with every step costing
+    # nothing the runs tie, and the first is named
     (LIVE_DSE, '{"bits": [10], "timesteps": [5, 10], "windows": [50]}',
-     2 * (3_125 + 6_250) + 2 * 6_250),
+     4 * (3_125 + 6_250), "W=50, T=5"),
 ])
-def test_split_frames_are_checked_before_encoding(argv, grid, held, tmp_path,
+def test_split_frames_are_checked_before_encoding(argv, grid, held, refused, tmp_path,
                                                   monkeypatch, capsys):
     """Once 2 train and 2 test recordings are counted, the estimate holds
     their packed frames, and a refusal comes before any crop or encoding:
@@ -1092,70 +1142,62 @@ def test_split_frames_are_checked_before_encoding(argv, grid, held, tmp_path,
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     monkeypatch.setattr(cli, "_MEMORY_CAP", held - 1)
     assert main(argv) == 1
-    assert "error: training at W=50, T=10, batch 20 needs" in capsys.readouterr().err
+    assert f"error: training at {refused}, batch 20 needs" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()  # a refused run leaves no --out
     monkeypatch.setattr(cli, "_MEMORY_CAP", held)
     assert main(argv) == 1
     assert "error: encoding" in capsys.readouterr().err
 
 
-def test_live_dse_counts_its_crops_toward_the_memory_cap(tmp_path, monkeypatch, capsys):
-    """Live dse keeps every recording's crop at every W until training, 9
-    bytes per event: with the cap between the estimate without them and
-    with them, it refuses while cropping, before any training."""
-    raw = {"epochs": 1, "seed": 0, "data": {"synthetic": {"per_class": 2, "sensor": 128}}}
-    train_split, test_split, mode = cli._load_splits(raw["data"])
-    windows = (50, 100)
-    runs = [(sd.build_network(w), 5, 20) for w in windows]
-    counts = len(train_split), len(test_split)
-    need = cli._MEMORY_CAP - cli._check_memory(runs, *counts)
-    crops = sum(9 * sd.crop_to_window(sample, w, window_mode=mode).n_events
-                for split in (train_split, test_split) for sample in split
-                for w in windows)
-    assert crops > 0
-    monkeypatch.setattr(cli, "_MEMORY_CAP", need + crops // 2)
-    cli._check_memory(runs, *counts)  # the crop-free estimate fits
-
-    def no_training(*args, **kwargs):
-        raise AssertionError("train ran")
-
-    monkeypatch.setattr(cli, "train", no_training)
-    (tmp_path / "train.json").write_text(json.dumps(raw))
+def test_live_dse_counts_both_splits_frames_before_any_read(tmp_path, monkeypatch,
+                                                            capsys):
+    """Live dse bins each crop at every T as it is made and keeps both
+    splits' packed frames at every (T, W) until training. The one check
+    before any read counts them all: a cap one byte below them refuses
+    before the manifest's files, which do not exist, are opened, and a cap
+    at them gets as far as the first file."""
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "manifest.json").write_text(json.dumps(
+        [{"file": f"{split}{i}.dat", "label": i, "split": split}
+         for split in ("train", "test") for i in (0, 1)]))
+    (tmp_path / "train.json").write_text(json.dumps(
+        {"epochs": 1, "seed": 0, "data": {"dir": str(data)}}))
     (tmp_path / "grid.json").write_text(
-        json.dumps({"bits": [10], "timesteps": [5], "windows": list(windows)}))
-    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in LIVE_DSE]) == 1
+        '{"bits": [10], "timesteps": [5, 10], "windows": [50]}')
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in LIVE_DSE]
+    # the largest step, and 4 recordings at T=5 and T=10
+    need = cli._training_bytes(sd.build_network(50), 10, 20) + 4 * (3_125 + 6_250)
+    monkeypatch.setattr(cli, "_MEMORY_CAP", need - 1)
+    assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: training at W=")
-    assert "GiB of cropped recordings), above the" in err
+    assert err.startswith("error: training at W=50, T=10, batch 20 needs")
+    assert "GiB of encoded splits' packed frames), above the" in err
+    monkeypatch.setattr(cli, "_MEMORY_CAP", need)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read {data / 'train0.dat'}")
 
 
 # traced peak growth over estimated growth measured 1.01 for train, 1.02 for
-# eval and 0.77 for live dse (x86-64, NumPy with OpenBLAS)
+# eval and 1.14 for live dse (x86-64, NumPy with OpenBLAS)
 ORACLE_TOLERANCE = 1.25
 
 
 def test_memory_estimate_tracks_the_traced_peak(tmp_path, monkeypatch, capsys):
     """Between 40 and 160 recordings, the peak that tracemalloc sees (NumPy
     traces its buffers there) grows by at most ORACLE_TOLERANCE times what
-    the memory gate's estimate grows by: the bytes `_check_memory` finds
-    in use, plus, for live dse, the crops it keeps and counts as it makes
-    them. Fixed overheads cancel in the difference. With 0 epochs and
+    the memory gate's estimate grows by, as `_check_memory` returns it.
+    Fixed overheads cancel in the difference. With 0 epochs and
     evaluate chunks that are full at both sizes, nothing but what the
     estimate counts grows with the split."""
-    found, crops = [], []
-    check_memory, crop_to_window = cli._check_memory, cli.crop_to_window
+    found = []
+    check_memory = cli._check_memory
 
     def spy_check(*args, **kwargs):
         found.append(check_memory(*args, **kwargs))
         return found[-1]
 
-    def spy_crop(*args, **kwargs):
-        crop = crop_to_window(*args, **kwargs)
-        crops.append(sum(col.nbytes for col in (crop.t, crop.x, crop.y, crop.p)))
-        return crop
-
     monkeypatch.setattr(cli, "_check_memory", spy_check)
-    monkeypatch.setattr(cli, "crop_to_window", spy_crop)
     (tmp_path / "grid.json").write_text(
         '{"bits": [10], "timesteps": [10, 5], "windows": [50, 100]}')
     growth = {}
@@ -1176,7 +1218,6 @@ def test_memory_estimate_tracks_the_traced_peak(tmp_path, monkeypatch, capsys):
         }
         for name, argv in commands.items():
             found.clear()
-            crops.clear()
             tracemalloc.start()
             try:
                 assert main(argv) == 0, name
@@ -1184,10 +1225,8 @@ def test_memory_estimate_tracks_the_traced_peak(tmp_path, monkeypatch, capsys):
             finally:
                 tracemalloc.stop()
             assert len(found) == 1, name
-            assert (name == "dse") == (sum(crops) > 0)
-            estimate = cli._MEMORY_CAP - found[0] + sum(crops)
             peak_growth, estimate_growth = growth.get(name, (0, 0))
-            growth[name] = (peak - peak_growth, estimate - estimate_growth)
+            growth[name] = (peak - peak_growth, found[0] - estimate_growth)
     capsys.readouterr()
     for name, (peak_growth, estimate_growth) in growth.items():
         assert estimate_growth > 0, name

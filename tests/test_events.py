@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import struct
 import threading
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import spikedse as sd
 from spikedse.errors import (
     BadRow,
+    ConfigError,
     CoordinateOutOfRange,
     MalformedHeader,
     MissingManifest,
@@ -355,7 +357,7 @@ class TestColumnContract:
             "generate_synthetic": synthetic,
             "crop": sd.crop(synthetic, AttentionWindow(3, 4, 20)),
             "replace": dataclasses.replace(synthetic, label=0),
-            "load_dataset": sd.load_dataset(tmp_path, "train")[1],
+            "dataset_split": list(sd.dataset_split(tmp_path, "train"))[1],
         }
 
     def test_every_producer_gives_nine_bytes_per_event(self, tmp_path):
@@ -1005,23 +1007,11 @@ class TestDatasetDirectory:
 
     def test_split_loading_in_manifest_order(self, tmp_path):
         train, test = self.make_dataset(tmp_path)
-        loaded = sd.load_dataset(tmp_path, "test")
+        loaded = list(sd.dataset_split(tmp_path, "test"))
         assert len(loaded) == len(test)
         for a, b in zip(loaded, test):
             assert_same_events(a, b)
             assert a.label == b.label
-
-    def test_lazy_split_matches_load_dataset(self, tmp_path):
-        self.make_dataset(tmp_path)
-        whole = sd.load_dataset(tmp_path, "train")
-        split = sd.dataset_split(tmp_path, "train")
-        assert len(split) == len(whole)
-        lazy = iter(split)
-        for a in whole:
-            b = next(lazy)
-            assert b.label == a.label
-            assert_same_events(a, b)
-        assert next(lazy, None) is None
 
     def test_lazy_reader_fails_at_the_bad_file_and_stops_its_threads(self, tmp_path):
         train, _ = self.make_dataset(tmp_path)
@@ -1044,14 +1034,14 @@ class TestDatasetDirectory:
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(MissingManifest):
-            sd.load_dataset(tmp_path, "train")
+            list(sd.dataset_split(tmp_path, "train"))
 
     def test_missing_file(self, tmp_path):
         (tmp_path / "manifest.json").write_text(
             json.dumps([{"file": "gone.dat", "label": 0, "split": "train"}])
         )
         with pytest.raises(UnreadableFile):
-            sd.load_dataset(tmp_path, "train")
+            list(sd.dataset_split(tmp_path, "train"))
 
     @pytest.mark.parametrize("data,line", [
         (b"t_us,x,y,p\n10,1,2,\xff\n", 2),
@@ -1072,7 +1062,7 @@ class TestDatasetDirectory:
             json.dumps([{"file": "bad.dat", "label": 0, "split": "train"}])
         )
         with pytest.raises(UnreadableFile):
-            sd.load_dataset(tmp_path, "train")
+            list(sd.dataset_split(tmp_path, "train"))
 
     def test_manifest_label_overrides_header(self, tmp_path):
         sample = sd.generate_synthetic(0, seed=2, sensor_width=16, sensor_height=16)
@@ -1080,7 +1070,16 @@ class TestDatasetDirectory:
         (tmp_path / "manifest.json").write_text(
             json.dumps([{"file": "a.dat", "label": 1, "split": "train"}])
         )
-        assert sd.load_dataset(tmp_path, "train")[0].label == 1
+        assert next(iter(sd.dataset_split(tmp_path, "train"))).label == 1
+
+    @pytest.mark.parametrize("label", ["0.9", "1.0", "true", "false", '"1"', "2"])
+    def test_manifest_label_must_be_the_integer_0_or_1(self, tmp_path, label):
+        """A label of 0.9 would read as class 0 and true as class 1."""
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(f'[{{"file": "a.dat", "label": {label}, "split": "train"}}]')
+        with pytest.raises(ConfigError, match=f"manifest {manifest}: a.dat: "
+                                              f"label {re.escape(label)} is not 0 or 1"):
+            sd.dataset_split(tmp_path, "train")
 
 
 @pytest.mark.skipif(
@@ -1091,5 +1090,5 @@ def test_ncars_full_split_counts():
     import os
 
     root = os.environ["NCARS_DIR"]
-    assert len(sd.load_dataset(root, "train")) == 15_422
-    assert len(sd.load_dataset(root, "test")) == 8_607
+    assert len(sd.dataset_split(root, "train")) == 15_422
+    assert len(sd.dataset_split(root, "test")) == 8_607
