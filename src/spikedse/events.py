@@ -5,11 +5,16 @@ duration (100 ms for NCARS-style recordings), as four columns at the
 widths of their DAT fields: uint32 t, uint16 x and y (14-bit fields) and
 uint8 p, 9 bytes per event. Two on-disk formats are supported:
 
-  DAT  binary: optional ASCII header lines starting with '%', then 8-byte
-       records of two little-endian 32-bit words. Word 0 is the timestamp
-       in microseconds; word 1 packs x in bits 0-13, y in bits 14-27 and
-       the polarity in bit 28 (bits 29-31 are reserved and written as 0).
-       Recognised header keys: width, height, duration, label.
+  DAT  binary: optional ASCII header lines starting with '%', then an
+       optional event-type byte and event-size byte, then 8-byte records
+       of two little-endian 32-bit words. Word 0 is the timestamp in
+       microseconds; word 1 packs x in bits 0-13, y in bits 14-27 and the
+       polarity in bit 28 (bits 29-31 are reserved and written as 0).
+       Recognised header keys: width, height, duration, label. An event
+       section of 2 more bytes than a multiple of 8 starts with the type
+       (any value) and size (which must be 8) bytes of the Prophesee
+       layout; the writer always emits them, type 0 and size 8, so a first
+       timestamp whose low byte is '%' cannot be read as a header line.
   CSV  text: one "t_us,x,y,p" row per event, optional column-name header.
 
 Binning produces binary spike frames of shape (T, 2, W, W): channel 0
@@ -292,9 +297,9 @@ def parse_dat(data: bytes) -> EventSample:
     sequence either parses or raises a typed error, never crashes.
 
     Raises:
-        MalformedHeader (also for a side outside [1, 2**14] or a duration
-        outside [1, 2**32]), TruncatedRecord, CoordinateOutOfRange,
-        UnsortedEvents.
+        MalformedHeader (also for a side outside [1, 2**14], a duration
+        outside [1, 2**32] or an event-size byte other than 8),
+        TruncatedRecord, CoordinateOutOfRange, UnsortedEvents.
     """
     fields, offset = _split_dat_header(data)
     width = fields.get("width", DEFAULT_SENSOR_WIDTH)
@@ -304,10 +309,16 @@ def parse_dat(data: bytes) -> EventSample:
     _check_geometry(width, height, duration)
 
     size = len(data) - offset
-    if size % 8 != 0:
-        raise TruncatedRecord(f"event section is {size} bytes, not a multiple of 8")
-    # read the event section in place: write_dat's 53-byte header leaves the
-    # view unaligned, yet parsing a 74k-event recording this way took 0.20 to
+    if size % 8 == 2:  # the event-type byte, then the event-size byte
+        if data[offset + 1] != 8:
+            raise MalformedHeader(
+                f"event size byte at byte {offset + 1} is {data[offset + 1]}, not 8")
+        offset += 2
+    elif size % 8 != 0:
+        raise TruncatedRecord(
+            f"event section is {size} bytes, not a multiple of 8 (or 2 more)")
+    # read the event section in place: write_dat's header leaves the view
+    # unaligned, yet parsing a 74k-event recording this way took 0.20 to
     # 0.35 ms against 0.25 to 0.37 ms through a copy of the section (min of
     # 7 x 300, 6 alternated rounds, 2-vCPU x86-64 host)
     words = np.frombuffer(data, dtype="<u4", offset=offset)
@@ -346,7 +357,7 @@ def write_dat(sample: EventSample) -> bytes:
         f"% height {sample.sensor_height}\n"
         f"% duration {sample.duration_us}\n"
         f"% label {sample.label}\n"
-    ).encode("ascii")
+    ).encode("ascii") + bytes([0, 8])  # event type 0, event size 8
     body = np.empty((sample.n_events, 2), dtype="<u4")
     body[:, 0] = sample.t
     # widen y and p before shifting: a uint16 y << 14 drops y's high bits

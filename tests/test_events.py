@@ -9,7 +9,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spikedse as sd
@@ -123,6 +123,11 @@ wild_record = st.tuples(uint32, uint32) | st.builds(
     st.integers(0, 15))
 
 
+# the event-type byte of the type-and-size layout: any value but '%'
+# (0x25), which the header lines before it would take as one more line
+event_type = st.integers(0, 255).filter(lambda b: b != ord("%"))
+
+
 class TestParseDat:
     def test_empty_event_section(self):
         sample = sd.parse_dat(HEADER)
@@ -214,6 +219,52 @@ class TestParseDat:
         assert again.label == sample.label
         assert again.duration_us == sample.duration_us
 
+    def test_first_timestamp_low_byte_percent_round_trips(self):
+        # t = 37 = 0x25 = '%': right after the header, the old writer's
+        # records read back as one more header line, and so as 0 events
+        sample = make_sample([(37, 5, 1, 0), (40, 1, 1, 0)], width=64, height=64)
+        blob = sd.write_dat(sample)
+        assert blob[len(blob) - 18 :].startswith(b"\x00\x08%")
+        assert_same_events(sd.parse_dat(blob), sample)
+
+    @given(data=st.data(), width=st.integers(1, 2**14), height=st.integers(1, 2**14),
+           duration=st.integers(1, 2**32), label=st.integers(0, 1))
+    @settings(max_examples=200, deadline=None)
+    def test_any_timestamps_round_trip(self, data, width, height, duration, label):
+        n = data.draw(st.integers(0, 20))
+        t = sorted(data.draw(st.lists(st.integers(0, duration - 1), min_size=n, max_size=n)))
+        x = data.draw(st.lists(st.integers(0, width - 1), min_size=n, max_size=n))
+        y = data.draw(st.lists(st.integers(0, height - 1), min_size=n, max_size=n))
+        p = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        sample = sd.EventSample(t, x, y, p, width, height, duration, label)
+        again = sd.parse_dat(sd.write_dat(sample))
+        assert_same_events(again, sample)
+        assert (again.sensor_width, again.sensor_height, again.duration_us, again.label) == (
+            width, height, duration, label)
+
+    def test_type_and_size_layout_reads(self):
+        # Built from the layout's description, not from a recorded file (none
+        # can be fetched offline): '%' header lines, then a one-byte event
+        # type and a one-byte event size, then 8-byte records in this
+        # package's bit fields. Any type byte reads; the size must be 8.
+        header = (b"% Date 2016-01-01 00:00:00\n% Version 2\n"
+                  b"% Width 64\n% Height 64\n% end\n")
+        records = pack_record(37, 5, 1, 0) + pack_record(40, 63, 63, 1)
+        for event_type in (0, 12, 255):
+            sample = sd.parse_dat(header + bytes([event_type, 8]) + records)
+            assert (sample.sensor_width, sample.sensor_height) == (64, 64)
+            assert_same_events(sample, make_sample(
+                [(37, 5, 1, 0), (40, 63, 63, 1)], width=64, height=64))
+        assert sd.parse_dat(header + bytes([0, 8])).n_events == 0
+        for size in (0, 4, 9, 37):
+            with pytest.raises(MalformedHeader, match=f"event size byte .* is {size}, not 8"):
+                sd.parse_dat(header + bytes([0, size]) + records)
+
+    @pytest.mark.parametrize("extra", [1, 3, 4, 5, 6, 7])
+    def test_section_of_neither_layout_is_truncated(self, extra):
+        with pytest.raises(TruncatedRecord, match="not a multiple of 8"):
+            sd.parse_dat(HEADER + bytes([0, 8]) + b"\x01" * (8 + extra - 2))
+
     # name: (sample, what parse_dat would say of its DAT bytes)
     UNREADABLE = {
         "width above 2**14": (make_sample([], width=20000, height=4), MalformedHeader),
@@ -253,14 +304,18 @@ class TestParseDat:
         width=st.none() | st.integers(-1, 17),
         height=st.none() | st.integers(-1, 17),
         duration=st.none() | st.integers(-1, 17) | st.integers(0, 2**33),
+        event_type=event_type,
     )
     # each bound hit exactly, and pixel before timestamp before order
-    @example([dat_words(3, 1, 1, 0), dat_words(5, 1, 1, 0)], [], False, None, None, 5)
-    @example([dat_words(20, 1, 1, 0), dat_words(1, 4, 0, 0)], [], False, 4, None, 10)
-    @example([dat_words(0, 0, 2, 0), dat_words(0, 0, 3, 1)], [], False, 8, 3, None)
-    @example([dat_words(4, 0, 0, 0), dat_words(3, 0, 0, 14)], [], False, 1, 1, 5)
+    @example([dat_words(3, 1, 1, 0), dat_words(5, 1, 1, 0)], [], False, None, None, 5, 0)
+    @example([dat_words(20, 1, 1, 0), dat_words(1, 4, 0, 0)], [], False, 4, None, 10, 0)
+    @example([dat_words(0, 0, 2, 0), dat_words(0, 0, 3, 1)], [], False, 8, 3, None, 0)
+    @example([dat_words(4, 0, 0, 0), dat_words(3, 0, 0, 14)], [], False, 1, 1, 5, 0)
+    # a first timestamp whose low byte is '%' (0x25) after the type and size
+    @example([dat_words(37, 5, 1, 0), dat_words(40, 1, 1, 0)], [], False, 64, 64, None, 0)
     @settings(max_examples=400, deadline=None)
-    def test_checks_match_reference(self, records, wild, sort, width, height, duration):
+    def test_checks_match_reference(self, records, wild, sort, width, height, duration,
+                                    event_type):
         for i, record in wild:
             if records:
                 records[i % len(records)] = record
@@ -269,27 +324,32 @@ class TestParseDat:
         declared = {"width": width, "height": height, "duration": duration}
         header = "".join(f"% {k} {v}\n" for k, v in declared.items() if v is not None)
         body = b"".join(struct.pack("<II", *r) for r in records)
-        # a body that starts with '%' (first timestamp's low byte 0x25) is
-        # read as one more header line, so it is not a record body here
-        assume(not body.startswith(b"%"))
+        # the layout write_dat emits, and the records alone wherever they
+        # cannot be read as a header line ('%' is the 0x25 low byte of a
+        # first timestamp)
+        layouts = [bytes([event_type, 8]) + body]
+        if not body.startswith(b"%"):
+            layouts.append(body)
         expected = reference_parse_dat(
             body,
             304 if width is None else width,
             240 if height is None else height,
             100_000 if duration is None else duration,
         )
-        try:
-            reference_check(expected)
-        except SpikeDseError as err:
-            with pytest.raises(type(err)) as got:
-                sd.parse_dat(header.encode("ascii") + body)
-            assert str(got.value) == str(err)
-        else:
-            sample = sd.parse_dat(header.encode("ascii") + body)
-            assert_same_events(sample, expected)
-            assert (sample.sensor_width, sample.sensor_height, sample.duration_us) == (
-                expected.sensor_width, expected.sensor_height, expected.duration_us
-            )
+        for section in layouts:
+            blob = header.encode("ascii") + section
+            try:
+                reference_check(expected)
+            except SpikeDseError as err:
+                with pytest.raises(type(err)) as got:
+                    sd.parse_dat(blob)
+                assert str(got.value) == str(err)
+            else:
+                sample = sd.parse_dat(blob)
+                assert_same_events(sample, expected)
+                assert (sample.sensor_width, sample.sensor_height, sample.duration_us) == (
+                    expected.sensor_width, expected.sensor_height, expected.duration_us
+                )
 
     @given(st.binary(max_size=512))
     @settings(max_examples=200, deadline=None)
@@ -341,6 +401,15 @@ class TestParseCsv:
 
     def test_empty_text(self):
         assert sd.parse_csv("").n_events == 0
+
+    @given(st.lists(st.tuples(st.integers(0, 99_999), st.integers(0, 303),
+                              st.integers(0, 239), st.integers(0, 1)), max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_any_timestamps_round_trip(self, rows):
+        sample = make_sample(sorted(rows), width=304, height=240)
+        again = sd.parse_csv(sd.write_csv(sample))
+        assert_same_events(again, sample)
+        assert sd.write_csv(again) == sd.write_csv(sample)
 
 
 class TestColumnContract:
@@ -972,6 +1041,25 @@ class TestPinnedBytes:
         digest = hashlib.sha256()
         for path in sorted(tmp_path.iterdir()):
             digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        # each DAT file holds its event type and size bytes (0, 8) after the
+        # header: 2 bytes more than the digest test_old_writer_bytes_read pins
+        assert digest.hexdigest() == (
+            "7db9445e0481fe1602e03b97c6486df0babaac1ada8cc81fa5625279639369de")
+
+    def test_old_writer_bytes_read(self, tmp_path):
+        # the writer before the type and size bytes put the records right
+        # after the header; its files still read, to the same events
+        train, test = pinned_samples()
+        sd.write_dataset({"train": train, "test": test}, tmp_path)
+        digest = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            blob = path.read_bytes()
+            if path.suffix == ".dat":
+                at = blob.index(b"\x00\x08")  # the ASCII header holds no 0 byte
+                old = blob[:at] + blob[at + 2 :]
+                assert_same_events(sd.parse_dat(old), sd.parse_dat(blob))
+                blob = old
+            digest.update(path.name.encode() + b"\0" + blob)
         assert digest.hexdigest() == (
             "c2df9509a303f2262ff84ba9209ca0b89e33cdaea4a185bd24167e84b60a4ed6")
 

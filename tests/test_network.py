@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -713,6 +714,23 @@ def ref_active_pixels(x):
     return pixels if pixels.size < limit else None
 
 
+def ref_tap_outputs(pixels, h, w, kernel, padding):
+    """`_tap_outputs` as it was before its (k, P) index arrays: each tap's
+    output rows, bounds and row base built inside the tap loop."""
+    ho, wo = h + 2 * padding - kernel + 1, w + 2 * padding - kernel + 1
+    sample, rest = np.divmod(pixels, h * w)
+    row, col = np.divmod(rest, w)
+    base = sample * (ho * wo)
+    for u in range(kernel):
+        out_row = row + (padding - u)
+        row_ok = (out_row >= 0) & (out_row < ho)
+        row_base = base + out_row * wo
+        for v in range(kernel):
+            out_col = col + (padding - v)
+            ok = row_ok & (out_col >= 0) & (out_col < wo)
+            yield u, v, ok, (row_base + out_col)[ok]
+
+
 def ref_conv_events(x, weight, bias, padding, pixels):
     n, h, w, c = x.shape
     o, _, kernel, _ = weight.shape
@@ -724,7 +742,7 @@ def ref_conv_events(x, weight, bias, padding, pixels):
     flat = out.reshape(-1, o)
     active = x.reshape(-1, c)[pixels].astype(float, copy=False)
     taps = weight.transpose(2, 3, 1, 0)
-    for u, v, ok, rows in network._tap_outputs(pixels, h, w, kernel, padding):
+    for u, v, ok, rows in ref_tap_outputs(pixels, h, w, kernel, padding):
         flat[rows] += active[ok] @ taps[u, v]
     return out
 
@@ -914,6 +932,42 @@ class TestExactConvOracle:
             assert_same_bytes(network._conv(x, weight, bias, 1, stride),
                               ref_conv_dense(x, weight, bias, 1, stride))
             assert ones == [False]
+
+
+class TestTapOutputsOracle:
+    """`_tap_outputs` yields, tap by tap, the bytes of its reference copy."""
+
+    @staticmethod
+    def assert_same_taps(pixels, h, w, kernel, padding):
+        got = list(network._tap_outputs(pixels, h, w, kernel, padding))
+        expected = list(ref_tap_outputs(pixels, h, w, kernel, padding))
+        assert [(u, v) for u, v, _, _ in got] == [(u, v) for u, v, _, _ in expected]
+        assert len(got) == kernel * kernel
+        for (_, _, ok, rows), (_, _, ok_ref, rows_ref) in zip(got, expected):
+            assert_same_bytes(ok, ok_ref)
+            assert_same_bytes(rows, rows_ref)
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_every_padding_and_border(self, kernel):
+        n, h, w = 3, 7, 6
+        flat = np.arange(n * h * w).reshape(n, h, w)
+        border = np.zeros((h, w), bool)
+        border[[0, -1]] = border[:, [0, -1]] = True
+        rng = np.random.default_rng(kernel)
+        interior = rng.choice(flat[:, 1:-1, 1:-1].ravel(), 9, replace=False)
+        cases = [
+            np.sort(np.concatenate([flat[:, border].ravel(), interior])),  # every border pixel
+            flat.ravel(),  # every pixel
+            np.array([0, h * w - 1, n * h * w - 1]),  # corners of the first and last map
+        ]
+        for padding in range(kernel):
+            for pixels in cases:
+                self.assert_same_taps(pixels.astype(np.intp), h, w, kernel, padding)
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_empty_pixel_list(self, kernel):
+        for padding in range(kernel):
+            self.assert_same_taps(np.empty(0, np.intp), 5, 8, kernel, padding)
 
 
 class TestActivePixelsOracle:
@@ -1128,6 +1182,96 @@ class TestEngineEquivalence:
         single = np.array([forward(net, weights, frames).counts for frames, _ in data])
         assert batched.sum() > 0
         assert np.array_equal(batched, single)
+
+
+def ref_simulate(net, weights, frames, *, record=False):
+    """`simulate` as it was before its one-call input stage: each sample's
+    frames unpacked by `data`, stacked into the (T*B, W, W, 2) view of
+    (T, B, 2, W, W) memory, and every layer, a leading pool too, run by the
+    layer loop (hard spikes)."""
+    T, B = frames[0].timesteps, len(frames)
+    n = T * B
+    x = np.stack([f.data for f in frames], axis=1).transpose(0, 1, 3, 4, 2)
+    x = x.reshape((n,) + x.shape[2:])
+    trace = [None] * len(net.layers)
+    quant = weights.quant
+    exact = network._exact_convs(net, quant["bits"]) if quant is not None else set()
+    for i, layer in enumerate(net.layers):
+        if layer.kind == "avg_pool":
+            x = network._pool(x, layer.kernel)
+            continue
+        lw = weights.layers[i]
+        if layer.kind == "conv":
+            v = network._conv(x, lw.weight, lw.bias, layer.padding, layer.stride,
+                              exact=i in exact)
+        else:
+            if x.ndim == 4:
+                x = x.transpose(0, 3, 1, 2)
+            x = np.ascontiguousarray(x, dtype=float)
+            v = x.reshape(n, -1) @ lw.weight.T
+            v += lw.bias
+        v = v.reshape((T, B) + v.shape[1:])
+        spikes = lif_scan(v, net.lif)
+        trace[i] = network.LayerTrace(x.reshape((T, B) + x.shape[1:]), v, spikes)
+        x = spikes.reshape((n,) + spikes.shape[2:])
+    counts = x.reshape(T, B, -1).sum(axis=0, dtype=float)
+    return counts, trace if record else None
+
+
+class TestInputStage:
+    """`simulate`'s one-call unpack and word-lane leading pool give the
+    bytes of the per-sample unpack and `_pool` (`ref_simulate`): counts and
+    every LayerTrace, for any window, batch, T and first layer."""
+
+    @staticmethod
+    def net(first, window):
+        if first == "conv":
+            head = (LayerSpec("conv", 2, 3, kernel=3, padding=1),
+                    LayerSpec("avg_pool", 3, 3, kernel=2, stride=2))
+        elif first == "fc":
+            head = ()
+        else:
+            head = (LayerSpec("avg_pool", 2, 2, kernel=first, stride=first),
+                    LayerSpec("conv", 2, 3, kernel=3, padding=1))
+        flat = 2 * window * window if not head else math.prod(
+            network.layer_shapes(head, window)[-1])
+        return NetworkSpec(head + (LayerSpec("fully_connected", flat, 4),
+                                   LayerSpec("fully_connected", 4, 2)), window)
+
+    @staticmethod
+    def batch(fill, batch, timesteps, window, rng):
+        shape = (timesteps, 2, window, window)
+        if fill == "random":
+            return [random_frames(rng, timesteps, window, density=0.4) for _ in range(batch)]
+        value = np.uint8(fill == "ones")
+        return [SpikeFrames(np.full(shape, value), timesteps, window) for _ in range(batch)]
+
+    @pytest.mark.parametrize("window", [13, 50, 51, 100])
+    @pytest.mark.parametrize("first", [2, 3, 4, 8, "conv", "fc"])
+    def test_same_bytes_as_the_per_sample_unpack(self, first, window):
+        net = self.net(first, window)
+        weights = active_weights(net, seed=window, gain=2.0)
+        rng = np.random.default_rng(window)
+        fired = 0.0
+        # all-one frames fill each 8 x 8 block: a lane sum of 64
+        for fill in ("random", "zeros", "ones"):
+            for batch, timesteps in ((1, 1), (1, 10), (12, 1), (12, 10)):
+                frames = self.batch(fill, batch, timesteps, window, rng)
+                for record in (False, True):
+                    result = simulate(net, weights, frames, record=record)
+                    counts, trace = ref_simulate(net, weights, frames, record=record)
+                    assert_same_bytes(result.counts, counts)
+                    if not record:
+                        assert result.trace is None
+                        continue
+                    assert len(result.trace) == len(trace)
+                    for got, expected in zip(result.trace, trace):
+                        assert (got is None) == (expected is None)
+                        if got is not None:
+                            for name in ("inputs", "potentials", "spikes"):
+                                assert_same_bytes(getattr(got, name), getattr(expected, name))
+                            fired += got.spikes.sum()
+        assert fired > 0
 
 
 def thawed(weights):
