@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -54,6 +54,10 @@ class CostConstants:
     energy_per_neuron_update: float = 0.9e-12
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         if self.latency_fixed < 0:
             raise ValueError("latency_fixed must be >= 0")
         for name in ("latency_per_op", "energy_per_synop_32b", "energy_per_neuron_update"):
@@ -165,22 +169,31 @@ def full_report(
     window: int,
     constants: CostConstants,
 ) -> CostReport:
-    """Assemble memory, ops, latency and energy for one setting."""
+    """Assemble memory, ops, latency and energy for one setting.
+
+    Raises:
+        ConfigError: if the constants give this setting, or its 20-timestep
+            baseline, a latency or energy that is not finite.
+    """
     if window != spec.input_window:
         raise ValueError(
             f"window {window} does not match the spec's {spec.input_window}"
         )
+    tag = setting_tag(bits, timesteps, window)
     ops = count_ops(spec, timesteps)
     latency = latency_estimate(ops, constants)
     reference = latency_estimate(count_ops(spec, BASELINE_TIMESTEPS), constants)
+    energy = energy_estimate(ops, bits, constants)
+    if not all(map(math.isfinite, (latency, reference, energy))):
+        raise ConfigError(f"cost constants give {tag} a latency or energy that is not finite")
     return CostReport(
-        tag=setting_tag(bits, timesteps, window),
+        tag=tag,
         bits=bits,
         timesteps=timesteps,
         window=window,
         memory_bits=memory_of(spec, bits),
         latency_units=latency,
-        energy_units=energy_estimate(ops, bits, constants),
+        energy_units=energy,
         latency_ratio=latency / reference,
         op_count=ops,
     )

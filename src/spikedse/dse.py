@@ -119,8 +119,10 @@ class Constraints:
                 megabits = raw["max_memory_mb"]
                 if not isinstance(megabits, numbers.Real):
                     raise TypeError(f"max_memory_mb must be a number, got {megabits!r}")
-                if not math.isfinite(megabits):
-                    raise ValueError(f"max_memory_mb must be finite, got {megabits!r}")
+                # 1e308 MB is finite, but not as bits
+                if not math.isfinite(megabits * MEMORY_UNIT_BITS):
+                    raise ValueError(
+                        f"max_memory_mb must be finite in bits, got {megabits!r}")
                 memory_bits = int(megabits * MEMORY_UNIT_BITS)
             return cls(
                 max_memory_bits=memory_bits,

@@ -40,6 +40,18 @@ input is sparse (`_active_pixels`), instead of rebuilding im2col columns,
 and takes its input gradient from the dense kernel too, as a transposed
 conv (`_conv_input_grad`). fc layers always run dense.
 
+A forward value depends on its model and sample alone, never on the
+batch it ran in or on the BLAS kernel. OpenBLAS sums a GEMM row in an
+order that can follow the product's row count (edge kernels, small-matrix
+paths, the split between threads, the core type), so every float product
+whose sum is not exact runs at a fixed row count per layer shape, a
+multiple of 8, with the last block zero-padded: a conv's im2col blocks
+(`_column_blocks`), which its input gradient runs too, and the fc layers
+(`_fixed_rows`). This is the fixed reduction split of batch-invariant
+kernels (He and Thinking Machines Lab, "Defeating Nondeterminism in LLM
+Inference", 2025). Exact sums (`_exact_convs`) have one value in any
+order and keep their unpadded GEMMs.
+
 NumPy pays a fixed cost per innermost loop, and a conv's short channel
 axis (C = 2 on conv1) made three of its passes pay it per pixel. They run
 on long rows instead, each without changing a value: the im2col copy
@@ -165,6 +177,13 @@ class NetworkSpec:
     layers: tuple[LayerSpec, ...]
     input_window: int
     lif: LifParams = LifParams()
+
+    def __post_init__(self):
+        window = self.input_window
+        if isinstance(window, bool) or not isinstance(window, numbers.Integral):
+            raise TypeError(f"input_window must be an integer, got {window!r}")
+        if window < 1:
+            raise ValueError(f"input_window must be positive, got {window!r}")
 
     def flatten_size(self) -> int:
         """Flattened feature count entering the first fully-connected layer."""
@@ -333,9 +352,8 @@ def init_weights(spec: NetworkSpec, seed: int) -> WeightSet:
 # Row blocks of a conv's im2col columns: bounds the columns built at once
 # (peak memory) and keeps a block's GEMM operands in cache.
 _BLOCK_BYTES = 1 << 20
-# Batched evaluation simulates as many samples at once as keep T x the
-# largest per-sample layer output (float64) under this.
-_BATCH_BYTES = 8 << 20
+# Rows per GEMM call of a float fc layer (`_fixed_rows`).
+_FC_ROWS = 32
 # The event-driven conv pays per non-zero input pixel, the dense one per
 # output window: per tap and output channel, C MACs for dense and C MACs
 # plus one scattered add for events. A scattered add costs about as much as
@@ -461,32 +479,44 @@ def _per_tap(sums: np.ndarray, kernel: int, out: np.ndarray | None = None) -> np
     return np.multiply(sums, 1 / area, out=out, dtype=float)
 
 
+def _frame_block(ho: int, wo: int, depth: int) -> int:
+    """Frames per im2col row block of a conv with (Ho, Wo) outputs and
+    depth-wide columns: about _BLOCK_BYTES of columns, rounded down, but
+    to no fewer than one step, so that a block holds a multiple of 8 rows."""
+    step = 8 // math.gcd(ho * wo, 8)
+    frames = _BLOCK_BYTES // (ho * wo * depth * 8)
+    return max(step, frames - frames % step)
+
+
 def _column_blocks(
-    x: np.ndarray, kernel: int, padding: int, stride: int, *, ones: bool = False
+    x: np.ndarray, kernel: int, padding: int, stride: int, *, ones: bool = False,
+    pad: bool = False,
 ):
     """Yield (lo, hi, cols) over row blocks of (N, H, W, C) input x.
 
     cols is the ((hi - lo) * Ho * Wo, k * k * C) im2col matrix of x[lo:hi]
-    at the valid (strided) output positions, about _BLOCK_BYTES in size:
-    rows in (frame, Ho, Wo) order, columns in (k, k, C) order. A row is k
-    window rows of k * C values that lie side by side in the padded input,
-    so each is copied as one (k * C * 8)-byte item: one inner loop of k
-    items per output position, where a float64 copy runs k loops of k * C
-    values (6 on conv1). ones=True appends one column of ones, the one a
-    folded bias meets (`_conv_dense`); it is written once per buffer. The
-    buffers are reused: consume a block before drawing the next.
+    at the valid (strided) output positions, in blocks of `_frame_block`
+    frames: rows in (frame, Ho, Wo) order, columns in (k, k, C) order. A
+    row is k window rows of k * C values that lie side by side in the
+    padded input, so each is copied as one (k * C * 8)-byte item: one inner
+    loop of k items per output position, where a float64 copy runs k loops
+    of k * C values (6 on conv1). ones=True appends one column of ones, the
+    one a folded bias meets (`_conv_dense`); it is written once per buffer.
+    pad=True yields every block at the full block's rows, the tail block's
+    extra rows zero. The buffers are reused: consume a block before drawing
+    the next.
     """
     n, h, w, c = x.shape
     ho, wo = (_conv_size(size, kernel, padding, stride) for size in (h, w))
     depth = kernel * kernel * c
-    block = max(1, _BLOCK_BYTES // (ho * wo * depth * 8))
+    block = _frame_block(ho, wo, depth)
     xp = np.zeros((min(block, n), h + 2 * padding, w + 2 * padding, c))
     run = np.dtype((np.void, kernel * c * xp.itemsize))
     frame, row, col, _ = xp.strides
     # (block, Ho, Wo, k) view of the window rows the outputs read
     windows = np.ndarray((len(xp), ho, wo, kernel), run, xp,
                          strides=(frame, stride * row, stride * col, row))
-    buf = np.empty((len(xp) * ho * wo, depth + ones))
+    buf = np.empty(((block if pad else len(xp)) * ho * wo, depth + ones))
     buf[:, depth:] = 1.0
     # the same (block, Ho, Wo, k) items in the column rows
     line = buf.strides[0]
@@ -496,7 +526,26 @@ def _column_blocks(
         hi = min(lo + block, n)
         xp[: hi - lo, padding : padding + h, padding : padding + w] = x[lo:hi]
         items[: hi - lo] = windows[: hi - lo]
-        yield lo, hi, buf[: (hi - lo) * ho * wo]
+        rows = (hi - lo) * ho * wo
+        if pad:
+            buf[rows:] = 0.0
+        yield lo, hi, buf if pad else buf[:rows]
+
+
+def _fixed_rows(a: np.ndarray, b: np.ndarray, rows: int) -> np.ndarray:
+    """a @ b as GEMMs of exactly `rows` rows each (a multiple of 8), the
+    last one's rows past a's zero: each row of the (N, O) result is a
+    function of that row of a alone (see the module doc)."""
+    n, k = a.shape
+    full = n - n % rows
+    out = np.empty((-(-n // rows) * rows, b.shape[1]))
+    for lo in range(0, full, rows):
+        np.matmul(a[lo : lo + rows], b, out=out[lo : lo + rows])
+    if full < n:
+        tail = np.zeros((rows, k))
+        tail[: n - full] = a[full:]
+        np.matmul(tail, b, out=out[full:])
+    return out[:n]
 
 
 def _weight_matrix(weight: np.ndarray) -> np.ndarray:
@@ -520,19 +569,14 @@ def _conv(
     block, one GEMM of the im2col columns of the valid (strided) output
     positions against the (k*k*C, O) weight matrix. When at most half of
     the N input frames have a non-zero value, the all-zero frames get the
-    bias map and the GEMM reads the live frames only. BLAS computes each
-    output row from its own input row, so the values stay the dense ones
-    (`_conv_dense` never makes a one-row product). OpenBLAS's SkylakeX
-    and Sandybridge kernels keep that for O = 32, the reference nets'
-    count, at every row count; for some other O (1-3 or 9-11, say), and
-    on its Haswell and Zen kernels even at O = 32, a row's sum order
-    depends on the row count, so there the values can move by rounding.
-    exact=True says the caller proved every partial sum exact in float64
-    (see `simulate`); then a stride-1 conv whose input is sparse enough
-    (`_active_pixels`) runs the event-driven `_conv_events` instead, which
-    gives the same values in another summation order, and the dense kernel
-    folds the bias into its GEMM. One `x != 0` mask gives both the
-    active pixels and the live frames.
+    bias map and the GEMM reads the live frames only; a row's value does
+    not depend on the rows beside it (`_conv_dense`), so the values are
+    the dense ones. exact=True says the caller proved every partial sum
+    exact in float64 (see `simulate`); then a stride-1 conv whose input is
+    sparse enough (`_active_pixels`) runs the event-driven `_conv_events`
+    instead, which gives the same values in another summation order, and
+    the dense kernel folds the bias into its GEMM. One `x != 0` mask gives
+    both the active pixels and the live frames.
     """
     _, c, kernel, _ = weight.shape
     if x.shape[3] != c:
@@ -559,34 +603,33 @@ def _conv_dense(
 ) -> np.ndarray:
     """`_conv` as one im2col GEMM per row block over every input frame.
 
-    A block of one row (one frame of a 1 x 1 output map) is computed as
-    the first row of a two-row product: numpy sends a one-row product to
-    GEMV, which sums in another order than the GEMM of the other blocks.
-    The bias is added to each frame as one tiled (Ho * Wo * O) row. With
-    exact=True (every partial sum exact, see `_conv`) it is folded into
-    the GEMM instead: the columns end in a column of ones and the
-    (k*k*C + 1, O) weight matrix in the bias, so the GEMM writes each
-    potential once. Exact sums have one value in any order, signed zeros
-    included; inexact ones do not, and on OpenBLAS's Haswell and
-    Sandybridge kernels a folded bias moves float results by rounding.
+    Each GEMM has the full block's rows, the tail block's zero-padded
+    (`_column_blocks`), into an output with room for them, so a frame's
+    value is the same in any batch. The bias is added to each frame as one
+    tiled (Ho * Wo * O) row. With exact=True (every partial sum exact, see
+    `_conv`) the GEMMs are unpadded, as exact sums have one value at any
+    row count, signed zeros included, and the bias is folded into them:
+    the columns end in a column of ones and the (k*k*C + 1, O) weight
+    matrix in the bias, so the GEMM writes each potential once.
     """
-    n = x.shape[0]
+    n, _, _, c = x.shape
     o, _, kernel, _ = weight.shape
     wm = _weight_matrix(weight)
     if exact:
         wm = np.vstack([wm, bias])
     ho, wo = (_conv_size(size, kernel, padding, stride) for size in x.shape[1:3])
-    out = np.empty((n, ho, wo, o))
-    for lo, hi, cols in _column_blocks(x, kernel, padding, stride, ones=exact):
-        dest = out[lo:hi].reshape(-1, o)
-        if len(cols) == 1:
-            dest[:] = (cols[[0, 0]] @ wm)[:1]
-        else:
-            np.matmul(cols, wm, out=dest)
+    padded = n
+    if not exact:  # room for the tail block's padding rows
+        block = _frame_block(ho, wo, kernel * kernel * c)
+        padded = -(-n // block) * block
+    rows = np.empty((padded * ho * wo, o))
+    for lo, _, cols in _column_blocks(x, kernel, padding, stride, ones=exact,
+                                      pad=not exact):
+        np.matmul(cols, wm, out=rows[lo * ho * wo : lo * ho * wo + len(cols)])
     if not exact:
-        frames = out.reshape(n, ho * wo * o)
+        frames = rows[: n * ho * wo].reshape(n, ho * wo * o)
         frames += np.tile(bias, ho * wo)
-    return out
+    return rows[: n * ho * wo].reshape(n, ho, wo, o)
 
 
 def _bias_map(bias: np.ndarray, n: int, ho: int, wo: int) -> np.ndarray:
@@ -725,10 +768,7 @@ def _conv_input_grad(
     of grad, placed on the padded input's grid of window origins, at
     stride 1 and padding k - 1 - p, with the weight flipped in space and
     its channel axes swapped. Its output is exactly in_shape (N, H, W, C),
-    and `_conv_dense` makes it as one GEMM per row block with C output
-    columns: 32 on the reference conv2, where OpenBLAS's SkylakeX and
-    Sandybridge kernels give a row the same value at every row count (see
-    `_conv`).
+    and `_conv_dense` makes it in its fixed, zero-padded row blocks.
     """
     n, h, w, c = in_shape
     o, _, kernel, _ = weight.shape
@@ -757,15 +797,17 @@ def _weight_grad_events(
 
 
 def _exact_convs(net: NetworkSpec, bits: int) -> set[int]:
-    """Indices of the convs whose synaptic map is exact in float64 for any
-    weights a `bits`-wide quant record admits; reads only the layer specs.
+    """Indices of the spiking layers, convs and fc layers, whose synaptic
+    map is exact in float64 for any weights a `bits`-wide quant record
+    admits; reads only the layer specs.
 
     With codes |w * 2^f| <= 2^(bits - 1) (a WeightSet's check) and input on
     the 2^-g grid with |x| <= m, every product and partial sum, bias
     included, is a multiple of 2^-(f + g) of at most (fan_in * m + 1) *
-    2^(bits - 1 + g) units: exact in any order below 2^53. (g, m) starts at
-    uint8 frames' (0, 255), a power-of-two pool adds log2 of its area to g,
-    any other loses the grid, and hard spikes are (0, 1).
+    2^(bits - 1 + g) units: exact in any order below 2^53. fan_in is
+    weight_count // out_channels (k * k * C, or an fc layer's inputs).
+    (g, m) starts at uint8 frames' (0, 255), a power-of-two pool adds log2
+    of its area to g, any other loses the grid, and hard spikes are (0, 1).
     """
     exact = set()
     g, m = 0, _DTYPE_MAX[np.dtype(np.uint8)]
@@ -774,9 +816,9 @@ def _exact_convs(net: NetworkSpec, bits: int) -> set[int]:
         if layer.kind == "avg_pool":
             g = None if g is None or area & (area - 1) else g + area.bit_length() - 1
             continue
-        if layer.kind == "conv" and g is not None:
-            if (layer.in_channels * area * m + 1) << (bits - 1 + g) < 1 << 53:
-                exact.add(i)
+        fan_in = layer.weight_count // layer.out_channels
+        if g is not None and (fan_in * m + 1) << (bits - 1 + g) < 1 << 53:
+            exact.add(i)
         g, m = 0, 1
     return exact
 
@@ -872,6 +914,7 @@ def simulate(
     one pass, and scans the LIF recurrence over T. All samples must share
     T and the network's window. A conv runs event-driven where that is
     exact and pays (see the module doc); the values are the same either way.
+    Each sample's values are the ones it gets alone, or in any other batch.
     """
     timesteps = {f.timesteps for f in frames}
     if len(timesteps) != 1:
@@ -907,7 +950,10 @@ def simulate(
                 raise ShapeMismatch(
                     f"fc expects {lw.weight.shape[1]} inputs, got {flat.shape[1]}"
                 )
-            v = flat @ lw.weight.T
+            if i in exact:
+                v = flat @ lw.weight.T
+            else:
+                v = _fixed_rows(flat, lw.weight.T, _FC_ROWS)
             v += lw.bias
         v = v.reshape((T, B) + v.shape[1:])
         spikes = lif_scan(

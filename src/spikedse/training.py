@@ -50,7 +50,6 @@ from .network import (
     NetworkSpec,
     SpikeMode,
     WeightSet,
-    _BATCH_BYTES,
     _conv_backward,
     _pool_backward,
     decode,
@@ -59,6 +58,10 @@ from .network import (
     simulate,
 )
 from .quantize import QuantConfig, grid_aligned
+
+# `evaluate` simulates as many samples at once as keep T x the largest
+# per-sample layer output (float64) under this.
+_BATCH_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -418,7 +421,7 @@ def evaluate(
     """Fraction of correctly decoded samples.
 
     The split runs through `simulate` in as few chunks as keep T x the
-    largest per-sample layer output (float64) under `network._BATCH_BYTES`,
+    largest per-sample layer output (float64) under `_BATCH_BYTES`,
     so memory stays flat as W and T grow. The chunks share one size (the
     last may be smaller), so no call pays the engine's per-call cost for
     a small remainder. All samples must share one timestep count. When

@@ -824,6 +824,10 @@ BAD_INPUTS = {
              "--out", "{tmp}/out"],
         "max_latency_ratio must be positive and finite",
     ),
+    "max_memory_mb 1e308": (
+        {}, ["dse", "--constraints", '{"max_memory_mb": 1e308}', "--out", "{tmp}/out"],
+        "max_memory_mb must be finite in bits, got 1e+308",
+    ),
     "max_memory_mb Infinity": (
         {}, ["dse", "--constraints", '{"max_memory_mb": Infinity}', "--out", "{tmp}/out"],
         "max_memory_mb must be finite",
@@ -988,6 +992,27 @@ def test_malformed_json_input_is_domain_error(name, tmp_path, capsys):
     assert err.startswith("error:")
     assert message.replace("{tmp}", str(tmp_path)) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e308])
+@pytest.mark.parametrize("name", ["latency_per_op", "energy_per_synop_32b"])
+@pytest.mark.parametrize("command", ["complexity", "dse"])
+def test_non_finite_costs_are_refused(command, name, value, tmp_path, capsys):
+    """NaN and Infinity constants, and a 1e308 one whose latency or energy
+    overflows, exit 1 with an error line; nothing prints or writes a NaN
+    or Infinity token."""
+    constants = {**dataclasses.asdict(sd.default_constants()), name: value}
+    (tmp_path / "c.json").write_text(json.dumps(constants))
+    argv = COMPLEXITY if command == "complexity" else ["dse"]
+    argv = argv + ["--constants", str(tmp_path / "c.json"), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and "Traceback" not in err
+    message = "must be finite" if value != 1e308 else "latency or energy that is not finite"
+    assert message in err
+    written = [out] + [p.read_text() for p in tmp_path.rglob("*") if p.is_file()
+                       and p.name != "c.json"]
+    assert not any(token in text for text in written for token in ("NaN", "Infinity"))
 
 
 def test_baseline_config_is_under_the_memory_cap(tmp_path, capsys):

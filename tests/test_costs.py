@@ -19,6 +19,7 @@ from spikedse.costs import (
     setting_tag,
     OpCount,
 )
+from spikedse.errors import ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +218,19 @@ class TestConstants:
             CostConstants(latency_fixed=-1.0)
         with pytest.raises(ValueError):
             CostConstants(alpha=1.5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CostConstants)])
+    def test_non_finite_constant_is_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            CostConstants(**{name: value})
+
+    @pytest.mark.parametrize("name", ["latency_per_op", "energy_per_synop_32b",
+                                      "energy_per_neuron_update"])
+    def test_overflowing_report_is_refused(self, nets, name):
+        constants = CostConstants(**{name: 1e308})  # finite, but not times the op count
+        with pytest.raises(ConfigError, match="4b_5t_50w a latency or energy"):
+            full_report(nets[50], 4, 5, 50, constants)
 
     def test_tag_format(self):
         assert setting_tag(10, 5, 100) == "10b_5t_100w"

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spikedse as sd
@@ -632,36 +632,61 @@ class TestSparseTrainingConvs:
         assert np.array_equal(gathered[2], dense[2])
 
 
-class TestOneRowBlocks:
-    """A frame of a 1x1-output conv gets the same value wherever it sits in
-    the batch: `_conv_dense` makes no one-row (GEMV) product. The weights
-    have the reference nets' 32 output channels, at which OpenBLAS's
-    SkylakeX and Sandybridge kernels sum a row alike at every row count;
-    its Haswell and Zen kernels, and other counts on any kernel, sum in
-    a row-count-dependent order anyway, so there this can fail."""
+@functools.cache
+def trained_float_net():
+    """A W=50 float net from 2 criterion-6-config epochs at T = 5, and its
+    34-recording test split."""
+    train_s, test_s = sd.make_synthetic_dataset(per_class=50, seed=11)
+    config = sd.TrainConfig(epochs=2, batch_size=20, learning_rate=0.1, momentum=0.9,
+                            seed=123, timesteps=5, window=50)
+    net = sd.build_network(50)
+    weights, _ = sd.train(net, sd.encode_dataset(train_s, 50, 5), config)
+    assert weights.quant is None and len(test_s) == 34
+    return net, weights, test_s
 
-    @staticmethod
-    def case(n):
-        rng = np.random.default_rng(17)
-        x = rng.random((n, 3, 3, 32))  # 3x3 input, k = 3, no padding: 1x1 output
-        return x, rng.uniform(-1, 1, (32, 32, 3, 3)), rng.uniform(-1, 1, 32)
 
-    def test_lone_last_row_of_a_batch(self):
-        # 1 MiB blocks of 455 frames: a 456-frame batch ends in a one-row block
-        x, weight, bias = self.case(456)
-        block = network._BLOCK_BYTES // (9 * 32 * 8)
-        assert len(x) % block == 1
-        out = network._conv_dense(x, weight, bias, 0, 1)
-        pair = network._conv_dense(x[-2:], weight, bias, 0, 1)
-        assert np.array_equal(out[-1], pair[-1])
-        assert np.array_equal(out[-2], pair[0])
+@functools.cache
+def float_net_frames(timesteps):
+    return [f for f, _ in sd.encode_dataset(trained_float_net()[2], 50, timesteps)]
 
-    def test_single_frame_through_conv(self):
-        x, weight, bias = self.case(20)
-        out = network._conv(x, weight, bias, 0, 1)
-        for i in (0, 7, 19):
-            assert np.array_equal(network._conv(x[i : i + 1], weight, bias, 0, 1)[0],
-                                  out[i])
+
+@st.composite
+def batch_slices(draw):
+    """(B, lo, hi): a batch of B test recordings and a sub-batch of it."""
+    batch = draw(st.integers(1, 34))
+    lo = draw(st.integers(0, batch - 1))
+    return batch, lo, draw(st.integers(lo + 1, batch))
+
+
+class TestBatchInvariance:
+    """A sample's values depend on the model and the sample alone: a
+    sub-batch's counts, and every spiking layer's potentials and spikes,
+    are the bytes of its rows inside the full batch, for a trained float
+    net, any B, T and slice, on every BLAS kernel (`_column_blocks`,
+    `_fixed_rows`)."""
+
+    @given(case=batch_slices(), timesteps=st.integers(1, 8))
+    # the lone last recording of the whole split: fc1 moved by rounding
+    # while every product's row count followed the batch
+    @example(case=(34, 33, 34), timesteps=5)
+    @settings(max_examples=12, deadline=None)
+    def test_sub_batch_rows_equal_the_full_batch(self, case, timesteps):
+        batch, lo, hi = case
+        net, weights, _ = trained_float_net()
+        frames = float_net_frames(timesteps)[:batch]
+        full = simulate(net, weights, frames, record=True)
+        part = simulate(net, weights, frames[lo:hi], record=True)
+        assert_same_bytes(part.counts, full.counts[lo:hi])
+        for got, whole in zip(part.trace, full.trace, strict=True):
+            assert (got is None) == (whole is None)
+            if got is not None:
+                for name in ("potentials", "spikes"):
+                    assert_same_bytes(getattr(got, name), getattr(whole, name)[:, lo:hi])
+
+    def test_every_layer_fires(self):
+        net, weights, _ = trained_float_net()
+        trace = simulate(net, weights, float_net_frames(5), record=True).trace
+        assert all(tr.spikes.any() for tr in trace if tr is not None)
 
 
 # Reference copies of the conv kernels as they were before the plane-wise
@@ -669,10 +694,20 @@ class TestOneRowBlocks:
 # last im2col columns, broadcast bias adds and fills, and a float
 # count_nonzero plus a per-pixel any(). The kernels must give their bytes.
 
+def ref_frame_block(rows, depth):
+    """Frames per row block of `rows` output rows each: 1 MiB of columns,
+    down to a whole number of 8-row groups, or the fewest frames that make
+    one."""
+    block = network._BLOCK_BYTES // (rows * depth * 8)
+    while block * rows % 8:
+        block -= 1
+    return block or 8 // math.gcd(rows, 8)
+
+
 def ref_column_blocks(x, kernel, padding, stride):
     n, h, w, c = x.shape
     ho, wo = (network._conv_size(size, kernel, padding, stride) for size in (h, w))
-    block = max(1, network._BLOCK_BYTES // (ho * wo * kernel * kernel * c * 8))
+    block = ref_frame_block(ho * wo, kernel * kernel * c)
     xp = np.zeros((min(block, n), h + 2 * padding, w + 2 * padding, c))
     windows = np.lib.stride_tricks.sliding_window_view(
         xp, (kernel, kernel), axis=(1, 2)
@@ -689,14 +724,13 @@ def ref_conv_dense(x, weight, bias, padding, stride):
     o, _, kernel, _ = weight.shape
     wm = weight.transpose(2, 3, 1, 0).reshape(-1, o)
     ho, wo = (network._conv_size(size, kernel, padding, stride) for size in x.shape[1:3])
+    rows = ref_frame_block(ho * wo, len(wm)) * ho * wo
     out = np.empty((x.shape[0], ho, wo, o))
     for lo, hi, cols in ref_column_blocks(x, kernel, padding, stride):
         flat = cols.reshape(-1, wm.shape[0])
-        dest = out[lo:hi].reshape(-1, o)
-        if len(flat) == 1:
-            dest[:] = (flat[[0, 0]] @ wm)[:1]
-        else:
-            np.matmul(flat, wm, out=dest)
+        padded = np.zeros((rows, len(wm)))  # every product has a full block's rows
+        padded[: len(flat)] = flat
+        out[lo:hi] = (padded @ wm)[: len(flat)].reshape(hi - lo, ho, wo, o)
     out += bias
     return out
 
@@ -1208,7 +1242,15 @@ def ref_simulate(net, weights, frames, *, record=False):
             if x.ndim == 4:
                 x = x.transpose(0, 3, 1, 2)
             x = np.ascontiguousarray(x, dtype=float)
-            v = x.reshape(n, -1) @ lw.weight.T
+            flat = x.reshape(n, -1)
+            if i in exact:
+                v = flat @ lw.weight.T
+            else:  # products of _FC_ROWS rows, the last one's padding rows zero
+                rows = network._FC_ROWS
+                padded = np.zeros((-(-n // rows) * rows, flat.shape[1]))
+                padded[:n] = flat
+                v = np.concatenate([padded[lo : lo + rows] @ lw.weight.T
+                                    for lo in range(0, len(padded), rows)])[:n]
             v += lw.bias
         v = v.reshape((T, B) + v.shape[1:])
         spikes = lif_scan(v, net.lif)
@@ -1380,12 +1422,13 @@ class TestEventDrivenConv:
         assert result.trace[0].spikes.any()
         self.assert_equal(result, dense)
 
-    @pytest.mark.parametrize("pool,bits,exact", [(4, 31, {1}), (4, 32, set()), (3, 2, set())],
+    @pytest.mark.parametrize("pool,bits,exact", [(4, 31, {1, 2}), (4, 32, {2}), (3, 2, {2})],
                              ids=["k4-pool-31-bits", "k4-pool-32-bits", "k3-pool-2-bits"])
     def test_exactness_bound(self, pool, bits, exact):
         # a 128-channel 3x3 conv on k4-pooled frames, |x| <= 255 on the 2^-4
         # grid: (1152 * 255 + 1) * 2^(bits - 1 + 4) is below 2^53 at 31 bits
-        # and above it at 32; a k3 pool's averages lie on no 2^-g grid
+        # and above it at 32; a k3 pool's averages lie on no 2^-g grid. The
+        # fc layer reads hard spikes: (16 + 1) * 2^(bits - 1) fits at any width
         net = NetworkSpec(
             layers=(
                 LayerSpec("avg_pool", 128, 128, kernel=pool, stride=pool),
@@ -1400,7 +1443,7 @@ class TestEventDrivenConv:
     def test_reference_convs_are_exact_at_every_width(self, window):
         net = sd.build_network(window)
         for bits in range(2, 33):
-            assert network._exact_convs(net, bits) == {1, 3}
+            assert network._exact_convs(net, bits) == {1, 3, 5, 6}
 
 
 def _weighted(record, value):
@@ -1502,8 +1545,9 @@ class TestGoldenCounts:
             inputs = trace[i].inputs
             assert np.count_nonzero(inputs) / inputs.size == record["input_density"]
             assert trace[i].spikes.sum() == record["spikes"]
-        # conv1 reads uint8 frames through a 4x4 pool, conv2 spikes through a 2x2 one
-        assert network._exact_convs(net, config.bits) == {1, 3}
+        # conv1 reads uint8 frames through a 4x4 pool, conv2 spikes through a
+        # 2x2 one, fc1 spikes through a 2x2 one and fc2 spikes
+        assert network._exact_convs(net, config.bits) == {1, 3, 5, 6}
 
 
 class TestDecode:
@@ -1683,6 +1727,25 @@ class TestCheckpointErrors:
             header["spec"]["layers"][layer][key] = value
         with pytest.raises(CheckpointError, match=str(value)):
             self.load(tmp_path, self.with_header(header))
+
+    @pytest.mark.parametrize("value", [None, "x", [], {}, 0, True])
+    def test_invalid_input_window(self, tmp_path, value):
+        header = self.header()
+        header["spec"]["input_window"] = value
+        with pytest.raises(CheckpointError, match="input_window must be"):
+            self.load(tmp_path, self.with_header(header))
+
+    def test_window_whose_net_has_the_same_layers_loads(self, tmp_path):
+        # floor pooling gives W = 49 the layers of the W = 50 net
+        net = sd.build_network(50)
+        assert sd.build_network(49, strict=False).layers == net.layers
+        sd.save_checkpoint(tmp_path / "w.ckpt", net, sd.init_weights(net, 0))
+        blob = (tmp_path / "w.ckpt").read_bytes()
+        newline = blob.index(b"\n")
+        header = json.loads(blob[:newline])
+        header["spec"]["input_window"] = 49
+        spec, _, _ = self.load(tmp_path, json.dumps(header).encode() + blob[newline:])
+        assert spec == dataclasses.replace(net, input_window=49)
 
     def test_tensor_shape_disagrees_with_spec(self, tmp_path):
         header = self.header()
